@@ -86,7 +86,6 @@
 #include "sim/stats_export.h"
 #include "sim/table.h"
 #include "timing/network_model.h"
-#include "timing/trace_cache.h"
 
 namespace {
 
@@ -282,15 +281,12 @@ selectedArchs(const CliOptions &opts)
     return arch::builtin().select(opts.archs);
 }
 
-/** Write one run report to the paths requested on the command line. */
+/** Write the run report to the paths requested on the command line. */
 void
-writeReports(const CliOptions &opts, const driver::ExperimentConfig &cfg,
-             const nn::Network &net,
-             const std::vector<const arch::ArchModel *> &archs)
+writeReports(const CliOptions &opts, driver::RunReport &report)
 {
     if (opts.reportJson.empty() && opts.reportCsv.empty())
         return;
-    driver::RunReport report = driver::buildRunReport(cfg, net, archs);
     report.manifest.wallSeconds = sim::metrics().secondsSinceEnable();
     auto open = [](const std::string &path) {
         std::ofstream os(path);
@@ -407,28 +403,14 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
     }
     const auto &ref = *archs.front();
 
-    // Single-image per-layer timelines, one run per selected arch
-    // (also reused by --stats below). The cache is shared with the
-    // aggregate sweep so each image's trace is synthesized once.
-    timing::TraceCache cache;
-    std::vector<driver::ArchTimeline> timelines;
-    if (opts.layers || opts.stats) {
+    // One pass over the (arch x image) grid yields the aggregate and
+    // the image-0 timelines that --layers, --stats and the reports read.
+    driver::RunReport run;
+    {
         const sim::ScopedPhase phase("timing");
-        timelines.resize(archs.size());
-        sim::parallelMapReduce(
-            archs.size(),
-            [&](std::size_t a) {
-                timing::RunOptions ropts;
-                ropts.imageSeed = cfg.seed;
-                ropts.cache = &cache;
-                ropts.weightSparsity = cfg.weightSparsity;
-                ropts.memKind = cfg.memKind;
-                return archs[a]->simulateNetwork(cfg.node, *net, ropts);
-            },
-            [&](std::size_t a, dadiannao::NetworkResult &&result) {
-                timelines[a] = {archs[a], std::move(result)};
-            });
+        run = driver::buildRunReport(cfg, *net, archs);
     }
+    const std::vector<driver::ArchTimeline> &timelines = run.timelines;
 
     if (opts.layers) {
         std::vector<std::string> header{"layer"};
@@ -460,13 +442,7 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
         t.print(std::cout);
     }
 
-    driver::NetworkReport report;
-    {
-        const sim::ScopedPhase phase("timing");
-        report =
-            driver::evaluateNetworkArchs(cfg, *net, archs, nullptr, &cache);
-    }
-
+    const driver::NetworkReport &report = run.aggregate;
     const sim::ScopedPhase reportPhase("report");
     std::cout << "\n" << net->name() << " over " << cfg.images
               << " image(s):\n";
@@ -484,7 +460,7 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
         for (const driver::ArchTimeline &tl : timelines)
             driver::buildStats(tl.result, *tl.model)->dump(std::cout);
 
-    writeReports(opts, cfg, *net, archs);
+    writeReports(opts, run);
     return 0;
 }
 
@@ -637,29 +613,17 @@ cmdExportTraces(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
 {
+    // The trace covers one image: the grid's image-0 run per arch.
     driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
+    cfg.images = 1;
     cfg.seed = opts.seed;
     cfg.weightSparsity = opts.weightSparsity;
     cfg.memKind = opts.memKind;
     const auto net = nn::zoo::build(id, cfg.seed);
 
-    const auto archs = selectedArchs(opts);
-    timing::TraceCache cache;
-    std::vector<driver::ArchTimeline> timelines(archs.size());
-    sim::parallelMapReduce(
-        archs.size(),
-        [&](std::size_t a) {
-            timing::RunOptions ropts;
-            ropts.imageSeed = cfg.seed;
-            ropts.cache = &cache;
-            ropts.weightSparsity = cfg.weightSparsity;
-            ropts.memKind = cfg.memKind;
-            return archs[a]->simulateNetwork(cfg.node, *net, ropts);
-        },
-        [&](std::size_t a, dadiannao::NetworkResult &&result) {
-            timelines[a] = {archs[a], std::move(result)};
-        });
+    std::vector<driver::ArchTimeline> timelines;
+    driver::evaluateNetworkArchs(cfg, *net, selectedArchs(opts), nullptr,
+                                 nullptr, &timelines);
 
     sim::TraceSink sink(opts.maxEvents);
     int pid = 1;

@@ -40,7 +40,8 @@ NetworkReport
 evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
                      const std::vector<const arch::ArchModel *> &archs,
                      const nn::PruneConfig *prune,
-                     timing::TraceCache *cache)
+                     timing::TraceCache *cache,
+                     std::vector<ArchTimeline> *timelines)
 {
     CNV_ASSERT(!archs.empty(), "need at least one architecture");
     CNV_ASSERT(cfg.images > 0, "need at least one image");
@@ -50,6 +51,8 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
     report.archs.resize(archs.size());
     for (std::size_t a = 0; a < archs.size(); ++a)
         report.archs[a].model = archs[a];
+    if (timelines != nullptr)
+        timelines->assign(archs.size(), {});
 
     // Without a caller-provided cache the runs still share one for
     // the duration of this sweep, so each image's trace is
@@ -85,6 +88,8 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
                 agg.mem += run.totalMem();
                 agg.memModelled = true;
             }
+            if (timelines != nullptr && g % images == 0)
+                (*timelines)[g / images] = {agg.model, std::move(run)};
         });
     sim::metrics().endProgress();
     return report;

@@ -91,6 +91,15 @@ struct NetworkReport
     }
 };
 
+/** One architecture's single-image (seed = cfg.seed) run. */
+struct ArchTimeline
+{
+    /** The model that produced the timeline (registry-owned). */
+    const arch::ArchModel *model = nullptr;
+    /** Per-layer results of the run. */
+    dadiannao::NetworkResult result;
+};
+
 /**
  * Run `cfg.images` traces of a network through every selected
  * architecture model (optionally with dynamic pruning; the models
@@ -98,13 +107,17 @@ struct NetworkReport
  * over sim::globalPool() and aggregates commit in selection order,
  * so the report is bit-identical for every job count. Runs share
  * `cache` when given (one synthesized trace per image across all
- * architectures); a local cache is used otherwise.
+ * architectures); a local cache is used otherwise. When `timelines`
+ * is given it receives each architecture's image-0 run (seed =
+ * cfg.seed) in selection order, so callers that need per-layer
+ * timelines get them from the same pass instead of simulating again.
  */
 NetworkReport evaluateNetworkArchs(
     const ExperimentConfig &cfg, const nn::Network &net,
     const std::vector<const arch::ArchModel *> &archs,
     const nn::PruneConfig *prune = nullptr,
-    timing::TraceCache *cache = nullptr);
+    timing::TraceCache *cache = nullptr,
+    std::vector<ArchTimeline> *timelines = nullptr);
 
 /**
  * Run a network through the canonical dadiannao + cnv pair (the

@@ -4,7 +4,6 @@
 #include "mem/memory_model.h"
 #include "sim/logging.h"
 #include "sim/metrics.h"
-#include "sim/parallel.h"
 #include "sim/stats_export.h"
 #include "timing/network_model.h"
 
@@ -232,25 +231,9 @@ buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
     report.manifest.weightSparsity = cfg.weightSparsity;
     report.manifest.mem = mem::kindName(cfg.memKind);
 
-    // The timelines and the aggregate share one cache, so the
-    // report's counters reflect the whole run's reuse.
     timing::TraceCache cache;
-    report.timelines.resize(archs.size());
-    sim::parallelMapReduce(
-        archs.size(),
-        [&](std::size_t a) {
-            timing::RunOptions opts;
-            opts.imageSeed = cfg.seed;
-            opts.prune = prune;
-            opts.cache = &cache;
-            opts.weightSparsity = cfg.weightSparsity;
-            opts.memKind = cfg.memKind;
-            return archs[a]->simulateNetwork(cfg.node, net, opts);
-        },
-        [&](std::size_t a, dadiannao::NetworkResult &&result) {
-            report.timelines[a] = {archs[a], std::move(result)};
-        });
-    report.aggregate = evaluateNetworkArchs(cfg, net, archs, prune, &cache);
+    report.aggregate =
+        evaluateNetworkArchs(cfg, net, archs, prune, &cache, &report.timelines);
     report.cacheStats = cache.stats();
     return report;
 }

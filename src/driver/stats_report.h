@@ -41,15 +41,6 @@ buildStats(const dadiannao::NetworkResult &result,
            const arch::ArchModel &model,
            const power::PowerParams &params = {});
 
-/** One architecture's single-image timeline within a RunReport. */
-struct ArchTimeline
-{
-    /** The model that produced the timeline (registry-owned). */
-    const arch::ArchModel *model = nullptr;
-    /** Single-image (seed = manifest.seed) per-layer timeline. */
-    dadiannao::NetworkResult result;
-};
-
 /**
  * One experiment's complete machine-readable record: provenance,
  * the per-layer timelines of every selected architecture (measured
@@ -70,9 +61,10 @@ struct RunReport
 
 /**
  * Evaluate `net` on the selected architectures and assemble a
- * RunReport. The caller fills manifest.tool and
- * manifest.wallSeconds (the build provenance fields are filled here
- * via makeManifest()).
+ * RunReport from one evaluateNetworkArchs() pass: the timelines are
+ * that pass's image-0 runs, so every trace is synthesized once. The
+ * caller fills manifest.wallSeconds (the tool and build provenance
+ * fields are filled here via makeManifest()).
  */
 RunReport buildRunReport(const ExperimentConfig &cfg,
                          const nn::Network &net,

@@ -89,6 +89,33 @@ readRaw(std::istream &is, Fixed16 *data, std::size_t count)
     }
 }
 
+/**
+ * Fatal unless the stream still holds `count` elements, checked
+ * before the caller allocates them: a hostile header may declare up
+ * to 2^32 elements (8 GiB). Only seekable streams can report what is
+ * left; on others readRaw()'s truncation check is the guard.
+ */
+void
+expectPayload(std::istream &is, std::uint64_t count)
+{
+    const std::streamoff here = is.tellg();
+    if (here < 0) {
+        is.clear();
+        return;
+    }
+    is.seekg(0, std::ios::end);
+    const std::streamoff end = is.tellg();
+    is.clear();
+    is.seekg(here);
+    if (end < here)
+        return;
+    const auto left = static_cast<std::uint64_t>(end - here);
+    if (count > left / sizeof(Fixed16))
+        CNV_FATAL("tensor stream declares {} elements but holds only {} "
+                  "payload bytes",
+                  count, left);
+}
+
 } // namespace
 
 void
@@ -112,6 +139,7 @@ loadTensor(std::istream &is)
     if (x < 0 || y < 0 || z < 0 ||
         static_cast<std::uint64_t>(x) * y * z > (1ULL << 32))
         CNV_FATAL("implausible tensor dimensions {}x{}x{}", x, y, z);
+    expectPayload(is, static_cast<std::uint64_t>(x) * y * z);
     NeuronTensor t(x, y, z);
     readRaw(is, t.data(), t.size());
     return t;
@@ -140,6 +168,7 @@ loadFilterBank(std::istream &is)
     if (n < 0 || x < 0 || y < 0 || z < 0 ||
         static_cast<std::uint64_t>(n) * x * y * z > (1ULL << 32))
         CNV_FATAL("implausible filter dimensions");
+    expectPayload(is, static_cast<std::uint64_t>(n) * x * y * z);
     FilterBank f(n, x, y, z);
     readRaw(is, f.data(), f.size());
     return f;

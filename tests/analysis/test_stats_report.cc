@@ -6,6 +6,7 @@
 
 #include "arch/registry.h"
 #include "driver/stats_report.h"
+#include "mem/memory_model.h"
 #include "nn/zoo/zoo.h"
 #include "timing/network_model.h"
 
@@ -20,6 +21,44 @@ sampleRun(const arch::ArchModel &model)
     dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
     return model.simulateNetwork(cfg, *net, opts);
+}
+
+void
+expectSameLayer(const dadiannao::LayerResult &a,
+                const dadiannao::LayerResult &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.startCycle, b.startCycle);
+    EXPECT_EQ(a.activity.other, b.activity.other);
+    EXPECT_EQ(a.activity.conv1, b.activity.conv1);
+    EXPECT_EQ(a.activity.zero, b.activity.zero);
+    EXPECT_EQ(a.activity.nonZero, b.activity.nonZero);
+    EXPECT_EQ(a.activity.stall, b.activity.stall);
+    EXPECT_EQ(a.energy.sbReads, b.energy.sbReads);
+    EXPECT_EQ(a.energy.nmReads, b.energy.nmReads);
+    EXPECT_EQ(a.energy.multOps, b.energy.multOps);
+    EXPECT_EQ(a.energy.offchipBytes, b.energy.offchipBytes);
+    EXPECT_EQ(a.micro.laneBusyCycles, b.micro.laneBusyCycles);
+    EXPECT_EQ(a.micro.laneIdleCycles, b.micro.laneIdleCycles);
+    EXPECT_EQ(a.micro.encoderBusyCycles, b.micro.encoderBusyCycles);
+    EXPECT_EQ(a.micro.encoderBricks, b.micro.encoderBricks);
+    const dadiannao::StallBreakdown &sa = a.micro.stalls;
+    const dadiannao::StallBreakdown &sb = b.micro.stalls;
+    EXPECT_EQ(sa.brickBufferEmpty, sb.brickBufferEmpty);
+    EXPECT_EQ(sa.windowBarrier, sb.windowBarrier);
+    EXPECT_EQ(sa.synapseWait, sb.synapseWait);
+    EXPECT_EQ(sa.sliceDrained, sb.sliceDrained);
+    EXPECT_EQ(sa.nmBankConflict, sb.nmBankConflict);
+    EXPECT_EQ(sa.gbMiss, sb.gbMiss);
+    EXPECT_EQ(sa.dramWait, sb.dramWait);
+    EXPECT_EQ(a.mem.nmAccesses, b.mem.nmAccesses);
+    EXPECT_EQ(a.mem.nmConflictCycles, b.mem.nmConflictCycles);
+    EXPECT_EQ(a.mem.gbHits, b.mem.gbHits);
+    EXPECT_EQ(a.mem.gbMisses, b.mem.gbMisses);
+    EXPECT_EQ(a.mem.gbEvictions, b.mem.gbEvictions);
+    EXPECT_EQ(a.mem.dramBytes, b.mem.dramBytes);
+    EXPECT_EQ(a.mem.dramCycles, b.mem.dramCycles);
 }
 
 const arch::ArchModel &
@@ -93,6 +132,51 @@ TEST(StatsReport, DumpIsReadable)
     EXPECT_NE(out.find("cnv.cycles"), std::string::npos);
     EXPECT_NE(out.find("cnv.activity.stall"), std::string::npos);
     EXPECT_NE(out.find("cnv.power.totalWatts"), std::string::npos);
+}
+
+TEST(StatsReport, RunReportTimelinesAreTheAggregatesImageZeroRuns)
+{
+    // The report's timelines come from the aggregate's own (arch x
+    // image) pass, not a second simulation: each must equal a
+    // standalone run at the root seed, and the cache must have
+    // synthesized every (image, conv layer) trace exactly once.
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 5);
+    const auto archs = arch::builtin().select("dadiannao,cnv,cnv2");
+    for (const mem::Kind kind : {mem::Kind::Ideal, mem::Kind::Banked}) {
+        SCOPED_TRACE(mem::kindName(kind));
+        driver::ExperimentConfig cfg;
+        cfg.images = 2;
+        cfg.seed = 5;
+        cfg.memKind = kind;
+        const driver::RunReport report =
+            driver::buildRunReport(cfg, *net, archs);
+        ASSERT_EQ(report.timelines.size(), archs.size());
+        for (std::size_t a = 0; a < archs.size(); ++a) {
+            SCOPED_TRACE(archs[a]->id());
+            timing::RunOptions opts;
+            opts.imageSeed = cfg.seed;
+            opts.weightSparsity = cfg.weightSparsity;
+            opts.memKind = kind;
+            const auto alone =
+                archs[a]->simulateNetwork(cfg.node, *net, opts);
+            const driver::ArchTimeline &tl = report.timelines[a];
+            EXPECT_EQ(tl.model, archs[a]);
+            EXPECT_EQ(tl.result.architecture, alone.architecture);
+            EXPECT_EQ(tl.result.memModelled, alone.memModelled);
+            ASSERT_EQ(tl.result.layers.size(), alone.layers.size());
+            for (std::size_t i = 0; i < alone.layers.size(); ++i)
+                expectSameLayer(tl.result.layers[i], alone.layers[i]);
+        }
+        const auto images = static_cast<std::uint64_t>(cfg.images);
+        const auto convLayers =
+            static_cast<std::uint64_t>(net->convLayerCount());
+        const timing::TraceCache::Stats &cs = report.cacheStats;
+        EXPECT_EQ(cs.tensorMisses, images * convLayers);
+        // One count-map lookup per (arch, image, conv layer): a
+        // second simulation pass would add archs x layers more.
+        EXPECT_EQ(cs.countMapHits + cs.countMapMisses,
+                  archs.size() * images * convLayers);
+    }
 }
 
 } // namespace

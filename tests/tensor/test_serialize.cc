@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -103,6 +104,66 @@ TEST(Serialize, WrongKindIsFatal)
     std::stringstream ss;
     tensor::save(ss, t);
     EXPECT_THROW(tensor::loadFilterBank(ss), sim::FatalError);
+    sim::setVerbosity(sim::Verbosity::Info);
+}
+
+/** A header declaring `dims` (2^31 elements in all) followed by a
+ *  10-byte payload: loading must fail before allocating 4 GiB. */
+std::string
+hostileStream(const char magic[4], std::vector<std::uint32_t> dims)
+{
+    std::string bytes(magic, 4);
+    auto put = [&bytes](std::uint32_t v) {
+        char buf[sizeof(v)];
+        tensor::storeScalar(buf, v);
+        bytes.append(buf, sizeof(buf));
+    };
+    put(1); // version
+    for (std::uint32_t d : dims)
+        put(d);
+    bytes.append(10, '\0');
+    return bytes;
+}
+
+/** Fatal from the payload-size check, not from a later short read. */
+template <typename Load>
+void
+expectPayloadCheckFatal(Load load)
+{
+    try {
+        load();
+        FAIL() << "expected FatalError";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("payload bytes"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Serialize, HostileElementCountIsFatalBeforeAllocating)
+{
+    sim::setVerbosity(sim::Verbosity::Silent);
+    const std::string tensorBytes =
+        hostileStream("CNVT", {1u << 15, 1u << 8, 1u << 8});
+    expectPayloadCheckFatal([&] {
+        std::stringstream ss(tensorBytes);
+        tensor::loadTensor(ss);
+    });
+    expectPayloadCheckFatal([] {
+        std::stringstream ss(
+            hostileStream("CNVF", {1u << 7, 1u << 8, 1u << 8, 1u << 8}));
+        tensor::loadFilterBank(ss);
+    });
+
+    // The same bytes on disk: loadTensorFile reads a seekable file.
+    const std::string path = ::testing::TempDir() + "cnv_hostile.cnvt";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(tensorBytes.data(),
+                 static_cast<std::streamsize>(tensorBytes.size()));
+    }
+    expectPayloadCheckFatal([&] { tensor::loadTensorFile(path); });
+    std::remove(path.c_str());
     sim::setVerbosity(sim::Verbosity::Info);
 }
 

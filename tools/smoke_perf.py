@@ -5,7 +5,7 @@ Run as the ``cnvsim_perf_smoke`` CTest (see tests/CMakeLists.txt):
 executes the acceptance pipeline
 
     cnvsim run --net nin --arch dadiannao,cnv,cnv2 --jobs 4 \\
-        --perf-json perf.json
+        --perf-json perf.json --report-json report.json
 
 and asserts the ``cnv-perf-v1`` artifact honours its documented
 contract (docs/observability.md, "Host telemetry"):
@@ -17,6 +17,9 @@ contract (docs/observability.md, "Host telemetry"):
   * trace cache — tensorMisses > 0, countMapHits > 0 (cnv and cnv2
     share one count-map entry, so a multi-arch run must hit), and
     hitRate present and in (0, 1];
+  * one simulation pass — the process-wide tensorMisses equal the
+    ``--report-json`` report's summary.cache.tensorMisses, so writing
+    the report synthesized no trace a second time;
   * pool — at least two worker lanes (caller + worker0 at --jobs 4),
     each with utilization in [0, 1].
 
@@ -48,9 +51,11 @@ def main(argv: list[str]) -> int:
     cnvsim, outdir = argv[1], pathlib.Path(argv[2])
     outdir.mkdir(parents=True, exist_ok=True)
     perf = outdir / "perf.json"
+    report = outdir / "report.json"
 
     proc = subprocess.run(
-        [cnvsim, *RUN_ARGS, "--perf-json", str(perf)],
+        [cnvsim, *RUN_ARGS, "--perf-json", str(perf),
+         "--report-json", str(report)],
         capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"smoke_perf: run failed (exit {proc.returncode}): "
@@ -90,6 +95,14 @@ def main(argv: list[str]) -> int:
     if not cache.get("countMapHits", 0) > 0:
         problems.append("traceCache.countMapHits is not > 0 — cnv and "
                         "cnv2 must share one cached count map")
+    report_misses = json.loads(report.read_text()).get(
+        "summary", {}).get("cache", {}).get("tensorMisses")
+    if cache.get("tensorMisses") != report_misses:
+        problems.append(
+            f"process-wide traceCache.tensorMisses "
+            f"{cache.get('tensorMisses')} != report "
+            f"summary.cache.tensorMisses {report_misses} — the run "
+            "synthesized traces more than once")
     rate = cache.get("hitRate")
     if rate is None or not 0.0 < rate <= 1.0:
         problems.append(f"traceCache.hitRate is {rate!r}")
