@@ -213,6 +213,10 @@ BM_FcForwardScalar(benchmark::State &state)
 }
 BENCHMARK(BM_FcForwardScalar);
 
+// The two synthesis stages on one shape: items/s gives each
+// stage's ns per element (activity alone vs activity + values).
+constexpr tensor::Shape3 kTraceShape{56, 56, 256};
+
 void
 BM_TraceSynthesis(benchmark::State &state)
 {
@@ -221,10 +225,27 @@ BM_TraceSynthesis(benchmark::State &state)
     sim::Rng rng(7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            nn::synthesizeActivations({56, 56, 256}, model, rng));
+            nn::synthesizeActivations(kTraceShape, model, rng));
     }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kTraceShape.volume()));
 }
 BENCHMARK(BM_TraceSynthesis);
+
+void
+BM_TraceActivity(benchmark::State &state)
+{
+    nn::SparsityModel model;
+    model.zeroFraction = 0.44;
+    sim::Rng rng(7);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            nn::synthesizeActivity(kTraceShape, model, rng));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kTraceShape.volume()));
+}
+BENCHMARK(BM_TraceActivity);
 
 void
 BM_ConvTimingBaseline(benchmark::State &state)

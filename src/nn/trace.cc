@@ -47,42 +47,60 @@ class SpatialField
     std::vector<double> values_;
 };
 
-/** Draw a non-zero post-ReLU magnitude in raw units. */
+/** Draw a non-zero post-ReLU magnitude in raw units; `mu` is the
+ *  log-space mean (see drawValues). */
 Fixed16
-drawValue(const SparsityModel &m, sim::Rng &rng)
+drawValue(double mu, double sigma, sim::Rng &rng)
 {
-    const double mu = std::log(m.valueScaleRaw) - 0.5 * m.valueSigma * m.valueSigma;
-    double raw = std::exp(rng.normal(mu, m.valueSigma));
+    double raw = std::exp(rng.normal(mu, sigma));
     raw = std::clamp(raw, 1.0, 32767.0);
     return Fixed16::fromRaw(static_cast<std::int16_t>(std::lround(raw)));
 }
 
-} // namespace
-
-NeuronTensor
-synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
+/** Linear index of (x, y, z) in `shape`'s depth-fastest order. */
+std::size_t
+columnBase(const Shape3 &shape, int x, int y)
 {
-    NeuronTensor out(shape);
+    return (static_cast<std::size_t>(y) * shape.x + x) *
+           static_cast<std::size_t>(shape.z);
+}
+
+/**
+ * Stage 1 for one segment: the draws of a (mask.x, mask.y, depth)
+ * activation tensor whose depth range starts at `zBase` of `mask`,
+ * with every magnitude draw skipped. Sets the active bits and
+ * returns the stream state stage 2 replays.
+ */
+Activity::Segment
+drawActivity(int depth, int zBase, const SparsityModel &model,
+             sim::Rng &rng, tensor::ActivityMask &mask)
+{
+    const Shape3 shape = mask.shape();
+    Activity::Segment seg;
+    seg.depth = depth;
+    seg.model = model;
+    seg.walk = rng;
     const double active = 1.0 - std::clamp(model.zeroFraction, 0.0, 1.0);
-    if (active <= 0.0) {
-        out.fill(Fixed16{});
-        return out;
-    }
+    if (active <= 0.0)
+        return seg;
     if (active >= 1.0) {
-        for (Fixed16 &v : out)
-            v = drawValue(model, rng);
-        return out;
+        for (int y = 0; y < shape.y; ++y)
+            for (int x = 0; x < shape.x; ++x)
+                for (int z = 0; z < depth; ++z) {
+                    mask.set(columnBase(shape, x, y) + zBase + z);
+                    rng.discardNormal();
+                }
+        return seg;
     }
 
     // Per-channel firing-rate multipliers and a coarse spatial field.
-    std::vector<double> channelRate(shape.z);
+    std::vector<double> channelRate(static_cast<std::size_t>(depth));
     for (double &r : channelRate)
         r = std::exp(rng.normal(0.0, model.channelDispersion));
     const int grid = std::max(2, model.spatialGrid);
     SpatialField field(grid, model.spatialDispersion, rng);
-
-    // Unnormalised activity probabilities.
-    std::vector<double> prob(shape.volume());
+    std::vector<double> spatial(static_cast<std::size_t>(shape.x) *
+                                static_cast<std::size_t>(shape.y));
     std::size_t idx = 0;
     for (int y = 0; y < shape.y; ++y) {
         const double v = shape.y > 1
@@ -90,31 +108,111 @@ synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
         for (int x = 0; x < shape.x; ++x) {
             const double u = shape.x > 1
                 ? static_cast<double>(x) / (shape.x - 1) : 0.5;
-            const double spatial = field.at(u, v);
-            for (int z = 0; z < shape.z; ++z)
-                prob[idx++] = spatial * channelRate[z];
+            spatial[idx++] = field.at(u, v);
         }
     }
 
-    // Normalise so the mean activity probability matches the target;
-    // clamping to [0,1] shifts the mean, so iterate a few times.
+    // The unnormalised activity probability of (x, y, z) is
+    // spatial(x, y) * channelRate[z]. Normalise so the mean activity
+    // probability matches the target; clamping to [0,1] shifts the
+    // mean, so iterate a few times.
+    const double elems =
+        static_cast<double>(spatial.size() * static_cast<std::size_t>(depth));
     double scale = 1.0;
     for (int iter = 0; iter < 4; ++iter) {
         double mean = 0.0;
-        for (double p : prob)
-            mean += std::min(1.0, p * scale * active);
-        mean /= static_cast<double>(prob.size());
+        for (const double s : spatial)
+            for (const double r : channelRate) {
+                const double p = s * r;
+                mean += std::min(1.0, p * scale * active);
+            }
+        mean /= elems;
         if (mean <= 0.0)
             break;
         scale *= active / mean;
     }
 
+    seg.walk = rng;
+    seg.bernoulli = true;
     idx = 0;
-    for (Fixed16 &v : out) {
-        const double p = std::min(1.0, prob[idx++] * scale * active);
-        v = rng.bernoulli(p) ? drawValue(model, rng) : Fixed16{};
+    for (int y = 0; y < shape.y; ++y) {
+        for (int x = 0; x < shape.x; ++x) {
+            const double s = spatial[idx++];
+            const std::size_t base = columnBase(shape, x, y) + zBase;
+            for (int z = 0; z < depth; ++z) {
+                const double p = s * channelRate[z];
+                if (rng.bernoulli(std::min(1.0, p * scale * active))) {
+                    mask.set(base + z);
+                    rng.discardNormal();
+                }
+            }
+        }
+    }
+    return seg;
+}
+
+/**
+ * Stage 2 for one segment: replay its walk and write the magnitudes
+ * of its active elements into `out` (zero-initialised), zeroing those
+ * below `threshold`.
+ */
+void
+drawValues(const Activity::Segment &seg, int zBase, std::int32_t threshold,
+           const tensor::ActivityMask &mask, NeuronTensor &out)
+{
+    const SparsityModel &m = seg.model;
+    const double mu =
+        std::log(m.valueScaleRaw) - 0.5 * m.valueSigma * m.valueSigma;
+    const Shape3 shape = out.shape();
+    Fixed16 *data = out.data();
+    sim::Rng rng = seg.walk;
+    for (int y = 0; y < shape.y; ++y) {
+        for (int x = 0; x < shape.x; ++x) {
+            const std::size_t base = columnBase(shape, x, y) + zBase;
+            for (int z = 0; z < seg.depth; ++z) {
+                if (seg.bernoulli)
+                    rng.next();
+                if (!mask.test(base + z))
+                    continue;
+                const Fixed16 v = drawValue(mu, m.valueSigma, rng);
+                if (v.rawAbs() >= threshold)
+                    data[base + z] = v;
+            }
+        }
+    }
+}
+
+} // namespace
+
+Activity
+synthesizeActivity(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
+{
+    Activity a;
+    a.mask = tensor::ActivityMask(shape);
+    a.segments.push_back(drawActivity(shape.z, 0, model, rng, a.mask));
+    return a;
+}
+
+NeuronTensor
+synthesizeValues(const Activity &activity, const PruneConfig *prune)
+{
+    NeuronTensor out(activity.mask.shape());
+    int zBase = 0;
+    for (const Activity::Segment &seg : activity.segments) {
+        const std::int32_t threshold = prune && seg.producerConvIndex >= 0
+            ? prune->forConvIndex(
+                  static_cast<std::size_t>(seg.producerConvIndex))
+            : 0;
+        drawValues(seg, zBase, threshold, activity.mask, out);
+        zBase += seg.depth;
     }
     return out;
+}
+
+NeuronTensor
+synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
+{
+    return synthesizeValues(synthesizeActivity(shape, model, rng));
 }
 
 NeuronTensor
@@ -231,27 +329,26 @@ applyPruneToConvInput(const Network &net, int convNodeId,
     }
 }
 
-NeuronTensor
-synthesizeConvInput(const Network &net, int convNodeId,
-                    std::uint64_t imageSeed, const PruneConfig *prune)
+Activity
+synthesizeConvActivity(const Network &net, int convNodeId,
+                       std::uint64_t imageSeed)
 {
     const Node &conv = net.node(convNodeId);
-    CNV_ASSERT(conv.kind == NodeKind::Conv, "synthesizeConvInput needs conv");
-    const Shape3 shape = conv.inShape;
-    const std::vector<TraceSegment> segments = inputSegments(net, convNodeId);
-
-    NeuronTensor out(shape);
+    CNV_ASSERT(conv.kind == NodeKind::Conv,
+               "synthesizeConvActivity needs conv");
+    Activity a;
+    a.mask = tensor::ActivityMask(conv.inShape);
     int zBase = 0;
+    const std::vector<TraceSegment> segments = inputSegments(net, convNodeId);
     for (std::size_t si = 0; si < segments.size(); ++si) {
         const TraceSegment &seg = segments[si];
         // Independent stream per (image, conv layer, segment).
         sim::Rng rng = sim::Rng(imageSeed)
                            .fork(0x7a0000 + static_cast<std::uint64_t>(
-                                                net.node(convNodeId).convIndex))
+                                                conv.convIndex))
                            .fork(si);
 
         SparsityModel model;
-        std::int32_t threshold = 0;
         if (seg.producerConvIndex < 0) {
             // Raw image data (or flattened FC data): essentially dense.
             model.zeroFraction = 0.01;
@@ -259,27 +356,21 @@ synthesizeConvInput(const Network &net, int convNodeId,
             model.spatialDispersion = 0.05;
         } else {
             model.zeroFraction = conv.conv.inputZeroFraction;
-            if (prune) {
-                threshold = prune->forConvIndex(
-                    static_cast<std::size_t>(seg.producerConvIndex));
-            }
         }
-
-        NeuronTensor segTensor = synthesizeActivations(
-            {shape.x, shape.y, seg.depth}, model, rng);
-        for (int y = 0; y < shape.y; ++y) {
-            for (int x = 0; x < shape.x; ++x) {
-                for (int z = 0; z < seg.depth; ++z) {
-                    Fixed16 v = segTensor.at(x, y, z);
-                    if (threshold > 0 && v.rawAbs() < threshold)
-                        v = Fixed16{};
-                    out.at(x, y, zBase + z) = v;
-                }
-            }
-        }
+        Activity::Segment &s = a.segments.emplace_back(
+            drawActivity(seg.depth, zBase, model, rng, a.mask));
+        s.producerConvIndex = seg.producerConvIndex;
         zBase += seg.depth;
     }
-    return out;
+    return a;
+}
+
+NeuronTensor
+synthesizeConvInput(const Network &net, int convNodeId,
+                    std::uint64_t imageSeed, const PruneConfig *prune)
+{
+    return synthesizeValues(synthesizeConvActivity(net, convNodeId, imageSeed),
+                            prune);
 }
 
 double
@@ -290,11 +381,22 @@ zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
     double totalMacs = 0.0;
     for (int id : net.convNodeIds()) {
         const Node &n = net.node(id);
-        const NeuronTensor in = synthesizeConvInput(net, id, imageSeed, prune);
         // Every input neuron participates in the same number of
         // products for a given layer, so the operand zero fraction
         // equals the tensor zero fraction, MAC-weighted per layer.
-        const double zf = tensor::zeroFraction(in);
+        // Unpruned, the zeros are exactly the stage-1 mask's clear
+        // bits.
+        double zf = 0.0;
+        if (prune) {
+            zf = tensor::zeroFraction(
+                synthesizeConvInput(net, id, imageSeed, prune));
+        } else {
+            const tensor::ActivityMask mask =
+                synthesizeConvActivity(net, id, imageSeed).mask;
+            if (mask.size() > 0)
+                zf = static_cast<double>(mask.size() - mask.count()) /
+                     static_cast<double>(mask.size());
+        }
         const double macs = static_cast<double>(n.macs());
         weightedZero += zf * macs;
         totalMacs += macs;

@@ -11,6 +11,16 @@
  * hence CNV stall time), and (3) a low-frequency spatial field
  * (features appear in parts of an image, not everywhere). Each
  * "image" is a distinct seed.
+ *
+ * Synthesis runs in two stages over one xoshiro stream per depth
+ * segment. Stage 1 (synthesizeActivity / synthesizeConvActivity)
+ * decides which neurons are non-zero: it runs the per-element
+ * Bernoulli walk and skips each magnitude draw with
+ * sim::Rng::discardNormal(), so it evaluates no transcendental per
+ * element. Stage 2 (synthesizeValues) replays each segment's walk
+ * from the recorded stream state and draws the lognormal magnitudes
+ * of the set mask bits. The composition is bit-identical to drawing
+ * everything in one pass, and unpruned count maps need stage 1 only.
  */
 
 #ifndef CNV_NN_TRACE_H
@@ -21,6 +31,7 @@
 
 #include "nn/network.h"
 #include "sim/rng.h"
+#include "tensor/activity_mask.h"
 #include "tensor/neuron_tensor.h"
 
 namespace cnv::nn {
@@ -43,14 +54,6 @@ struct SparsityModel
 };
 
 /**
- * Synthesise an activation tensor with the model's statistics.
- * Non-zero values are strictly positive (post-ReLU data).
- */
-tensor::NeuronTensor synthesizeActivations(tensor::Shape3 shape,
-                                           const SparsityModel &model,
-                                           sim::Rng &rng);
-
-/**
  * A depth range of a conv layer's input attributed to the node that
  * produced it (through pool/LRN/concat pass-throughs).
  */
@@ -65,12 +68,72 @@ struct TraceSegment
 std::vector<TraceSegment> inputSegments(const Network &net, int convNodeId);
 
 /**
+ * Stage-1 output: where a synthesized tensor is non-zero, plus what
+ * stage 2 needs to replay each depth segment's stream into values.
+ */
+struct Activity
+{
+    /** One depth range with its own stream, in depth order. */
+    struct Segment
+    {
+        int depth = 0;
+        /** Producing conv layer (-1: raw image); picks the prune
+         *  threshold synthesizeValues applies. */
+        int producerConvIndex = -1;
+        SparsityModel model;
+        /** The stream where the element walk starts. */
+        sim::Rng walk;
+        /** The walk draws one Bernoulli uniform before each element
+         *  (false when every element, or none, is active). */
+        bool bernoulli = false;
+    };
+
+    /** Bit i set iff element i of the tensor is non-zero. */
+    tensor::ActivityMask mask;
+    std::vector<Segment> segments;
+};
+
+/**
+ * Stage 1 of synthesizeActivations: the activity of a `shape` tensor
+ * drawn from `model`, as one segment. Leaves `rng` where
+ * synthesizeActivations would (a skipped magnitude's cached pair
+ * half stays exact; see sim::Rng::discardNormal).
+ */
+Activity synthesizeActivity(tensor::Shape3 shape, const SparsityModel &model,
+                            sim::Rng &rng);
+
+/**
+ * Stage 1 of synthesizeConvInput: the activity of one conv layer's
+ * input for one "image", one segment per inputSegments() entry.
+ */
+Activity synthesizeConvActivity(const Network &net, int convNodeId,
+                                std::uint64_t imageSeed);
+
+/**
+ * Stage 2: the values of a stage-1 activity. With `prune`, each
+ * conv-fed segment's values below its producer's threshold become
+ * zero.
+ */
+tensor::NeuronTensor synthesizeValues(const Activity &activity,
+                                      const PruneConfig *prune = nullptr);
+
+/**
+ * Synthesise an activation tensor with the model's statistics
+ * (synthesizeValues of synthesizeActivity). Non-zero values are
+ * strictly positive (post-ReLU data).
+ */
+tensor::NeuronTensor synthesizeActivations(tensor::Shape3 shape,
+                                           const SparsityModel &model,
+                                           sim::Rng &rng);
+
+/**
  * Synthesise the input tensor of one conv layer for one "image".
  *
  * Segments fed by the raw image are dense; segments fed by earlier
  * conv layers use the consumer's calibrated inputZeroFraction, and
  * the producer's pruning threshold (if any) zeroes small values —
- * exactly what the encoder would have written to NM.
+ * exactly what the encoder would have written to NM. Equal to
+ * synthesizeValues(synthesizeConvActivity(...), prune).
  */
 tensor::NeuronTensor synthesizeConvInput(const Network &net, int convNodeId,
                                          std::uint64_t imageSeed,
@@ -99,7 +162,7 @@ tensor::NeuronTensor synthesizeImage(tensor::Shape3 shape,
 /**
  * Measured fraction of conv multiplication operands that are zero
  * for one image (Figure 1's metric): MAC-weighted input zero
- * fraction across all conv layers.
+ * fraction across all conv layers. Unpruned, it needs stage 1 only.
  */
 double zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
                            const PruneConfig *prune = nullptr);

@@ -21,6 +21,8 @@
 #include <unistd.h>
 #endif
 
+#include "core/simd.h"
+#include "sim/parallel.h"
 #include "sim/stats_export.h"
 
 namespace cnv::sim {
@@ -382,6 +384,15 @@ writeHostProfile(const MetricsRegistry::Snapshot &snap, JsonWriter &w)
     w.beginObject();
     w.key("totalSeconds").value(nanosToSeconds(snap.sinceEnableNanos));
     w.key("peakRssBytes").value(snap.peakRssBytes);
+    // Build provenance, so two host profiles can be told apart by
+    // the toolchain and machine that produced them.
+    w.key("provenance").beginObject();
+    w.key("compiler").value(CNV_COMPILER);
+    w.key("buildType").value(CNV_BUILD_TYPE);
+    w.key("simdBackend").value(core::simd::instructionSet());
+    w.key("hardwareConcurrency")
+        .value(static_cast<std::uint64_t>(hardwareConcurrency()));
+    w.endObject();
 
     std::uint64_t phaseNanos = 0;
     for (const auto &[name, phase] : snap.phases)

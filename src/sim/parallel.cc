@@ -215,6 +215,12 @@ std::unique_ptr<ThreadPool> g_pool CNV_GUARDED_BY(g_poolMutex);
 
 } // namespace
 
+unsigned
+hardwareConcurrency()
+{
+    return std::thread::hardware_concurrency();
+}
+
 int
 defaultJobCount()
 {
@@ -229,7 +235,7 @@ defaultJobCount()
         if (ec == std::errc() && ptr == end && value > 0)
             return value;
     }
-    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned hw = hardwareConcurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 

@@ -90,10 +90,13 @@ class ThreadPool
     int jobs_ = 1;
 };
 
+/** std::thread::hardware_concurrency(): 0 when the platform cannot
+ *  tell. */
+unsigned hardwareConcurrency();
+
 /**
  * Default job count: the CNVSIM_JOBS environment variable when set
- * to a positive integer, otherwise std::thread::hardware_concurrency
- * (minimum 1).
+ * to a positive integer, otherwise hardwareConcurrency() (minimum 1).
  */
 int defaultJobCount();
 

@@ -1,5 +1,7 @@
 #include "sim/rng.h"
 
+#include <cmath>
+
 #include "sim/logging.h"
 
 namespace cnv::sim {
@@ -16,10 +18,17 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
+/** Box-Muller radius and angle of a uniform pair. */
+double
+radius(double u1)
 {
-    return (x << k) | (x >> (64 - k));
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+double
+angle(double u2)
+{
+    return 2.0 * 3.14159265358979323846 * u2;
 }
 
 } // namespace
@@ -33,29 +42,6 @@ Rng::Rng(std::uint64_t seed)
     // yields all-zero with probability ~2^-256, but guard anyway.
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0)
         state_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits into the mantissa: uniform on [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -91,16 +77,16 @@ Rng::normal()
 {
     if (hasCachedNormal_) {
         hasCachedNormal_ = false;
+        if (cachedIsPair_) {
+            cachedIsPair_ = false;
+            return radius(pairU1_) * std::sin(angle(pairU2_));
+        }
         return cachedNormal_;
     }
-    // Box-Muller transform; u1 in (0,1] to keep the log finite.
-    double u1;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * 3.14159265358979323846 * u2;
+    // Box-Muller transform, one deviate now and one cached.
+    drawPair();
+    const double r = radius(pairU1_);
+    const double theta = angle(pairU2_);
     cachedNormal_ = r * std::sin(theta);
     hasCachedNormal_ = true;
     return r * std::cos(theta);
@@ -110,12 +96,6 @@ double
 Rng::normal(double mean, double stddev)
 {
     return mean + stddev * normal();
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 Rng

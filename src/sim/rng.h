@@ -28,10 +28,30 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result =
+            rotl(state_[0] + state_[3], 23) + state_[0];
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random bits into the mantissa: uniform on [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -48,8 +68,27 @@ class Rng
     /** Normal deviate with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
+    /**
+     * Advance the stream exactly as normal() would, without
+     * evaluating the deviate: consume the cached half of a pair, or
+     * draw a fresh pair (with normal()'s u1 <= 0 retry) and keep its
+     * uniforms so that a later normal() still returns the second half
+     * bit-exactly. Runs no transcendental function.
+     */
+    void
+    discardNormal()
+    {
+        if (hasCachedNormal_) {
+            hasCachedNormal_ = false;
+            return;
+        }
+        drawPair();
+        hasCachedNormal_ = true;
+        cachedIsPair_ = true;
+    }
+
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /**
      * Derive an independent child generator. Used to give each
@@ -59,9 +98,32 @@ class Rng
     Rng fork(std::uint64_t stream) const;
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /** Draw a Box-Muller uniform pair into pairU1_/pairU2_; u1 in
+     *  (0,1] keeps the log finite. */
+    void
+    drawPair()
+    {
+        do {
+            pairU1_ = uniform();
+        } while (pairU1_ <= 0.0);
+        pairU2_ = uniform();
+    }
+
     std::array<std::uint64_t, 4> state_;
+    /** Second half of the last pair, when evaluated (!cachedIsPair_). */
     double cachedNormal_ = 0.0;
+    /** Uniforms of the last pair; a discarded pair's cached half is
+     *  evaluated from them on first use (cachedIsPair_). */
+    double pairU1_ = 0.0;
+    double pairU2_ = 0.0;
     bool hasCachedNormal_ = false;
+    bool cachedIsPair_ = false;
 };
 
 } // namespace cnv::sim

@@ -1,6 +1,8 @@
 #include "timing/trace_cache.h"
 
+#include <bit>
 #include <utility>
+#include <vector>
 
 #include "nn/trace.h"
 #include "sim/logging.h"
@@ -11,10 +13,22 @@ namespace cnv::timing {
 
 namespace {
 
+/** Everything synthesis reads about one conv layer's input for one
+ *  image: the key of its cached trace. */
 std::string
-tensorKey(const nn::Network &net, int convNodeId, std::uint64_t imageSeed)
+traceKey(const nn::Network &net, int convNodeId, std::uint64_t imageSeed,
+         const std::vector<nn::TraceSegment> &segments)
 {
-    return sim::strfmt("{}#{}#{}", net.name(), convNodeId, imageSeed);
+    const nn::Node &conv = net.node(convNodeId);
+    std::string key = sim::strfmt("{}#{}#{}#{}x{}x{}#", net.name(),
+                                  convNodeId, imageSeed, conv.inShape.x,
+                                  conv.inShape.y, conv.inShape.z);
+    for (const nn::TraceSegment &seg : segments)
+        key += sim::strfmt("{}:{},", seg.depth, seg.producerConvIndex);
+    // Bit pattern: exact, unlike a decimal rendering.
+    key += std::to_string(
+        std::bit_cast<std::uint64_t>(conv.conv.inputZeroFraction));
+    return key;
 }
 
 /** Stable text form of a prune config ("-" when absent/empty). */
@@ -34,42 +48,64 @@ pruneKey(const nn::PruneConfig *prune)
 
 } // namespace
 
-std::shared_ptr<const tensor::NeuronTensor>
-TraceCache::convInput(const nn::Network &net, int convNodeId,
-                      std::uint64_t imageSeed, const TraceProvider *traces)
+TraceCache::Trace
+TraceCache::trace(const std::string &key, const nn::Network &net,
+                  int convNodeId, std::uint64_t imageSeed,
+                  const TraceProvider *traces, bool needValues)
 {
-    std::shared_ptr<Slot<tensor::NeuronTensor>> slot;
+    std::shared_ptr<TraceSlot> slot;
     {
         const core::MutexLock lock(mutex_);
-        auto &entry = tensors_[tensorKey(net, convNodeId, imageSeed)];
+        auto &entry = tensors_[key];
         if (!entry)
-            entry = std::make_shared<Slot<tensor::NeuronTensor>>();
+            entry = std::make_shared<TraceSlot>();
         slot = entry;
     }
     const core::MutexLock lock(slot->m);
-    if (slot->value) {
+    if (slot->values || slot->activity) {
         tensorHits_.fetch_add(1, std::memory_order_relaxed);
         sim::metrics().add("traceCache.tensorHits");
-        return slot->value;
+        if (slot->values || !needValues)
+            return {slot->activity, slot->values};
+    } else {
+        tensorMisses_.fetch_add(1, std::memory_order_relaxed);
+        sim::metrics().add("traceCache.tensorMisses");
     }
-    tensorMisses_.fetch_add(1, std::memory_order_relaxed);
-    sim::metrics().add("traceCache.tensorMisses");
-    // The miss path is the synthesis (or trace-load) cost every
-    // other lookup of this key amortizes; its latency distribution
-    // feeds hostProfile.traceCache.synthesis.
+    // The synthesis (or trace-load) cost every other lookup of this
+    // key amortizes: stage 1, stage 2 or both, whichever this lookup
+    // ran. Its latency distribution feeds
+    // hostProfile.traceCache.synthesis.
     const std::uint64_t t0 = sim::metrics().nowIfEnabled();
     std::optional<tensor::NeuronTensor> external;
     if (traces)
         external = traces->convInput(net, convNodeId, imageSeed);
-    slot->value = std::make_shared<const tensor::NeuronTensor>(
-        external ? std::move(*external)
-                 : nn::synthesizeConvInput(net, convNodeId, imageSeed,
-                                           nullptr));
+    if (external) {
+        slot->values =
+            std::make_shared<const tensor::NeuronTensor>(std::move(*external));
+    } else {
+        if (!slot->activity)
+            slot->activity = std::make_shared<const nn::Activity>(
+                nn::synthesizeConvActivity(net, convNodeId, imageSeed));
+        if (needValues) {
+            slot->values = std::make_shared<const tensor::NeuronTensor>(
+                nn::synthesizeValues(*slot->activity));
+            slot->activity.reset();
+        }
+    }
     if (t0 != 0)
         sim::metrics().recordNanos(
             "traceCache.synthesis",
             sim::MetricsRegistry::nowNanos() - t0);
-    return slot->value;
+    return {slot->activity, slot->values};
+}
+
+std::shared_ptr<const tensor::NeuronTensor>
+TraceCache::convInput(const nn::Network &net, int convNodeId,
+                      std::uint64_t imageSeed, const TraceProvider *traces)
+{
+    const std::string key = traceKey(net, convNodeId, imageSeed,
+                                     nn::inputSegments(net, convNodeId));
+    return trace(key, net, convNodeId, imageSeed, traces, true).values;
 }
 
 std::shared_ptr<const CountMap>
@@ -77,14 +113,16 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
                      std::uint64_t imageSeed, const TraceProvider *traces,
                      const nn::PruneConfig *prune, int brickSize)
 {
-    std::shared_ptr<Slot<CountMap>> slot;
+    const std::vector<nn::TraceSegment> inputs =
+        nn::inputSegments(net, convNodeId);
+    const std::string key = traceKey(net, convNodeId, imageSeed, inputs);
+    std::shared_ptr<CountSlot> slot;
     {
         const core::MutexLock lock(mutex_);
-        auto &entry = counts_[sim::strfmt(
-            "{}#{}#{}", tensorKey(net, convNodeId, imageSeed),
-            pruneKey(prune), brickSize)];
+        auto &entry =
+            counts_[sim::strfmt("{}#{}#{}", key, pruneKey(prune), brickSize)];
         if (!entry)
-            entry = std::make_shared<Slot<CountMap>>();
+            entry = std::make_shared<CountSlot>();
         slot = entry;
     }
     const core::MutexLock lock(slot->m);
@@ -95,30 +133,37 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
     }
     countMisses_.fetch_add(1, std::memory_order_relaxed);
     sim::metrics().add("traceCache.countMapMisses");
-    const std::shared_ptr<const tensor::NeuronTensor> unpruned =
-        convInput(net, convNodeId, imageSeed, traces);
-    // Timed after the nested tensor lookup so the encode histogram
+    // Each depth range is pruned with its producer's threshold.
+    std::vector<zfnaf::DepthThreshold> segments;
+    bool pruned = false;
+    for (const nn::TraceSegment &seg : inputs) {
+        const std::int32_t threshold = prune && seg.producerConvIndex >= 0
+            ? prune->forConvIndex(
+                  static_cast<std::size_t>(seg.producerConvIndex))
+            : 0;
+        pruned = pruned || threshold > 0;
+        segments.push_back({seg.depth, threshold});
+    }
+    // Without thresholds the counts are the mask's; magnitudes are
+    // drawn only when a threshold or a provider needs them.
+    const Trace t = trace(key, net, convNodeId, imageSeed, traces,
+                          pruned || traces != nullptr);
+    // Timed after the nested trace lookup so the encode histogram
     // (hostProfile.traceCache.encode) measures only the prune +
     // non-zero-count work, not a first-touch synthesis underneath.
     const std::uint64_t t0 = sim::metrics().nowIfEnabled();
-    if (prune) {
+    if (t.activity) {
+        slot->value = std::make_shared<const CountMap>(
+            zfnaf::nonZeroCountMap(t.activity->mask, brickSize));
+    } else if (pruned) {
         // Segmented counting folds the per-producer thresholds into
         // the count predicate — same counts as prune-then-count,
         // without copying the tensor.
-        std::vector<zfnaf::DepthThreshold> segments;
-        for (const nn::TraceSegment &seg :
-             nn::inputSegments(net, convNodeId)) {
-            const std::int32_t threshold = seg.producerConvIndex >= 0
-                ? prune->forConvIndex(
-                      static_cast<std::size_t>(seg.producerConvIndex))
-                : 0;
-            segments.push_back({seg.depth, threshold});
-        }
         slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*unpruned, brickSize, segments));
+            zfnaf::nonZeroCountMap(*t.values, brickSize, segments));
     } else {
         slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*unpruned, brickSize));
+            zfnaf::nonZeroCountMap(*t.values, brickSize));
     }
     if (t0 != 0)
         sim::metrics().recordNanos("traceCache.encode",

@@ -4,19 +4,31 @@
  * simulateNetwork() call needs the layer's input tensor and its
  * per-brick non-zero count map; without a cache a six-architecture
  * registry sweep synthesizes (or loads) the identical tensor six
- * times per image. The cache stores the *unpruned* tensor keyed by
- * (network, node, image seed) — synthesis with pruning is exactly
+ * times per image. The cache stores one *unpruned* trace per conv
+ * layer and image — synthesis with pruning is exactly
  * synthesis-unpruned followed by nn::applyPruneToConvInput, so one
- * tensor serves baseline, CNV and every pruned variant — and the
+ * trace serves baseline, CNV and every pruned variant — and the
  * derived count maps keyed additionally by prune thresholds and
- * brick size.
+ * brick size. A trace key covers everything synthesis reads:
+ * network name, node, image seed, the layer's input shape, its
+ * producer segments and its calibrated input zero fraction, so two
+ * builds of one network at different scales never share a trace.
+ *
+ * A trace slot holds either the stage-1 nn::Activity (a bit-packed
+ * mask) or the values tensor, never both. Unpruned count maps without
+ * a TraceProvider need only the mask, so a miss there runs stage 1
+ * alone; the first lookup that needs magnitudes (convInput, a pruned
+ * count map, a provider) draws them and the values replace the mask,
+ * whose bits are exactly the values' non-zeros.
  *
  * Thread safety: a global mutex guards only the key -> slot maps;
  * each slot carries its own mutex, so two threads asking for the
  * same missing key serialize on that slot (one computes, the other
  * waits and hits) while different keys proceed concurrently. Hit
  * and miss totals are therefore deterministic: misses == distinct
- * keys ever requested, independent of the job count.
+ * keys ever requested (the first lookup of a key is its miss, even
+ * when a later lookup still has to draw the values), independent of
+ * the job count and of lookup order.
  *
  * One cache assumes one TraceProvider (or none) for its lifetime;
  * callers pass the provider per lookup only so the cache does not
@@ -34,6 +46,7 @@
 
 #include "core/sync.h"
 #include "nn/network.h"
+#include "nn/trace.h"
 #include "timing/network_model.h"
 
 namespace cnv::timing {
@@ -57,8 +70,7 @@ class TraceCache
     /**
      * The unpruned input tensor of one conv layer for one image:
      * the provider's trace when it supplies one, synthesized
-     * otherwise. Identical to the tensor simulateNetwork() built
-     * inline before the cache existed.
+     * otherwise. Identical to nn::synthesizeConvInput().
      */
     std::shared_ptr<const tensor::NeuronTensor>
     convInput(const nn::Network &net, int convNodeId,
@@ -77,20 +89,42 @@ class TraceCache
     Stats stats() const;
 
   private:
-    /** One cached artifact: its own mutex serializes the
+    /** One cached count map: its own mutex serializes the
      *  compute-once protocol per key. */
-    template <typename T> struct Slot
+    struct CountSlot
     {
         core::Mutex m;
-        std::shared_ptr<const T> value CNV_GUARDED_BY(m);
+        std::shared_ptr<const CountMap> value CNV_GUARDED_BY(m);
     };
+
+    /** One cached trace: the stage-1 activity until a lookup needs
+     *  values, then the values alone. */
+    struct TraceSlot
+    {
+        core::Mutex m;
+        std::shared_ptr<const nn::Activity> activity CNV_GUARDED_BY(m);
+        std::shared_ptr<const tensor::NeuronTensor> values
+            CNV_GUARDED_BY(m);
+    };
+
+    /** A trace lookup's result: exactly one member is set. */
+    struct Trace
+    {
+        std::shared_ptr<const nn::Activity> activity;
+        std::shared_ptr<const tensor::NeuronTensor> values;
+    };
+
+    /** The trace under `key`, synthesized (or loaded) as far as the
+     *  caller needs; counts the lookup as a tensor hit or miss. */
+    Trace trace(const std::string &key, const nn::Network &net,
+                int convNodeId, std::uint64_t imageSeed,
+                const TraceProvider *traces, bool needValues);
 
     /** Guards the two key -> slot maps (not slot contents). */
     core::Mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<Slot<tensor::NeuronTensor>>>
+    std::unordered_map<std::string, std::shared_ptr<TraceSlot>>
         tensors_ CNV_GUARDED_BY(mutex_);
-    std::unordered_map<std::string, std::shared_ptr<Slot<CountMap>>>
+    std::unordered_map<std::string, std::shared_ptr<CountSlot>>
         counts_ CNV_GUARDED_BY(mutex_);
 
     std::atomic<std::uint64_t> tensorHits_{0};

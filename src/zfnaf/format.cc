@@ -291,6 +291,31 @@ nonZeroCountMap(const tensor::NeuronTensor &in, int brickSize,
 }
 
 tensor::Tensor3<std::uint8_t>
+nonZeroCountMap(const tensor::ActivityMask &mask, int brickSize)
+{
+    if (brickSize < 1 || brickSize > 255)
+        CNV_FATAL("brick size {} outside supported range for count map",
+                  brickSize);
+    const tensor::Shape3 &shape = mask.shape();
+    const int bricks = (shape.z + brickSize - 1) / brickSize;
+    tensor::Tensor3<std::uint8_t> counts(shape.x, shape.y, bricks);
+    std::uint8_t *out = counts.data();
+    std::size_t base = 0;
+    for (std::size_t column = 0;
+         column < static_cast<std::size_t>(shape.x) * shape.y; ++column) {
+        for (int b = 0; b < bricks; ++b) {
+            const int z0 = b * brickSize;
+            const int len = std::min(z0 + brickSize, shape.z) - z0;
+            *out++ = static_cast<std::uint8_t>(mask.count(
+                base + static_cast<std::size_t>(z0),
+                static_cast<std::size_t>(len)));
+        }
+        base += static_cast<std::size_t>(shape.z);
+    }
+    return counts;
+}
+
+tensor::Tensor3<std::uint8_t>
 nonZeroCountMapScalar(const tensor::NeuronTensor &in, int brickSize,
                       std::int32_t pruneThreshold)
 {

@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "tensor/activity_mask.h"
 #include "tensor/neuron_tensor.h"
 
 namespace cnv::zfnaf {
@@ -169,6 +170,16 @@ tensor::Tensor3<std::uint8_t>
 nonZeroCountMap(const tensor::NeuronTensor &in,
                 int brickSize = kPaperBrickSize,
                 std::int32_t pruneThreshold = 0);
+
+/**
+ * Per-brick non-zero counts from an activity mask: equal to
+ * nonZeroCountMap(t, brickSize) for any tensor t whose non-zeros the
+ * mask marks. Unpruned trace counts come from here, before (or
+ * without) the tensor's magnitudes being drawn.
+ */
+tensor::Tensor3<std::uint8_t>
+nonZeroCountMap(const tensor::ActivityMask &mask,
+                int brickSize = kPaperBrickSize);
 
 /** Scalar reference counter (equivalence tests, bench baseline). */
 tensor::Tensor3<std::uint8_t>

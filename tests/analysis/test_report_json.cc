@@ -198,7 +198,8 @@ TEST(ReportJson, HostProfileConfinesAllHostTimings)
     // The simulated-results sections must not embed host timings:
     // every wall-clock key lives after the hostProfile cut.
     for (const char *key : {"busySeconds", "phaseCoverage",
-                            "peakRssBytes", "totalSeconds"})
+                            "peakRssBytes", "totalSeconds", "provenance",
+                            "hardwareConcurrency"})
         EXPECT_GE(a.find(key), cutA) << key;
 }
 

@@ -2,7 +2,9 @@
  * @file
  * Tests for timing::TraceCache: cached tensors and count maps are
  * bit-identical to the inline synthesis path (with and without
- * pruning), hit/miss counters are exact, concurrent lookups of one
+ * pruning), mask-derived count maps equal the tensor's, hit/miss
+ * counters are exact and independent of lookup order, trace keys
+ * tell scaled builds of one network apart, concurrent lookups of one
  * key compute it once, and simulateNetwork produces identical
  * results with and without a cache.
  */
@@ -10,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
@@ -55,6 +60,90 @@ TEST(TraceCache, CountMapMatchesInlinePathWithPruning)
     }
 }
 
+TEST(TraceCache, MaskCountMapsMatchTensorCountMaps)
+{
+    // Google's concat inputs have producer segments whose boundaries
+    // fall inside bricks of 3 neurons.
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    const int bricks[] = {16, 8, 3};
+    timing::TraceCache cache;
+    bool straddles = false;
+    for (int nodeId : net->convNodeIds()) {
+        // Unpruned count maps first, so they come from the mask the
+        // slot holds before any magnitude is drawn.
+        std::vector<std::shared_ptr<const timing::CountMap>> fromMask;
+        for (int brick : bricks)
+            fromMask.push_back(
+                cache.countMap(*net, nodeId, 4, nullptr, nullptr, brick));
+        const auto values = cache.convInput(*net, nodeId, 4, nullptr);
+        EXPECT_EQ(*values, nn::synthesizeConvInput(*net, nodeId, 4));
+        for (std::size_t i = 0; i < fromMask.size(); ++i)
+            EXPECT_EQ(*fromMask[i],
+                      zfnaf::nonZeroCountMap(*values, bricks[i]))
+                << net->node(nodeId).name << " brick " << bricks[i];
+        int z = 0;
+        for (const nn::TraceSegment &seg : nn::inputSegments(*net, nodeId)) {
+            z += seg.depth;
+            straddles = straddles ||
+                        (z < net->node(nodeId).inShape.z && z % 3 != 0);
+        }
+    }
+    EXPECT_TRUE(straddles);
+}
+
+TEST(TraceCache, StatsIndependentOfLookupOrder)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    nn::PruneConfig prune;
+    prune.thresholds.assign(
+        static_cast<std::size_t>(net->convLayerCount()), 16);
+    auto run = [&](bool countsFirst) {
+        timing::TraceCache cache;
+        for (int nodeId : net->convNodeIds()) {
+            if (countsFirst)
+                cache.countMap(*net, nodeId, 2, nullptr, nullptr, 16);
+            const auto values = cache.convInput(*net, nodeId, 2, nullptr);
+            EXPECT_EQ(*values, nn::synthesizeConvInput(*net, nodeId, 2));
+            if (!countsFirst)
+                cache.countMap(*net, nodeId, 2, nullptr, nullptr, 16);
+            cache.countMap(*net, nodeId, 2, nullptr, &prune, 16);
+        }
+        return cache.stats();
+    };
+    const auto a = run(true);
+    const auto b = run(false);
+    const auto convs = static_cast<std::uint64_t>(net->convLayerCount());
+    EXPECT_EQ(a.tensorMisses, convs);
+    EXPECT_EQ(a.tensorHits, 2 * convs);
+    EXPECT_EQ(a.countMapMisses, 2 * convs);
+    EXPECT_EQ(a.tensorMisses, b.tensorMisses);
+    EXPECT_EQ(a.tensorHits, b.tensorHits);
+    EXPECT_EQ(a.countMapMisses, b.countMapMisses);
+    EXPECT_EQ(a.countMapHits, b.countMapHits);
+}
+
+TEST(TraceCache, ScaledBuildsOfOneNetworkKeepTheirOwnTraces)
+{
+    // Same name and node ids, different input shapes: one cache must
+    // give each build its own trace.
+    const auto full = nn::zoo::build(nn::zoo::NetId::Vgg19, 1);
+    const auto small = nn::zoo::build(nn::zoo::NetId::Vgg19, 1, 8);
+    ASSERT_EQ(full->name(), small->name());
+    const int nodeId = full->convNodeIds().front();
+    ASSERT_EQ(nodeId, small->convNodeIds().front());
+    ASSERT_NE(full->node(nodeId).inShape, small->node(nodeId).inShape);
+
+    timing::TraceCache cache;
+    cache.convInput(*full, nodeId, 3, nullptr);
+    cache.countMap(*full, nodeId, 3, nullptr, nullptr, 16);
+    const auto values = cache.convInput(*small, nodeId, 3, nullptr);
+    const auto expected = nn::synthesizeConvInput(*small, nodeId, 3);
+    EXPECT_EQ(*values, expected);
+    EXPECT_EQ(*cache.countMap(*small, nodeId, 3, nullptr, nullptr, 16),
+              zfnaf::nonZeroCountMap(expected, 16));
+    EXPECT_EQ(cache.stats().tensorMisses, 2u);
+}
+
 TEST(TraceCache, HitAndMissCountersAreExact)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
@@ -88,13 +177,22 @@ TEST(TraceCache, ConcurrentLookupsComputeOnce)
     const int nodeId = net->convNodeIds().front();
     timing::TraceCache cache;
     sim::ThreadPool pool(4);
-    sim::parallelFor(pool, 16, [&](std::size_t) {
-        cache.countMap(*net, nodeId, 9, nullptr, nullptr, 16);
+    // Count-map lookups (mask only) race tensor lookups (values).
+    std::vector<std::shared_ptr<const tensor::NeuronTensor>> values(16);
+    sim::parallelFor(pool, 16, [&](std::size_t i) {
+        if (i % 2 == 0)
+            cache.countMap(*net, nodeId, 9, nullptr, nullptr, 16);
+        else
+            values[i] = cache.convInput(*net, nodeId, 9, nullptr);
     });
     const auto s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 1u);
-    EXPECT_EQ(s.countMapHits, 15u);
+    EXPECT_EQ(s.countMapHits, 7u);
     EXPECT_EQ(s.tensorMisses, 1u);
+    EXPECT_EQ(s.tensorHits, 8u);
+    const auto expected = nn::synthesizeConvInput(*net, nodeId, 9);
+    for (std::size_t i = 1; i < values.size(); i += 2)
+        EXPECT_EQ(*values[i], expected);
 }
 
 TEST(TraceCache, SimulateNetworkIdenticalWithAndWithoutCache)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
 #include "sim/rng.h"
@@ -149,6 +151,97 @@ TEST(Traces, PruneThresholdIncreasesZeroFraction)
                 else
                     EXPECT_EQ(a, b);
             }
+}
+
+/** Thresholds that prune something in every conv-fed segment. */
+nn::PruneConfig
+ladderPrune(const nn::Network &net)
+{
+    nn::PruneConfig prune;
+    for (int i = 0; i < net.convLayerCount(); ++i)
+        prune.thresholds.push_back(16 + 8 * (i % 5));
+    return prune;
+}
+
+TEST(Traces, ConvInputDigestIsPinned)
+{
+    // FNV-1a over the raw bytes of every conv input of every zoo
+    // network (scale 2, image 7), unpruned then pruned. The value was
+    // recorded from the one-pass generator the two-stage synthesis
+    // replaced, so it pins bit-identity with it.
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](const NeuronTensor &t) {
+        for (const Fixed16 v : t) {
+            const unsigned raw = static_cast<std::uint16_t>(v.raw());
+            for (const unsigned byte : {raw & 0xffU, raw >> 8U}) {
+                h ^= byte;
+                h *= 1099511628211ULL;
+            }
+        }
+    };
+    for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
+        const auto net = nn::zoo::build(id, 2016, 2);
+        const nn::PruneConfig prune = ladderPrune(*net);
+        for (int nodeId : net->convNodeIds()) {
+            mix(nn::synthesizeConvInput(*net, nodeId, 7));
+            mix(nn::synthesizeConvInput(*net, nodeId, 7, &prune));
+        }
+    }
+    EXPECT_EQ(h, 0xff8cfce3428cb9b5ULL);
+}
+
+TEST(Traces, ActivityMaskMarksExactlyTheNonZeros)
+{
+    for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
+        const auto net = nn::zoo::build(id, 2016, 2);
+        for (int nodeId : net->convNodeIds()) {
+            const nn::Activity activity =
+                nn::synthesizeConvActivity(*net, nodeId, 5);
+            const NeuronTensor values = nn::synthesizeValues(activity);
+            ASSERT_EQ(activity.mask.shape(), values.shape());
+            EXPECT_EQ(values, nn::synthesizeConvInput(*net, nodeId, 5));
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < values.size(); ++i)
+                mismatches +=
+                    activity.mask.test(i) == values.data()[i].isZero();
+            EXPECT_EQ(mismatches, 0u)
+                << nn::zoo::netName(id) << " node " << nodeId;
+            EXPECT_EQ(activity.mask.count(), tensor::countNonZero(values));
+        }
+    }
+}
+
+TEST(Traces, ActivityStageLeavesTheStreamWhereSynthesisDoes)
+{
+    for (double zf : {0.0, 0.3, 1.0}) {
+        nn::SparsityModel model;
+        model.zeroFraction = zf;
+        sim::Rng full(12);
+        sim::Rng staged(12);
+        const NeuronTensor t =
+            nn::synthesizeActivations({7, 5, 19}, model, full);
+        const nn::Activity activity =
+            nn::synthesizeActivity({7, 5, 19}, model, staged);
+        EXPECT_EQ(nn::synthesizeValues(activity), t) << zf;
+        for (int k = 0; k < 3; ++k) {
+            EXPECT_EQ(full.normal(), staged.normal()) << zf;
+            EXPECT_EQ(full.next(), staged.next()) << zf;
+        }
+    }
+}
+
+TEST(Traces, UnprunedZeroOperandFractionMatchesTheValues)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016, 2);
+    double weightedZero = 0.0;
+    double totalMacs = 0.0;
+    for (int id : net->convNodeIds()) {
+        const double macs = static_cast<double>(net->node(id).macs());
+        weightedZero +=
+            tensor::zeroFraction(nn::synthesizeConvInput(*net, id, 3)) * macs;
+        totalMacs += macs;
+    }
+    EXPECT_EQ(nn::zeroOperandFraction(*net, 3), weightedZero / totalMacs);
 }
 
 TEST(Traces, ZeroOperandFractionStableAcrossImages)

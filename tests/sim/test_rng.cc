@@ -91,6 +91,41 @@ TEST(Rng, BernoulliRate)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.44, 0.01);
 }
 
+TEST(Rng, DiscardNormalAdvancesExactlyLikeNormal)
+{
+    // Random interleavings of normal(), discardNormal() and next():
+    // every value the test stream does return equals the all-normal()
+    // reference's value at the same position, including a discarded
+    // pair's cached half returned by a later normal().
+    Rng schedule(41);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::uint64_t seed = schedule.next();
+        Rng reference(seed);
+        Rng test(seed);
+        const int ops = 1 + static_cast<int>(schedule.uniformInt(64));
+        for (int op = 0; op < ops; ++op) {
+            switch (schedule.uniformInt(3)) {
+              case 0:
+                EXPECT_EQ(reference.normal(), test.normal())
+                    << "trial " << trial << " op " << op;
+                break;
+              case 1:
+                reference.normal();
+                test.discardNormal();
+                break;
+              default:
+                EXPECT_EQ(reference.next(), test.next())
+                    << "trial " << trial << " op " << op;
+                break;
+            }
+        }
+        for (int k = 0; k < 4; ++k) {
+            EXPECT_EQ(reference.normal(), test.normal()) << "trial " << trial;
+            EXPECT_EQ(reference.next(), test.next()) << "trial " << trial;
+        }
+    }
+}
+
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic)
 {
     Rng parent(31);

@@ -21,7 +21,10 @@ contract (docs/observability.md, "Host telemetry"):
     ``--report-json`` report's summary.cache.tensorMisses, so writing
     the report synthesized no trace a second time;
   * pool — at least two worker lanes (caller + worker0 at --jobs 4),
-    each with utilization in [0, 1].
+    each with utilization in [0, 1];
+  * provenance — compiler, build type and SIMD backend as non-empty
+    strings and hardwareConcurrency as a count, so two profiles can be
+    told apart by the build and machine that produced them.
 
 A second run with ``--progress on`` asserts the live meter reaches
 stderr (the final line is printed unconditionally when forced on).
@@ -106,6 +109,16 @@ def main(argv: list[str]) -> int:
     rate = cache.get("hitRate")
     if rate is None or not 0.0 < rate <= 1.0:
         problems.append(f"traceCache.hitRate is {rate!r}")
+
+    provenance = hp.get("provenance", {})
+    for field in ("compiler", "buildType", "simdBackend"):
+        value = provenance.get(field)
+        if not isinstance(value, str) or not value:
+            problems.append(f"hostProfile.provenance.{field} is {value!r}")
+    hw = provenance.get("hardwareConcurrency")
+    if not isinstance(hw, int) or hw < 0:
+        problems.append(
+            f"hostProfile.provenance.hardwareConcurrency is {hw!r}")
 
     workers = hp.get("pool", {}).get("workers", {})
     if len(workers) < 2:
