@@ -1,43 +1,11 @@
 #include "arch/arch_model.h"
 
-#include <memory>
 #include <utility>
 
 #include "arch/registry.h"
 #include "sim/logging.h"
 
 namespace cnv::arch {
-
-dadiannao::NodeConfig
-ArchModel::nodeConfig(const dadiannao::NodeConfig &base) const
-{
-    return base;
-}
-
-void
-ArchModel::validateNode(const dadiannao::NodeConfig &cfg) const
-{
-    cfg.validate();
-}
-
-dadiannao::LayerResult
-ArchModel::otherTiming(const dadiannao::NodeConfig &cfg,
-                       const nn::Node &node,
-                       dadiannao::OverlapTracker &overlap) const
-{
-    return dadiannao::otherLayerTiming(cfg, node, overlap);
-}
-
-mem::Geometry
-ArchModel::memGeometry(const dadiannao::NodeConfig &cfg) const
-{
-    mem::Geometry geo;
-    geo.banks = cfg.nmBanks;
-    geo.slicedFetch = false;
-    geo.nmBytes = cfg.nmBytes;
-    geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
-    return geo;
-}
 
 namespace {
 
@@ -49,137 +17,76 @@ namespace {
  */
 constexpr std::int32_t kDefaultPruneThreshold = 16;
 
-/**
- * The built-in variants share one implementation: a timing/power
- * enum pair plus optional geometry overrides and the cnv-pruned
- * default-threshold behaviour.
- */
-class BuiltinModel : public ArchModel
-{
-  public:
-    BuiltinModel(std::string id, std::string displayName,
-                 timing::Arch timingArch, power::Arch powerArch,
-                 int brickSize = 0, bool defaultPrune = false)
-        : id_(std::move(id)), displayName_(std::move(displayName)),
-          timing_(timingArch), power_(powerArch), brickSize_(brickSize),
-          defaultPrune_(defaultPrune)
-    {
-    }
-
-    const std::string &
-    id() const override
-    {
-        return id_;
-    }
-
-    const std::string &
-    displayName() const override
-    {
-        return displayName_;
-    }
-
-    dadiannao::NodeConfig
-    nodeConfig(const dadiannao::NodeConfig &base) const override
-    {
-        dadiannao::NodeConfig cfg = base;
-        if (brickSize_ > 0) {
-            // One lane drains one brick slot, and NM banking follows
-            // the lane count (bench_abl_brick_size's sweep geometry).
-            cfg.brickSize = brickSize_;
-            cfg.lanes = brickSize_;
-            cfg.nmBanks = brickSize_;
-        }
-        return cfg;
-    }
-
-    mem::Geometry
-    memGeometry(const dadiannao::NodeConfig &cfg) const override
-    {
-        mem::Geometry geo = ArchModel::memGeometry(cfg);
-        // Every CNV-family variant fetches through 16 independent
-        // per-slice pointers; only the baseline keeps DaDianNao's
-        // single unit-wide pointer (Section IV-B2).
-        geo.slicedFetch = timing_ != timing::Arch::Baseline;
-        return geo;
-    }
-
-    dadiannao::NetworkResult
-    simulateNetwork(const dadiannao::NodeConfig &base,
-                    const nn::Network &net,
-                    const timing::RunOptions &opts) const override
-    {
-        const dadiannao::NodeConfig cfg = nodeConfig(base);
-        validateNode(cfg);
-        timing::RunOptions run = opts;
-        if (run.memKind != mem::Kind::Ideal && run.memGeometry.banks == 0)
-            run.memGeometry = memGeometry(cfg);
-        nn::PruneConfig defaults;
-        if (defaultPrune_ && run.prune == nullptr) {
-            defaults.thresholds.assign(
-                static_cast<std::size_t>(net.convLayerCount()),
-                kDefaultPruneThreshold);
-            run.prune = &defaults;
-        }
-        dadiannao::NetworkResult result =
-            timing::simulateNetwork(cfg, net, timing_, run);
-        result.architecture = id_;
-        return result;
-    }
-
-    dadiannao::LayerResult
-    convTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
-               const timing::CountMap &counts) const override
-    {
-        return timing::convLayerTiming(cfg, timing_, node, counts);
-    }
-
-    dadiannao::LayerResult
-    fcTiming(const dadiannao::NodeConfig &cfg, const nn::Network &net,
-             int nodeId, dadiannao::OverlapTracker &overlap) const override
-    {
-        return timing::fcLayerTiming(cfg, timing_, net, nodeId, overlap);
-    }
-
-    power::AreaBreakdown
-    area(const power::PowerParams &p) const override
-    {
-        return power::areaOf(power_, p);
-    }
-
-    power::PowerBreakdown
-    power(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
-          const power::PowerParams &p) const override
-    {
-        return power::powerOf(power_, counters, cycles, p);
-    }
-
-    power::RunMetrics
-    metrics(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
-            const power::PowerParams &p) const override
-    {
-        return power::metricsOf(power_, counters, cycles, p);
-    }
-
-  private:
-    std::string id_;
-    std::string displayName_;
-    timing::Arch timing_;
-    power::Arch power_;
-    /** Geometry override: brick = lanes = NM banks; 0 = inherit. */
-    int brickSize_;
-    /** cnv-pruned: synthesize default thresholds when none given. */
-    bool defaultPrune_;
-};
-
 } // namespace
 
-std::shared_ptr<const ArchModel>
+ArchModel::ArchModel(std::string id, std::string displayName,
+                     timing::Arch datapath, power::Scales scales,
+                     int brickSize, bool defaultPrune)
+    : id_(std::move(id)), displayName_(std::move(displayName)),
+      datapath_(datapath), scales_(scales), brickSize_(brickSize),
+      defaultPrune_(defaultPrune)
+{
+}
+
+dadiannao::NodeConfig
+ArchModel::nodeConfig(const dadiannao::NodeConfig &base) const
+{
+    dadiannao::NodeConfig cfg = base;
+    if (brickSize_ > 0) {
+        // One lane drains one brick slot, and NM banking follows
+        // the lane count (bench_abl_brick_size's sweep geometry).
+        cfg.brickSize = brickSize_;
+        cfg.lanes = brickSize_;
+        cfg.nmBanks = brickSize_;
+    }
+    return cfg;
+}
+
+dadiannao::NetworkResult
+ArchModel::simulateNetwork(const dadiannao::NodeConfig &base,
+                           const nn::Network &net,
+                           const timing::RunOptions &opts) const
+{
+    timing::RunOptions run = opts;
+    nn::PruneConfig defaults;
+    if (defaultPrune_ && run.prune == nullptr) {
+        defaults.thresholds.assign(
+            static_cast<std::size_t>(net.convLayerCount()),
+            kDefaultPruneThreshold);
+        run.prune = &defaults;
+    }
+    dadiannao::NetworkResult result =
+        timing::simulateNetwork(nodeConfig(base), net, datapath_, run);
+    result.architecture = id_;
+    return result;
+}
+
+power::AreaBreakdown
+ArchModel::area(const power::PowerParams &p) const
+{
+    return power::areaOf(scales_, p);
+}
+
+power::PowerBreakdown
+ArchModel::power(const dadiannao::EnergyCounters &counters,
+                 std::uint64_t cycles, const power::PowerParams &p) const
+{
+    return power::powerOf(scales_, counters, cycles, p);
+}
+
+power::RunMetrics
+ArchModel::metrics(const dadiannao::EnergyCounters &counters,
+                   std::uint64_t cycles, const power::PowerParams &p) const
+{
+    return power::metricsOf(scales_, counters, cycles, p);
+}
+
+ArchModel
 makeCnvVariant(std::string id, std::string displayName, int brickSize)
 {
     CNV_ASSERT(brickSize > 0, "CNV variant needs a positive brick size");
-    return std::make_shared<BuiltinModel>(
-        std::move(id), std::move(displayName), timing::Arch::Cnv,
-        power::Arch::Cnv, brickSize);
+    return ArchModel(std::move(id), std::move(displayName),
+                     timing::Arch::Cnv, power::kCnvScales, brickSize);
 }
 
 const ArchRegistry &
@@ -187,18 +94,13 @@ builtin()
 {
     static const ArchRegistry registry = [] {
         ArchRegistry r;
-        r.add(std::make_shared<BuiltinModel>(
-            "dadiannao", "DaDianNao baseline", timing::Arch::Baseline,
-            power::Arch::Baseline));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv", "Cnvlutin", timing::Arch::Cnv, power::Arch::Cnv));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv2", "Cnvlutin2 (weight skipping, offset-only ZFNAf)",
-            timing::Arch::Cnv2, power::Arch::Cnv2));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv-pruned", "Cnvlutin + dynamic pruning",
-            timing::Arch::Cnv, power::Arch::Cnv, /*brickSize=*/0,
-            /*defaultPrune=*/true));
+        r.add({"dadiannao", "DaDianNao baseline", timing::Arch::Baseline});
+        r.add({"cnv", "Cnvlutin", timing::Arch::Cnv, power::kCnvScales});
+        r.add({"cnv2", "Cnvlutin2 (weight skipping, offset-only ZFNAf)",
+               timing::Arch::Cnv2, power::kCnv2Scales});
+        r.add({"cnv-pruned", "Cnvlutin + dynamic pruning",
+               timing::Arch::Cnv, power::kCnvScales, /*brickSize=*/0,
+               /*defaultPrune=*/true});
         for (int brick : {4, 8, 32})
             r.add(makeCnvVariant(sim::strfmt("cnv-b{}", brick),
                                  sim::strfmt("Cnvlutin ({}-neuron bricks)",

@@ -1,16 +1,15 @@
 /**
  * @file
- * The ArchModel interface: one architecture variant as a first-class
- * object. A model bundles a stable id (the CLI key and report
- * section name), a display name, the conv/FC/other-layer timing
- * entry points wrapping the closed-form models in src/timing, the
- * calibrated power/area parameter set from src/power, and an
- * optional structural validator hook — so the driver, CLI, benches
- * and reports can loop over N architectures instead of hard-coding
- * the baseline/CNV pair. Variants are looked up through the
- * ArchRegistry (arch/registry.h); the timing::Arch / power::Arch
- * enums stay private to src/timing, src/power and this module
- * (enforced by tools/cnvlint.py's arch-dispatch rule).
+ * ArchModel: one architecture variant as a plain value. A model is a
+ * stable id (the CLI key and report section name), a display name,
+ * the conv datapath it runs (timing::Arch), its component area and
+ * energy scales (power::Scales), an optional brick-size geometry
+ * override and the cnv-pruned default-threshold flag — so the
+ * driver, CLI, benches and reports can loop over N architectures
+ * instead of hard-coding the baseline/CNV pair. Variants are looked
+ * up through the ArchRegistry (arch/registry.h); the timing::Arch
+ * enum stays private to src/timing and this module (enforced by
+ * tools/cnvlint.py's arch-dispatch rule).
  */
 
 #ifndef CNV_ARCH_ARCH_MODEL_H
@@ -20,8 +19,6 @@
 
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
-#include "dadiannao/other_layers.h"
-#include "mem/memory_model.h"
 #include "nn/network.h"
 #include "power/model.h"
 #include "timing/network_model.h"
@@ -29,99 +26,69 @@
 namespace cnv::arch {
 
 /**
- * One architecture variant. Implementations wrap the existing
- * closed-form timing models and the calibrated power model; the
- * driver and CLI only ever see this interface (plus the registry),
- * so adding a variant touches no downstream code.
+ * One architecture variant. Its members wrap the closed-form timing
+ * models and the calibrated power model; the driver and CLI only
+ * ever see this type (plus the registry), so adding a variant is one
+ * registry entry and touches no downstream code.
  */
 class ArchModel
 {
   public:
-    virtual ~ArchModel() = default;
+    /**
+     * @param datapath Which conv timing model runs.
+     * @param scales Component area/energy scales (default: baseline).
+     * @param brickSize Brick = lanes = NM banks override; 0 inherits
+     *        the base configuration.
+     * @param defaultPrune Apply nominal uniform pruning thresholds
+     *        when a run supplies no PruneConfig (cnv-pruned).
+     */
+    ArchModel(std::string id, std::string displayName,
+              timing::Arch datapath, power::Scales scales = {},
+              int brickSize = 0, bool defaultPrune = false);
 
     /** Stable registry id: CLI `--arch` key and report section name. */
-    virtual const std::string &id() const = 0;
+    const std::string &id() const { return id_; }
 
     /** Human-readable name for tables and logs. */
-    virtual const std::string &displayName() const = 0;
+    const std::string &displayName() const { return displayName_; }
 
     /**
      * This variant's node geometry, derived from a base
-     * configuration (parameterized variants override brick size,
-     * lane count and NM banking; the canonical models return the
-     * base unchanged).
+     * configuration: a brick-size override sets brick size, lane
+     * count and NM banking; otherwise the base is returned unchanged.
      */
-    virtual dadiannao::NodeConfig
-    nodeConfig(const dadiannao::NodeConfig &base) const;
+    dadiannao::NodeConfig nodeConfig(const dadiannao::NodeConfig &base) const;
 
     /**
-     * Structural validator hook: throws sim::FatalError when the
-     * (already variant-adjusted) configuration cannot be built for
-     * this architecture. The default checks the shared NodeConfig
-     * invariants; models with extra structural constraints override
-     * this to add their own checks.
+     * Run one image trace through the network on this architecture.
+     * Applies nodeConfig() to `base` first (timing::simulateNetwork
+     * validates the result); the result's architecture field carries
+     * id().
      */
-    virtual void validateNode(const dadiannao::NodeConfig &cfg) const;
-
-    /**
-     * Memory-hierarchy geometry for `--mem banked` runs on this
-     * architecture, derived from the (already variant-adjusted)
-     * node configuration. The default maps NodeConfig fields
-     * directly and fetches through a single unit-wide pointer;
-     * variants with per-lane slice pointers (the CNV family)
-     * override the sliced-fetch flag via their timing selection.
-     */
-    virtual mem::Geometry
-    memGeometry(const dadiannao::NodeConfig &cfg) const;
-
-    /**
-     * Timing entry point: run one image trace through the network on
-     * this architecture. Applies nodeConfig()/validateNode() to
-     * `base` first; the result's architecture field carries id().
-     */
-    virtual dadiannao::NetworkResult
-    simulateNetwork(const dadiannao::NodeConfig &base,
-                    const nn::Network &net,
-                    const timing::RunOptions &opts) const = 0;
-
-    /**
-     * Conv-layer timing entry point wrapping the closed-form
-     * convBaseline/convCnv models (per-layer mode selection
-     * included). `cfg` must already be variant-adjusted.
-     */
-    virtual dadiannao::LayerResult
-    convTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
-               const timing::CountMap &counts) const = 0;
-
-    /**
-     * Fully-connected-layer timing entry point (the shared
-     * throughput model, or CNV FC zero skipping when enabled).
-     */
-    virtual dadiannao::LayerResult
-    fcTiming(const dadiannao::NodeConfig &cfg, const nn::Network &net,
-             int nodeId, dadiannao::OverlapTracker &overlap) const = 0;
-
-    /**
-     * Non-conv, non-FC layer timing entry point (pooling, LRN,
-     * concat, softmax — identical across the built-in variants).
-     */
-    virtual dadiannao::LayerResult
-    otherTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
-                dadiannao::OverlapTracker &overlap) const;
+    dadiannao::NetworkResult
+    simulateNetwork(const dadiannao::NodeConfig &base, const nn::Network &net,
+                    const timing::RunOptions &opts) const;
 
     /** Component area breakdown for this architecture (Figure 11). */
-    virtual power::AreaBreakdown
-    area(const power::PowerParams &p = {}) const = 0;
+    power::AreaBreakdown area(const power::PowerParams &p = {}) const;
 
     /** Average power over a run (Figure 12). */
-    virtual power::PowerBreakdown
+    power::PowerBreakdown
     power(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
-          const power::PowerParams &p = {}) const = 0;
+          const power::PowerParams &p = {}) const;
 
     /** Delay, energy, EDP, ED^2P for a run (Figure 13). */
-    virtual power::RunMetrics
+    power::RunMetrics
     metrics(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
-            const power::PowerParams &p = {}) const = 0;
+            const power::PowerParams &p = {}) const;
+
+  private:
+    std::string id_;
+    std::string displayName_;
+    timing::Arch datapath_;
+    power::Scales scales_;
+    int brickSize_;
+    bool defaultPrune_;
 };
 
 } // namespace cnv::arch

@@ -7,12 +7,11 @@
 namespace cnv::arch {
 
 void
-ArchRegistry::add(std::shared_ptr<const ArchModel> model)
+ArchRegistry::add(ArchModel model)
 {
-    CNV_ASSERT(model != nullptr, "cannot register a null ArchModel");
-    CNV_ASSERT(!model->id().empty(), "ArchModel id must be non-empty");
-    if (find(model->id()) != nullptr)
-        CNV_FATAL("architecture '{}' is already registered", model->id());
+    CNV_ASSERT(!model.id().empty(), "ArchModel id must be non-empty");
+    if (find(model.id()) != nullptr)
+        CNV_FATAL("architecture '{}' is already registered", model.id());
     models_.push_back(std::move(model));
 }
 
@@ -20,8 +19,8 @@ const ArchModel *
 ArchRegistry::find(std::string_view id) const
 {
     for (const auto &model : models_)
-        if (model->id() == id)
-            return model.get();
+        if (model.id() == id)
+            return &model;
     return nullptr;
 }
 
@@ -41,7 +40,7 @@ ArchRegistry::ids() const
     std::vector<std::string> out;
     out.reserve(models_.size());
     for (const auto &model : models_)
-        out.push_back(model->id());
+        out.push_back(model.id());
     return out;
 }
 
@@ -52,7 +51,7 @@ ArchRegistry::describeIds() const
     for (const auto &model : models_) {
         if (!out.empty())
             out += ", ";
-        out += model->id();
+        out += model.id();
     }
     return out;
 }

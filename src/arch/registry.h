@@ -12,7 +12,7 @@
 #ifndef CNV_ARCH_REGISTRY_H
 #define CNV_ARCH_REGISTRY_H
 
-#include <memory>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,15 +22,17 @@
 namespace cnv::arch {
 
 /**
- * An ordered, name-keyed collection of architecture models. Lookups
- * are by stable id; unknown ids are fatal with the known set in the
- * message so CLI users see their options.
+ * An ordered, name-keyed collection of architecture models, stored
+ * by value in a deque so the pointers find/get/select hand out stay
+ * valid across later add() calls. Lookups are by stable id; unknown
+ * ids are fatal with the known set in the message so CLI users see
+ * their options.
  */
 class ArchRegistry
 {
   public:
     /** Register a model; fatal on a duplicate or empty id. */
-    void add(std::shared_ptr<const ArchModel> model);
+    void add(ArchModel model);
 
     /** The model with this id, or nullptr when unknown. */
     const ArchModel *find(std::string_view id) const;
@@ -39,10 +41,7 @@ class ArchRegistry
     const ArchModel &get(std::string_view id) const;
 
     /** All models in registration order. */
-    const std::vector<std::shared_ptr<const ArchModel>> &models() const
-    {
-        return models_;
-    }
+    const std::deque<ArchModel> &models() const { return models_; }
 
     /** Registered ids, in registration order. */
     std::vector<std::string> ids() const;
@@ -58,7 +57,7 @@ class ArchRegistry
     std::vector<const ArchModel *> select(std::string_view csv) const;
 
   private:
-    std::vector<std::shared_ptr<const ArchModel>> models_;
+    std::deque<ArchModel> models_;
 };
 
 /**
@@ -84,9 +83,8 @@ std::vector<const ArchModel *> canonicalPair();
  * banking follows the lane count. Registered ids use the form
  * "cnv-b<brick>".
  */
-std::shared_ptr<const ArchModel> makeCnvVariant(std::string id,
-                                                std::string displayName,
-                                                int brickSize);
+ArchModel makeCnvVariant(std::string id, std::string displayName,
+                         int brickSize);
 
 } // namespace cnv::arch
 

@@ -366,18 +366,18 @@ cmdArchs(bool idsOnly)
         // Machine-readable listing for scripts (the docs-coverage
         // check diffs this against docs/architectures.md sections).
         for (const auto &model : arch::builtin().models())
-            std::cout << model->id() << '\n';
+            std::cout << model.id() << '\n';
         return 0;
     }
     const dadiannao::NodeConfig base;
     sim::Table t({"id", "architecture", "brick", "lanes", "NM banks",
                   "area mm^2"});
     for (const auto &model : arch::builtin().models()) {
-        const auto cfg = model->nodeConfig(base);
-        t.addRow({model->id(), model->displayName(),
+        const auto cfg = model.nodeConfig(base);
+        t.addRow({model.id(), model.displayName(),
                   std::to_string(cfg.brickSize),
                   std::to_string(cfg.lanes), std::to_string(cfg.nmBanks),
-                  sim::Table::num(model->area().total())});
+                  sim::Table::num(model.area().total())});
     }
     t.print(std::cout);
     std::cout << "\nselect with `cnvsim run <net> --arch "

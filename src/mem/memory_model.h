@@ -57,13 +57,12 @@ std::optional<Kind> parseKind(std::string_view name);
 inline constexpr std::uint64_t kDefaultGbLines = 4096;
 
 /**
- * Geometry of the simulated hierarchy, declared per architecture by
- * `arch::ArchModel::memGeometry()`. A zero `banks` count marks the
- * geometry as unset; consumers then derive it from the NodeConfig.
+ * Geometry of the simulated hierarchy. `timing::simulateNetwork`
+ * derives it from the run's NodeConfig and conv datapath.
  */
 struct Geometry
 {
-    /** NM bank count (0 = unset). */
+    /** NM bank count (must be positive). */
     int banks = 0;
     /**
      * True when every lane advances its own slice fetch pointer

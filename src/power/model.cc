@@ -7,47 +7,31 @@ namespace cnv::power {
 using dadiannao::EnergyCounters;
 
 AreaBreakdown
-areaOf(Arch arch, const PowerParams &p)
+areaOf(const Scales &s, const PowerParams &p)
 {
     AreaBreakdown a;
     a.sb = p.sbArea;
-    a.nm = p.nmArea;
-    a.logic = p.logicArea;
-    a.sram = p.sramArea;
-    if (arch == Arch::Cnv) {
-        a.nm *= p.nmAreaScaleCnv;
-        a.sram *= p.sramAreaScaleCnv;
-        a.logic *= p.logicAreaScaleCnv;
-    } else if (arch == Arch::Cnv2) {
-        a.nm *= p.nmAreaScaleCnv2;
-        a.sram *= p.sramAreaScaleCnv2;
-        a.logic *= p.logicAreaScaleCnv2;
-    }
+    a.nm = p.nmArea * s.nmArea;
+    a.logic = p.logicArea * s.logicArea;
+    a.sram = p.sramArea * s.sramArea;
     return a;
 }
 
 PowerBreakdown
-powerOf(Arch arch, const EnergyCounters &c, std::uint64_t cycles,
+powerOf(const Scales &s, const EnergyCounters &c, std::uint64_t cycles,
         const PowerParams &p)
 {
     CNV_ASSERT(cycles > 0, "power needs a non-empty run");
-    // Cnv2 shares CNV's encoded datapath (offset buffers, banked
-    // NM); only its NM provisioning and dispatcher scales differ.
-    const bool encodedArch = arch != Arch::Baseline;
     const double seconds =
         static_cast<double>(cycles) / (p.clockGhz * 1e9);
 
     // Dynamic energy per component (joules).
     const double pj = 1e-12;
     const double sbE = static_cast<double>(c.sbReads) * p.sbReadPj * pj;
-    const double nmScale = arch == Arch::Cnv ? p.nmAccessScaleCnv
-        : arch == Arch::Cnv2               ? p.nmAccessScaleCnv2
-                                           : 1.0;
     const double nmE = static_cast<double>(c.nmReads + c.nmWrites) *
-                       p.nmAccessPj * nmScale * pj;
-    const double nbinScale = encodedArch ? p.nbinScaleCnv : 1.0;
+                       p.nmAccessPj * s.nmAccess * pj;
     const double sramE = static_cast<double>(c.nbinReads + c.nbinWrites) *
-                         p.nbinAccessPj * nbinScale * pj;
+                         p.nbinAccessPj * s.nbinAccess * pj;
     // Off-chip DRAM energy (c.offchipBytes) is excluded: the paper
     // reports accelerator-chip power (Synopsys DC + Destiny models
     // of the on-chip components only).
@@ -64,26 +48,17 @@ powerOf(Arch arch, const EnergyCounters &c, std::uint64_t cycles,
 
     // Static power scales with component area.
     out.sbStatic = p.sbStaticW;
-    out.nmStatic = p.nmStaticW;
-    out.logicStatic = p.logicStaticW;
-    out.sramStatic = p.sramStaticW;
-    if (arch == Arch::Cnv) {
-        out.nmStatic *= p.nmAreaScaleCnv * p.nmBankingStaticScaleCnv;
-        out.sramStatic *= p.sramAreaScaleCnv;
-        out.logicStatic *= p.logicAreaScaleCnv;
-    } else if (arch == Arch::Cnv2) {
-        out.nmStatic *= p.nmAreaScaleCnv2 * p.nmBankingStaticScaleCnv;
-        out.sramStatic *= p.sramAreaScaleCnv2;
-        out.logicStatic *= p.logicAreaScaleCnv2;
-    }
+    out.nmStatic = p.nmStaticW * (s.nmArea * s.nmBankingStatic);
+    out.sramStatic = p.sramStaticW * s.sramArea;
+    out.logicStatic = p.logicStaticW * s.logicArea;
     return out;
 }
 
 RunMetrics
-metricsOf(Arch arch, const EnergyCounters &c, std::uint64_t cycles,
+metricsOf(const Scales &s, const EnergyCounters &c, std::uint64_t cycles,
           const PowerParams &p)
 {
-    const PowerBreakdown pb = powerOf(arch, c, cycles, p);
+    const PowerBreakdown pb = powerOf(s, c, cycles, p);
     RunMetrics m;
     m.seconds = static_cast<double>(cycles) / (p.clockGhz * 1e9);
     m.watts = pb.total();

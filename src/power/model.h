@@ -1,7 +1,9 @@
 /**
  * @file
- * Area and energy models for the two architectures (Sections V-C
- * and V-D).
+ * Area and energy models (Sections V-C and V-D). An architecture
+ * enters only through its power::Scales record: the baseline node is
+ * the default (all 1.0), CNV and Cnvlutin2 are kCnvScales and
+ * kCnv2Scales.
  *
  * The paper measured area and power from synthesized Verilog (TSMC
  * 65nm, Synopsys DC), Artisan register-file compilers, and the
@@ -22,9 +24,6 @@
 #include "dadiannao/metrics.h"
 
 namespace cnv::power {
-
-/** Architecture variant for area/energy scaling. */
-enum class Arch { Baseline, Cnv, Cnv2 };
 
 /** Component areas in mm^2 (65nm node). */
 struct AreaBreakdown
@@ -85,31 +84,10 @@ struct PowerParams
     double logicArea = 12.0;
     double sramArea = 5.6;
 
-    // --- CNV area scale factors (Section V-C) ---
-    double nmAreaScaleCnv = 1.34;    ///< +25% offsets, 16 banks
-    double sramAreaScaleCnv = 1.158; ///< offset buffer space
-    double logicAreaScaleCnv = 1.01; ///< dispatcher + encoders
-
-    // --- Cnvlutin2 area scale factors (offset-only ZFNAf +
-    // --- weight-skip sequencing; see docs/architectures.md) ---
-    /** NM provisioned for offset-only ZFNAf: per-slot 4-bit offsets
-     *  with values packed, so less padding capacity than CNV's
-     *  (value, offset) slots; banking retained. */
-    double nmAreaScaleCnv2 = 1.28;
-    double sramAreaScaleCnv2 = 1.158; ///< same offset buffers as CNV
-    /** Dispatcher additionally walks the static weight-skip
-     *  schedule (per-filter-group brick masks). */
-    double logicAreaScaleCnv2 = 1.02;
-
     // --- Dynamic energies (picojoules per event) ---
     double sbReadPj = 48.0;       ///< 16-synapse (256-bit) eDRAM read
     double nmAccessPj = 60.0;     ///< 16-neuron NM read or write
-    double nmAccessScaleCnv = 1.35; ///< wider (offsets) + banked access
-    /** Narrower rows than CNV (offset-only encoding packs values),
-     *  still banked. */
-    double nmAccessScaleCnv2 = 1.30;
     double nbinAccessPj = 1.1;    ///< NBin/NBout entry access
-    double nbinScaleCnv = 1.25;   ///< entry carries a 4-bit offset
     double multPj = 0.5;          ///< 16-bit multiply
     double addPj = 0.25;          ///< adder-tree add
     double encoderPj = 0.35;     ///< encoder neuron examination
@@ -120,27 +98,66 @@ struct PowerParams
     double nmStaticW = 2.40;
     double logicStaticW = 0.25;
     double sramStaticW = 0.30;
-    /** Extra NM leakage from banking (peripheral duplication). */
-    double nmBankingStaticScaleCnv = 1.05;
 
     double clockGhz = 1.0;
 };
 
+/**
+ * One architecture's component scale factors relative to the
+ * baseline node. The defaults (all 1.0) are the DaDianNao baseline,
+ * so scaling it is exact.
+ */
+struct Scales
+{
+    double nmArea = 1.0;          ///< NM capacity + banking area
+    double sramArea = 1.0;        ///< NBin/NBout (+ offset buffers)
+    double logicArea = 1.0;       ///< dispatcher, encoders, control
+    double nmAccess = 1.0;        ///< energy per NM access
+    double nbinAccess = 1.0;      ///< energy per NBin/NBout entry access
+    double nmBankingStatic = 1.0; ///< extra NM leakage from banking
+};
+
+/** Cnvlutin (Section V-C; fitted to the Figure 12 CNV deltas). */
+inline constexpr Scales kCnvScales{
+    .nmArea = 1.34,          // +25% offsets, 16 banks
+    .sramArea = 1.158,       // offset buffer space
+    .logicArea = 1.01,       // dispatcher + encoders
+    .nmAccess = 1.35,        // wider (offsets) + banked access
+    .nbinAccess = 1.25,      // entry carries a 4-bit offset
+    .nmBankingStatic = 1.05, // peripheral duplication
+};
+
+/**
+ * Cnvlutin2: CNV's encoded datapath (offset buffers, banked NM) with
+ * NM provisioned for offset-only ZFNAf and a dispatcher that also
+ * walks the static weight-skip schedule (docs/architectures.md).
+ */
+inline constexpr Scales kCnv2Scales{
+    .nmArea = 1.28,          // values packed: less padding than CNV
+    .sramArea = 1.158,       // same offset buffers as CNV
+    .logicArea = 1.02,       // per-filter-group brick masks
+    .nmAccess = 1.30,        // narrower rows than CNV, still banked
+    .nbinAccess = 1.25,      // same as CNV
+    .nmBankingStatic = 1.05, // same as CNV
+};
+
 /** Component area breakdown for an architecture (Figure 11). */
-AreaBreakdown areaOf(Arch arch, const PowerParams &p = {});
+AreaBreakdown areaOf(const Scales &s, const PowerParams &p = {});
 
 /**
  * Average power over a run (Figure 12).
  *
- * @param arch Architecture variant.
+ * @param s The architecture's scale factors.
  * @param counters Event totals from the simulator.
  * @param cycles Run length in cycles.
  */
-PowerBreakdown powerOf(Arch arch, const dadiannao::EnergyCounters &counters,
+PowerBreakdown powerOf(const Scales &s,
+                       const dadiannao::EnergyCounters &counters,
                        std::uint64_t cycles, const PowerParams &p = {});
 
 /** Delay, energy, EDP, ED^2P for a run (Figure 13). */
-RunMetrics metricsOf(Arch arch, const dadiannao::EnergyCounters &counters,
+RunMetrics metricsOf(const Scales &s,
+                     const dadiannao::EnergyCounters &counters,
                      std::uint64_t cycles, const PowerParams &p = {});
 
 } // namespace cnv::power

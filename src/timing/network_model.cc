@@ -212,16 +212,17 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
     // One model instance per simulateNetwork call (per arch x image
     // task): components lock internally, but single-owner use keeps
     // runs deterministic at any --jobs count.
-    mem::Geometry memGeo = opts.memGeometry;
     std::unique_ptr<mem::MemoryModel> memModel;
     if (opts.memKind != mem::Kind::Ideal) {
-        if (memGeo.banks == 0) {
-            memGeo.banks = cfg.nmBanks;
-            memGeo.slicedFetch = arch != Arch::Baseline;
-            memGeo.nmBytes = cfg.nmBytes;
-            memGeo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
-        }
-        memModel = mem::makeMemoryModel(opts.memKind, memGeo);
+        mem::Geometry geo;
+        geo.banks = cfg.nmBanks;
+        // Every CNV-family datapath fetches through per-slice
+        // pointers; only the baseline keeps DaDianNao's single
+        // unit-wide pointer (Section IV-B2).
+        geo.slicedFetch = arch != Arch::Baseline;
+        geo.nmBytes = cfg.nmBytes;
+        geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
+        memModel = mem::makeMemoryModel(opts.memKind, geo);
         result.memModelled = true;
     }
     // Fold the model's per-layer counter delta into the layer just
@@ -309,9 +310,9 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
                 const std::uint64_t actBytes =
                     (n.inShape.volume() +
                      n.conv.outputShape(n.inShape).volume()) * 2;
-                if (actBytes > memGeo.nmBytes) {
+                if (actBytes > cfg.nmBytes) {
                     const std::uint64_t spillBytes =
-                        actBytes - memGeo.nmBytes;
+                        actBytes - cfg.nmBytes;
                     LayerResult spill;
                     spill.name = n.name + ":dram-spill";
                     spill.cycles = memModel->dramTransfer(spillBytes);

@@ -125,17 +125,11 @@ struct RunOptions
      * each NM access through a per-run mem::MemoryModel (banked NM +
      * global buffer + DRAM channel). The model instance is created
      * inside simulateNetwork, so runs stay deterministic at any
-     * --jobs count.
+     * --jobs count; its geometry comes from the NodeConfig (banks =
+     * nmBanks, nmBytes, dramBytesPerCycle = offchipBytesPerCycle)
+     * with sliced fetch on every datapath except the baseline.
      */
     mem::Kind memKind = mem::Kind::Ideal;
-    /**
-     * Geometry for the banked model. A zero `banks` field (the
-     * default) derives the geometry from the NodeConfig: banks =
-     * nmBanks, nmBytes, dramBytesPerCycle = offchipBytesPerCycle,
-     * and sliced fetch on every arch except the baseline. The arch
-     * layer overrides this via arch::ArchModel::memGeometry().
-     */
-    mem::Geometry memGeometry{};
 };
 
 /**

@@ -8,12 +8,12 @@ namespace {
 
 using namespace cnv;
 using dadiannao::EnergyCounters;
-using power::Arch;
+using power::Scales;
 
 TEST(Area, CnvOverheadNearPaperValue)
 {
-    const auto base = power::areaOf(Arch::Baseline);
-    const auto cnvA = power::areaOf(Arch::Cnv);
+    const auto base = power::areaOf(Scales{});
+    const auto cnvA = power::areaOf(power::kCnvScales);
     const double overhead = cnvA.total() / base.total() - 1.0;
     // Paper: 4.49% total area overhead.
     EXPECT_NEAR(overhead, 0.0449, 0.01);
@@ -42,7 +42,7 @@ syntheticRun(double scale)
 TEST(Power, StaticPlusDynamicComposition)
 {
     const auto c = syntheticRun(1.0);
-    const auto p = power::powerOf(Arch::Baseline, c, 1'000'000);
+    const auto p = power::powerOf(Scales{}, c, 1'000'000);
     EXPECT_GT(p.staticTotal(), 0.0);
     EXPECT_GT(p.dynamicTotal(), 0.0);
     EXPECT_DOUBLE_EQ(p.total(), p.staticTotal() + p.dynamicTotal());
@@ -50,9 +50,9 @@ TEST(Power, StaticPlusDynamicComposition)
 
 TEST(Power, DynamicScalesWithActivity)
 {
-    const auto lo = power::powerOf(Arch::Baseline, syntheticRun(0.5),
+    const auto lo = power::powerOf(Scales{}, syntheticRun(0.5),
                                    1'000'000);
-    const auto hi = power::powerOf(Arch::Baseline, syntheticRun(1.0),
+    const auto hi = power::powerOf(Scales{}, syntheticRun(1.0),
                                    1'000'000);
     EXPECT_NEAR(hi.dynamicTotal() / lo.dynamicTotal(), 2.0, 1e-9);
     EXPECT_DOUBLE_EQ(hi.staticTotal(), lo.staticTotal());
@@ -64,16 +64,16 @@ TEST(Power, SbDynamicDropsWhenReadsAreSkipped)
     auto base = syntheticRun(1.0);
     auto cnvRun = base;
     cnvRun.sbReads = static_cast<std::uint64_t>(base.sbReads * 0.6);
-    const auto pb = power::powerOf(Arch::Baseline, base, 1'000'000);
-    const auto pc = power::powerOf(Arch::Baseline, cnvRun, 1'000'000);
+    const auto pb = power::powerOf(Scales{}, base, 1'000'000);
+    const auto pc = power::powerOf(Scales{}, cnvRun, 1'000'000);
     EXPECT_NEAR(pc.sbDynamic / pb.sbDynamic, 0.6, 1e-9);
 }
 
 TEST(Power, CnvNmCostsMore)
 {
     const auto c = syntheticRun(1.0);
-    const auto pb = power::powerOf(Arch::Baseline, c, 1'000'000);
-    const auto pc = power::powerOf(Arch::Cnv, c, 1'000'000);
+    const auto pb = power::powerOf(Scales{}, c, 1'000'000);
+    const auto pc = power::powerOf(power::kCnvScales, c, 1'000'000);
     // Same events and time: CNV's NM is wider + banked.
     EXPECT_GT(pc.nmDynamic, pb.nmDynamic);
     EXPECT_GT(pc.nmStatic, pb.nmStatic);
@@ -84,7 +84,7 @@ TEST(Power, CnvNmCostsMore)
 TEST(Metrics, PaperEdpArithmetic)
 {
     const auto c = syntheticRun(1.0);
-    const auto m = power::metricsOf(Arch::Baseline, c, 1'000'000);
+    const auto m = power::metricsOf(Scales{}, c, 1'000'000);
     EXPECT_NEAR(m.seconds, 1e-3, 1e-12);
     EXPECT_NEAR(m.edp, m.watts * m.seconds, 1e-15);
     EXPECT_NEAR(m.ed2p, m.edp * m.seconds, 1e-18);
@@ -94,8 +94,8 @@ TEST(Metrics, PaperEdpArithmetic)
 TEST(Metrics, FasterRunWinsEdpWhenEnergyComparable)
 {
     const auto c = syntheticRun(1.0);
-    const auto slow = power::metricsOf(Arch::Baseline, c, 2'000'000);
-    const auto fast = power::metricsOf(Arch::Baseline, c, 1'000'000);
+    const auto slow = power::metricsOf(Scales{}, c, 2'000'000);
+    const auto fast = power::metricsOf(Scales{}, c, 1'000'000);
     EXPECT_LT(fast.edp, slow.edp);
     EXPECT_LT(fast.ed2p / slow.ed2p, fast.edp / slow.edp);
 }

@@ -88,8 +88,8 @@ TEST(MetricsRegistry, HistogramBucketBoundsArePowersOfTwoMicros)
                           MetricsRegistry::bucketBoundNanos(
                               MetricsRegistry::kHistogramBuckets - 1) +
                               1);                    // overflow
-    const auto &hist =
-        metrics().snapshot().histograms.at("test.buckets");
+    const auto snap = metrics().snapshot();
+    const auto &hist = snap.histograms.at("test.buckets");
     EXPECT_EQ(hist.buckets[0], 1u);
     EXPECT_EQ(hist.buckets[1], 1u);
     EXPECT_EQ(hist.overflow, 1u);

@@ -17,6 +17,8 @@ builds a clean mini-tree and asserts zero findings, exercising:
   * raw-simd            intrinsics headers and raw vector types
                         outside src/core/simd.h, the simd.h
                         allowlist, and suppression;
+  * arch-dispatch       timing::Arch outside src/timing and src/arch,
+                        both allowlisted modules, and suppression;
   * cast-ban            a legacy rule, as an engine regression canary.
 
 Usage: check_cnvlint_rules.py [REPO_ROOT]
@@ -124,6 +126,27 @@ def seed_violating_tree(root: Path) -> dict[tuple[str, int], str]:
         "    return 0;",
         "}",
     ]) + "\n")
+    # arch-dispatch: flagged at line 2, suppressed at line 4.
+    write(root, "src/driver/bad_dispatch.cc", "\n".join([
+        "#include \"timing/network_model.h\"",
+        "int pick(cnv::timing::Arch a) { return static_cast<int>(a); }",
+        "// legacy entry point: cnvlint: allow(arch-dispatch)",
+        "int legacy(cnv::timing::Arch a) { return static_cast<int>(a); }",
+    ]) + "\n")
+    # The enum's defining module and the registry records naming it:
+    # must NOT be flagged.
+    write(root, "src/timing/network_model.h", "\n".join([
+        "/** @file Datapath enum fixture. */",
+        "#ifndef CNV_TIMING_NETWORK_MODEL_H",
+        "#define CNV_TIMING_NETWORK_MODEL_H",
+        "namespace cnv::timing { enum class Arch { Baseline, Cnv }; }",
+        "inline int first() { return int(cnv::timing::Arch::Baseline); }",
+        "#endif // CNV_TIMING_NETWORK_MODEL_H",
+    ]) + "\n")
+    write(root, "src/arch/arch_model.cc", "\n".join([
+        "#include \"timing/network_model.h\"",
+        "cnv::timing::Arch datapath() { return cnv::timing::Arch::Cnv; }",
+    ]) + "\n")
     write(root, "docs/observability.md", "# Schema fixture\n")
     return {
         ("src/nn/bad_rng.cc", 2): "rng-source",
@@ -135,6 +158,7 @@ def seed_violating_tree(root: Path) -> dict[tuple[str, int], str]:
         ("src/timing/bad_simd.cc", 1): "raw-simd",
         ("src/timing/bad_simd.cc", 3): "raw-simd",
         ("src/timing/bad_simd.cc", 4): "raw-simd",
+        ("src/driver/bad_dispatch.cc", 2): "arch-dispatch",
     }
 
 

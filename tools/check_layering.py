@@ -12,7 +12,7 @@ of the layer diagram in docs/architecture.md):
 
 with ``sim`` as the base utility layer every module may use, ``mem``
 as a leaf component library (memory-hierarchy models over sim only,
-consumed by dadiannao, timing, arch and driver), and a
+consumed by dadiannao, timing and driver), and a
 small set of *freestanding headers* (annotation/sync primitives that
 include nothing from src/) that any module may include without
 creating a layering edge — the freestanding property itself is
@@ -77,7 +77,7 @@ ALLOWED = {
                "sim"},
     "power": {"dadiannao", "sim"},
     "pruning": {"timing", "dadiannao", "nn", "sim"},
-    "arch": {"timing", "power", "dadiannao", "mem", "nn", "sim"},
+    "arch": {"timing", "power", "dadiannao", "nn", "sim"},
     "driver": {"arch", "pruning", "timing", "power", "core",
                "dadiannao", "mem", "nn", "zfnaf", "tensor", "sim"},
 }

@@ -33,10 +33,10 @@ root, or pass the root as the first argument. Eleven rules over
                 documentation cannot drift apart.
   arch-dispatch Architecture variants are selected through the
                 ``arch::ArchModel`` registry (src/arch/), never by
-                dispatching on the ``timing::Arch`` / ``power::Arch``
-                enums directly. The enums may appear only inside
-                ``src/timing/``, ``src/power/`` (their definitions)
-                and ``src/arch/`` (the registry bridge wrapping them).
+                dispatching on the ``timing::Arch`` datapath enum
+                directly. The enum may appear only inside
+                ``src/timing/`` (its definition) and ``src/arch/``
+                (the registry records naming each model's datapath).
   raw-thread    All concurrency goes through the deterministic pool
                 (``sim::ThreadPool`` / ``sim::parallelFor``), so
                 ``std::thread``, ``std::jthread`` and ``std::async``
@@ -105,9 +105,9 @@ SCHEMA_SOURCES = (
 )
 SCHEMA_DOC = "docs/observability.md"
 
-# Directories where the timing/power Arch enums are legitimately
-# visible: their defining modules plus the registry that wraps them.
-ARCH_DISPATCH_DIR_ALLOWLIST = ("src/timing/", "src/power/", "src/arch/")
+# Directories where the timing::Arch datapath enum is legitimately
+# visible: its defining module plus the registry records naming it.
+ARCH_DISPATCH_DIR_ALLOWLIST = ("src/timing/", "src/arch/")
 
 # The one module allowed to own threads: the deterministic pool.
 RAW_THREAD_FILE_ALLOWLIST = {
@@ -136,7 +136,7 @@ RNG_SOURCE_FILE_ALLOWLIST = {
 UNORDERED_ITER_SCOPE = ("src/driver/", "src/sim/stats_export.")
 
 SUPPRESS = re.compile(r"cnvlint:\s*allow\(([a-z0-9-]+)\)")
-ARCH_ENUM = re.compile(r"\b(?:timing|power)::Arch\b")
+ARCH_ENUM = re.compile(r"\btiming::Arch\b")
 RAW_THREAD = re.compile(r"\bstd::(thread|jthread|async)\b")
 SIMD_INCLUDE = re.compile(
     r"#\s*include\s*<((?:[a-z0-9]*intrin|arm_neon|arm_acle|arm_sve)\.h)>"
@@ -295,8 +295,8 @@ class Linter:
                 continue
             self.report(
                 path, idx + 1, "arch-dispatch",
-                f"{m.group(0)} outside src/timing, src/power and "
-                "src/arch — select architectures through the "
+                f"{m.group(0)} outside src/timing and src/arch — "
+                "select architectures through the "
                 "arch::ArchModel registry (arch/registry.h)",
             )
 
