@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
@@ -137,6 +138,69 @@ TEST(Pruning, ThresholdGroupsFollowNamePrefixes)
     // Networks without '/'-structured names get one group per layer.
     const auto alex = nn::zoo::build(nn::zoo::NetId::Alex, 1, 16);
     EXPECT_EQ(pruning::thresholdGroups(*alex).size(), 5u);
+}
+
+TEST(Pruning, LosslessSearchIsPinned)
+{
+    // `cnvsim prune nin` with its defaults: seed 2016, a 1/8-scale
+    // accuracy net, 6 accuracy images, 1 timing image, search seed
+    // 2016 + 7, lossless floor. The outputs must not move under
+    // forward-pass optimisations (they are exact by contract).
+    const auto fullNet = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    auto accNet = nn::zoo::build(nn::zoo::NetId::Nin, 2016, 8);
+    accNet->calibrate();
+
+    dadiannao::NodeConfig node;
+    pruning::SearchOptions search;
+    search.accuracyImages = 6;
+    search.timingImages = 1;
+    search.seed = 2016 + 7;
+    search.accuracyFloor = 1.0;
+    const auto point =
+        pruning::searchLossless(node, *fullNet, *accNet, search);
+
+    const std::vector<std::int32_t> expect = {4,  2,  2,   4,   4,   2,
+                                              4,  8,  32,  128, 256, 256};
+    EXPECT_EQ(point.config.thresholds, expect);
+    EXPECT_EQ(point.speedup, 0x1.508ce8bb649f5p+0);
+    EXPECT_EQ(point.relativeAccuracy, 1.0);
+}
+
+TEST(Pruning, RelativeAccuracyIsPinnedOnScaledVgg19)
+{
+    // Table II-ladder candidates on the 1/8-scale vgg19: first
+    // threshold 0 and > 0, lossless and lossy. Each pruned pass must
+    // agree with its reference exactly as it does today.
+    auto net = nn::zoo::build(nn::zoo::NetId::Vgg19, 2016, 8);
+    net->calibrate();
+    struct Pin
+    {
+        std::vector<std::int32_t> thresholds;
+        double accuracy;
+    };
+    const Pin pins[] = {
+        {{0, 4, 8, 8, 16, 16, 16, 32, 32, 32, 64, 64, 64, 128, 128, 256},
+         1.0},
+        {{8, 2, 4, 4, 8, 8, 16, 16, 16, 32, 32, 32, 64, 64, 128, 128},
+         1.0},
+        {{32, 64, 64, 128, 128, 128, 256, 256, 256, 256, 256, 256, 256,
+          256, 256, 256},
+         0.0},
+        {{256, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 0x1p-1},
+        {{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 256}, 1.0},
+        {{16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},
+         1.0},
+        {{0, 0, 0, 0, 0, 0, 0, 0, 256, 256, 256, 256, 256, 256, 256, 256},
+         0x1p-1},
+        {{0, 0, 0, 0, 256, 256, 256, 256, 0, 0, 0, 0, 0, 0, 0, 0},
+         0x1.5555555555555p-1},
+    };
+    for (const Pin &pin : pins) {
+        nn::PruneConfig cfg;
+        cfg.thresholds = pin.thresholds;
+        EXPECT_EQ(pruning::relativeAccuracy(*net, cfg, 6, 77), pin.accuracy)
+            << "first threshold " << pin.thresholds.front();
+    }
 }
 
 } // namespace
