@@ -101,67 +101,92 @@ BM_NonZeroCountMapScalar(benchmark::State &state)
 }
 BENCHMARK(BM_NonZeroCountMapScalar);
 
-// Conv forward over a paper-scale inner layer, vector kernel vs the
-// scalar reference — the tentpole before/after pair.
-nn::ConvParams
-convBenchParams()
+// Conv forward, zero-skipping kernel vs the scalar reference, on
+// three 28x28 3x3 layers: an inner layer at Fig. 1's 44% zeros and
+// at 90% zeros (the zero-skip gain), and a depth-3 first layer (the
+// shallow-depth case). Items are dense MACs, so items/s compare
+// across cases.
+struct ConvBenchCase
 {
-    nn::ConvParams p;
-    p.filters = 64;
-    p.fx = p.fy = 3;
-    p.stride = 1;
-    p.pad = 1;
-    p.relu = true;
-    return p;
-}
+    int depth;
+    int filters;
+    double zeroFraction;
+    const char *label;
+};
 
-tensor::FilterBank
-convBenchFilters(const nn::ConvParams &p, int depth)
+constexpr ConvBenchCase kConvCases[] = {
+    {128, 64, 0.44, "inner z128 f64 zf0.44"},
+    {128, 64, 0.9, "inner z128 f64 zf0.9"},
+    {3, 32, 0.0, "first z3 f32 dense"},
+};
+
+struct ConvBench
 {
-    tensor::FilterBank w(p.filters, p.fx, p.fy, depth);
+    tensor::NeuronTensor in;
+    nn::ConvParams p;
+    tensor::FilterBank w;
+    std::vector<tensor::Fixed16> bias;
+};
+
+ConvBench
+convBench(const benchmark::State &state)
+{
+    const ConvBenchCase &c =
+        kConvCases[static_cast<std::size_t>(state.range(0))];
+    ConvBench b;
+    b.in = sparseTensor(28, 28, c.depth, c.zeroFraction);
+    b.p.filters = c.filters;
+    b.p.fx = b.p.fy = 3;
+    b.p.stride = 1;
+    b.p.pad = 1;
+    b.p.relu = true;
+    b.w = tensor::FilterBank(c.filters, 3, 3, c.depth);
     sim::Rng rng(9);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        w.data()[i] = tensor::Fixed16::fromRaw(
+    for (std::size_t i = 0; i < b.w.size(); ++i) {
+        b.w.data()[i] = tensor::Fixed16::fromRaw(
             static_cast<std::int16_t>(rng.uniformInt(-300, 300)));
     }
-    return w;
+    b.bias.resize(static_cast<std::size_t>(c.filters));
+    return b;
+}
+
+void
+reportConv(benchmark::State &state, const ConvBench &b)
+{
+    state.SetLabel(kConvCases[static_cast<std::size_t>(state.range(0))].label);
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(b.p.macs(b.in.shape())));
 }
 
 void
 BM_ConvForward(benchmark::State &state)
 {
-    const auto in = sparseTensor(28, 28, 128, 0.44);
-    const nn::ConvParams p = convBenchParams();
-    const auto w = convBenchFilters(p, in.shape().z);
-    const std::vector<tensor::Fixed16> bias(
-        static_cast<std::size_t>(p.filters));
+    const ConvBench b = convBench(state);
+    const auto packed = nn::kernels::packConvWeights(b.w, b.p.groups);
     core::Arena arena;
     for (auto _ : state) {
         arena.reset();
         benchmark::DoNotOptimize(
-            nn::kernels::convForward(in, w, bias, p, arena));
+            nn::kernels::convForward(b.in, packed, b.bias, b.p, arena));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(in.size()));
+    reportConv(state, b);
 }
-BENCHMARK(BM_ConvForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConvForward)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 void
 BM_ConvForwardScalar(benchmark::State &state)
 {
-    const auto in = sparseTensor(28, 28, 128, 0.44);
-    const nn::ConvParams p = convBenchParams();
-    const auto w = convBenchFilters(p, in.shape().z);
-    const std::vector<tensor::Fixed16> bias(
-        static_cast<std::size_t>(p.filters));
+    const ConvBench b = convBench(state);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            nn::kernels::convForwardScalar(in, w, bias, p));
+            nn::kernels::convForwardScalar(b.in, b.w, b.bias, b.p));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(in.size()));
+    reportConv(state, b);
 }
-BENCHMARK(BM_ConvForwardScalar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConvForwardScalar)
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_FcForward(benchmark::State &state)

@@ -15,7 +15,9 @@
  * ISA, which is how the scalar-fallback CI job keeps both dispatch
  * paths green. Every backend computes *exact* integer results — the
  * products are formed in full precision and summed into 64-bit
- * accumulators, and integer addition is associative — so all four
+ * accumulators (`MacBlock` sums into int32 lanes that its caller
+ * flushes to 64 bits before they can wrap), and integer addition is
+ * associative — so all four
  * backends are bit-identical by construction; the equivalence tests
  * in tests/nn and tests/zfnaf pin this.
  *
@@ -84,6 +86,12 @@ evenBits(std::uint32_t m)
 }
 
 } // namespace detail
+
+/**
+ * Lanes of one MacBlock: 16-bit weights consumed per broadcast
+ * multiply-accumulate, the same on every backend.
+ */
+inline constexpr int kMacLanes = 16;
 
 /**
  * Clamp a raw prune threshold to the unsigned-16 domain the lane
@@ -186,6 +194,57 @@ class DotAccum
 
   private:
     __m256i acc_;
+};
+
+/**
+ * kMacLanes int32 lanes, each accumulating one 16-bit value times
+ * its own 16-bit weight: the input-stationary conv step. Every
+ * product is formed exactly (mullo/mulhi interleave, |p| <= 2^30);
+ * the caller flushes before a lane sum can leave int32.
+ */
+class MacBlock
+{
+  public:
+    MacBlock() : lo_(_mm256_setzero_si256()), hi_(_mm256_setzero_si256()) {}
+
+    /** lane i += n * w[i] for i < kMacLanes. */
+    template <typename T>
+    void
+    mulAcc(std::int16_t n, const T *w)
+    {
+        static_assert(detail::kIsRawI16<T>);
+        __m256i wv;
+        std::memcpy(&wv, w, sizeof(wv));
+        const __m256i nv = _mm256_set1_epi16(n);
+        const __m256i plo = _mm256_mullo_epi16(wv, nv);
+        const __m256i phi = _mm256_mulhi_epi16(wv, nv);
+        lo_ = _mm256_add_epi32(lo_, _mm256_unpacklo_epi16(plo, phi));
+        hi_ = _mm256_add_epi32(hi_, _mm256_unpackhi_epi16(plo, phi));
+    }
+
+    /** out[i] += lane i for i < kMacLanes, then zero the lanes. */
+    void
+    flush(std::int64_t *out)
+    {
+        // The unpacks interleave within 128-bit halves: lo_ holds
+        // weights 0-3 and 8-11, hi_ holds 4-7 and 12-15.
+        std::int32_t lo[8];
+        std::int32_t hi[8];
+        std::memcpy(lo, &lo_, sizeof(lo));
+        std::memcpy(hi, &hi_, sizeof(hi));
+        for (int i = 0; i < 4; ++i) {
+            out[i] += lo[i];
+            out[i + 4] += hi[i];
+            out[i + 8] += lo[i + 4];
+            out[i + 12] += hi[i + 4];
+        }
+        lo_ = _mm256_setzero_si256();
+        hi_ = _mm256_setzero_si256();
+    }
+
+  private:
+    __m256i lo_;
+    __m256i hi_;
 };
 
 namespace detail {
@@ -300,6 +359,49 @@ class DotAccum
     __m128i acc_;
 };
 
+/**
+ * kMacLanes int32 lanes of broadcast multiply-accumulate (SSE4.2
+ * variant of the AVX2 MacBlock; same exactness argument).
+ */
+class MacBlock
+{
+  public:
+    /** lane i += n * w[i] for i < kMacLanes. */
+    template <typename T>
+    void
+    mulAcc(std::int16_t n, const T *w)
+    {
+        static_assert(detail::kIsRawI16<T>);
+        const __m128i nv = _mm_set1_epi16(n);
+        for (int h = 0; h < 2; ++h) {
+            __m128i wv;
+            std::memcpy(&wv, w + 8 * h, sizeof(wv));
+            const __m128i plo = _mm_mullo_epi16(wv, nv);
+            const __m128i phi = _mm_mulhi_epi16(wv, nv);
+            acc_[2 * h] =
+                _mm_add_epi32(acc_[2 * h], _mm_unpacklo_epi16(plo, phi));
+            acc_[2 * h + 1] = _mm_add_epi32(acc_[2 * h + 1],
+                                            _mm_unpackhi_epi16(plo, phi));
+        }
+    }
+
+    /** out[i] += lane i for i < kMacLanes, then zero the lanes. */
+    void
+    flush(std::int64_t *out)
+    {
+        std::int32_t lanes[kMacLanes];
+        std::memcpy(lanes, acc_, sizeof(lanes));
+        for (int i = 0; i < kMacLanes; ++i)
+            out[i] += lanes[i];
+        for (__m128i &a : acc_)
+            a = _mm_setzero_si128();
+    }
+
+  private:
+    __m128i acc_[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
+                       _mm_setzero_si128(), _mm_setzero_si128()};
+};
+
 namespace detail {
 
 /** Per-lane predicate mask: uabs(lane) >= t, as a cmp vector. */
@@ -405,6 +507,47 @@ class DotAccum
     int64x2_t acc_;
 };
 
+/**
+ * kMacLanes int32 lanes of broadcast multiply-accumulate: widening
+ * multiply-adds (vmlal) form each product exactly; the caller
+ * flushes before a lane sum can leave int32.
+ */
+class MacBlock
+{
+  public:
+    /** lane i += n * w[i] for i < kMacLanes. */
+    template <typename T>
+    void
+    mulAcc(std::int16_t n, const T *w)
+    {
+        static_assert(detail::kIsRawI16<T>);
+        for (int h = 0; h < 2; ++h) {
+            int16x8_t wv;
+            std::memcpy(&wv, w + 8 * h, sizeof(wv));
+            acc_[2 * h] = vmlal_n_s16(acc_[2 * h], vget_low_s16(wv), n);
+            acc_[2 * h + 1] =
+                vmlal_n_s16(acc_[2 * h + 1], vget_high_s16(wv), n);
+        }
+    }
+
+    /** out[i] += lane i for i < kMacLanes, then zero the lanes. */
+    void
+    flush(std::int64_t *out)
+    {
+        std::int32_t lanes[kMacLanes];
+        for (int q = 0; q < 4; ++q) {
+            vst1q_s32(lanes + 4 * q, acc_[q]);
+            acc_[q] = vdupq_n_s32(0);
+        }
+        for (int i = 0; i < kMacLanes; ++i)
+            out[i] += lanes[i];
+    }
+
+  private:
+    int32x4_t acc_[4] = {vdupq_n_s32(0), vdupq_n_s32(0), vdupq_n_s32(0),
+                         vdupq_n_s32(0)};
+};
+
 namespace detail {
 
 /** Per-lane predicate mask: uabs(lane) >= t, all-ones per lane. */
@@ -502,6 +645,40 @@ class DotAccum
 
   private:
     std::int64_t acc_ = 0;
+};
+
+/**
+ * kMacLanes int32 lanes of broadcast multiply-accumulate. The caller
+ * flushes before a lane sum can leave int32, so no addition here
+ * overflows.
+ */
+class MacBlock
+{
+  public:
+    /** lane i += n * w[i] for i < kMacLanes. */
+    template <typename T>
+    void
+    mulAcc(std::int16_t n, const T *w)
+    {
+        static_assert(detail::kIsRawI16<T>);
+        std::int16_t wv[kMacLanes];
+        std::memcpy(wv, w, sizeof(wv));
+        for (int i = 0; i < kMacLanes; ++i)
+            lane_[i] += std::int32_t{n} * std::int32_t{wv[i]};
+    }
+
+    /** out[i] += lane i for i < kMacLanes, then zero the lanes. */
+    void
+    flush(std::int64_t *out)
+    {
+        for (int i = 0; i < kMacLanes; ++i) {
+            out[i] += lane_[i];
+            lane_[i] = 0;
+        }
+    }
+
+  private:
+    std::int32_t lane_[kMacLanes] = {};
 };
 
 namespace detail {

@@ -15,24 +15,34 @@ using tensor::NeuronTensor;
 using tensor::Shape3;
 
 NeuronTensor
-conv2d(const NeuronTensor &in, const FilterBank &weights,
+conv2d(const NeuronTensor &in, const kernels::PackedConvWeights &weights,
        const std::vector<Fixed16> &bias, const ConvParams &p,
        core::Arena &arena)
 {
     const Shape3 inShape = in.shape();
     const int depthPerGroup = inShape.z / p.groups;
 
-    if (weights.shape().n != p.filters || weights.shape().x != p.fx ||
-        weights.shape().y != p.fy || weights.shape().z != depthPerGroup) {
+    if (weights.shape.n != p.filters || weights.shape.x != p.fx ||
+        weights.shape.y != p.fy || weights.shape.z != depthPerGroup ||
+        weights.groups != p.groups) {
         CNV_FATAL("conv weight shape ({},{},{},{}) does not match "
                   "params (n={}, fx={}, fy={}, z={})",
-                  weights.shape().n, weights.shape().x, weights.shape().y,
-                  weights.shape().z, p.filters, p.fx, p.fy, depthPerGroup);
+                  weights.shape.n, weights.shape.x, weights.shape.y,
+                  weights.shape.z, p.filters, p.fx, p.fy, depthPerGroup);
     }
     if (bias.size() != static_cast<std::size_t>(p.filters))
         CNV_FATAL("conv bias count {} != filters {}", bias.size(), p.filters);
 
     return kernels::convForward(in, weights, bias, p, arena);
+}
+
+NeuronTensor
+conv2d(const NeuronTensor &in, const FilterBank &weights,
+       const std::vector<Fixed16> &bias, const ConvParams &p,
+       core::Arena &arena)
+{
+    return conv2d(in, kernels::packConvWeights(weights, p.groups), bias, p,
+                  arena);
 }
 
 NeuronTensor

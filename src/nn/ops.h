@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/arena.h"
+#include "nn/kernels.h"
 #include "nn/layer.h"
 #include "tensor/neuron_tensor.h"
 
@@ -29,13 +30,22 @@ tensor::NeuronTensor conv2d(const tensor::NeuronTensor &in,
                             const ConvParams &p);
 
 /**
- * Arena-backed variant: the kernel's padded-input staging buffer
- * comes from `arena`, letting callers that run many layers (one
- * forward pass, a calibration sweep) reuse one allocation via
- * `Arena::reset()` instead of hitting the heap per layer.
+ * Arena-backed variant: the kernel's per-layer scratch (the input's
+ * non-zero lists) comes from `arena`, letting callers that run many
+ * layers reuse one allocation via `Arena::reset()` instead of
+ * hitting the heap per layer.
  */
 tensor::NeuronTensor conv2d(const tensor::NeuronTensor &in,
                             const tensor::FilterBank &weights,
+                            const std::vector<tensor::Fixed16> &bias,
+                            const ConvParams &p, core::Arena &arena);
+
+/**
+ * Variant over weights already laid out by kernels::packConvWeights
+ * (nn::Network packs each conv layer once, not per pass).
+ */
+tensor::NeuronTensor conv2d(const tensor::NeuronTensor &in,
+                            const kernels::PackedConvWeights &weights,
                             const std::vector<tensor::Fixed16> &bias,
                             const ConvParams &p, core::Arena &arena);
 

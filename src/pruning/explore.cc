@@ -17,37 +17,32 @@ using tensor::NeuronTensor;
 
 namespace {
 
-/** Seeded synthetic input image for the accuracy study. */
-NeuronTensor
-makeInput(const Network &net, std::uint64_t seed)
-{
-    return nn::synthesizeImage(net.node(0).outShape, seed);
-}
-
 /** Unpruned reference prediction for one image. */
 struct Reference
 {
     int top1 = -1;
-    NeuronTensor input; ///< the image, reused by every pruned run
     NeuronTensor logits;
     double norm = 0.0; ///< L2 of the logits
 };
 
-std::vector<Reference>
-referenceRuns(const Network &net, int images, std::uint64_t seed)
+Reference
+referenceOf(nn::ForwardResult run)
 {
-    std::vector<Reference> refs(images);
-    sim::parallelFor(static_cast<std::size_t>(images), [&](std::size_t i) {
-        refs[i].input = makeInput(net, seed + i);
-        auto run = net.forward(refs[i].input);
-        refs[i].top1 = run.top1;
-        double sq = 0.0;
-        for (const Fixed16 v : run.logits)
-            sq += v.toDouble() * v.toDouble();
-        refs[i].norm = std::sqrt(sq);
-        refs[i].logits = std::move(run.logits);
-    });
-    return refs;
+    Reference ref;
+    ref.top1 = run.top1;
+    double sq = 0.0;
+    for (const Fixed16 v : run.logits)
+        sq += v.toDouble() * v.toDouble();
+    ref.norm = std::sqrt(sq);
+    ref.logits = std::move(run.logits);
+    return ref;
+}
+
+/** Seeded synthetic input image `i` of the accuracy study. */
+nn::LiveSet
+accuracyInput(const Network &net, std::uint64_t seed, std::size_t i)
+{
+    return net.start(nn::synthesizeImage(net.node(0).outShape, seed + i));
 }
 
 /**
@@ -78,29 +73,20 @@ predictionPreserved(const Reference &ref, const nn::ForwardResult &run,
 }
 
 /**
- * Fraction of images whose pruned prediction matches the reference.
- * Each image's forward pass runs on the pool, reusing the input
- * tensor stored with its reference.
+ * Fraction of the `images` for which `preserved(i)` holds; each
+ * image's passes run on the pool.
  */
+template <typename Preserved>
 double
-agreementFraction(const Network &net, const std::vector<Reference> &refs,
-                  const PruneConfig &cfg, double tolerance)
+agreementFraction(std::size_t images, Preserved preserved)
 {
-    nn::ForwardOptions opts;
-    opts.prune = &cfg;
     int agree = 0;
-    sim::parallelMapReduce(
-        refs.size(),
-        [&](std::size_t i) {
-            return predictionPreserved(refs[i],
-                                       net.forward(refs[i].input, opts),
-                                       tolerance);
-        },
-        [&](std::size_t, bool preserved) {
-            if (preserved)
-                ++agree;
-        });
-    return static_cast<double>(agree) / static_cast<double>(refs.size());
+    sim::parallelMapReduce(images, preserved,
+                           [&](std::size_t, bool kept) {
+                               if (kept)
+                                   ++agree;
+                           });
+    return static_cast<double>(agree) / static_cast<double>(images);
 }
 
 } // namespace
@@ -110,8 +96,25 @@ relativeAccuracy(const Network &net, const PruneConfig &cfg, int images,
                  std::uint64_t seed)
 {
     CNV_ASSERT(images > 0, "need at least one accuracy image");
-    const std::vector<Reference> refs = referenceRuns(net, images, seed);
-    return agreementFraction(net, refs, cfg, 0.05);
+    // Up to and including the first conv layer `cfg` prunes, the
+    // pruned pass is the reference pass; it resumes from there with
+    // that layer's (pre-threshold) output in its live set.
+    int cut = 1;
+    for (int i = 0; i < net.convLayerCount(); ++i) {
+        if (cfg.forConvIndex(static_cast<std::size_t>(i)) > 0) {
+            cut = net.convNodeIds()[i] + 1;
+            break;
+        }
+    }
+    nn::ForwardOptions opts;
+    opts.prune = &cfg;
+    return agreementFraction(
+        static_cast<std::size_t>(images), [&](std::size_t i) {
+            const nn::LiveSet prefix =
+                net.advance(accuracyInput(net, seed, i), cut);
+            return predictionPreserved(referenceOf(net.forward(prefix)),
+                                       net.forward(prefix, opts), 0.05);
+        });
 }
 
 std::vector<std::vector<int>>
@@ -140,8 +143,13 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
     CNV_ASSERT(!opts.levels.empty(), "threshold ladder is empty");
 
     const int convs = fullNet.convLayerCount();
-    const std::vector<Reference> refs =
-        referenceRuns(accNet, opts.accuracyImages, opts.seed);
+    const auto images = static_cast<std::size_t>(opts.accuracyImages);
+    std::vector<nn::LiveSet> inputs(images);
+    std::vector<Reference> refs(images);
+    sim::parallelFor(images, [&](std::size_t i) {
+        inputs[i] = accuracyInput(accNet, opts.seed, i);
+        refs[i] = referenceOf(accNet.forward(inputs[i]));
+    });
 
     std::vector<std::vector<int>> groups = opts.layerGroups;
     if (groups.empty())
@@ -150,15 +158,38 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
     PruneConfig current;
     current.thresholds.assign(convs, opts.levels.front());
 
+    std::vector<nn::LiveSet> prefixes = inputs;
     auto accuracyOf = [&](const PruneConfig &candidate) {
-        return agreementFraction(accNet, refs, candidate,
-                                 opts.distortionTolerance);
+        nn::ForwardOptions pruned;
+        pruned.prune = &candidate;
+        return agreementFraction(images, [&](std::size_t i) {
+            return predictionPreserved(refs[i],
+                                       accNet.forward(prefixes[i], pruned),
+                                       opts.distortionTolerance);
+        });
     };
 
     // Greedy coordinate ascent: deeper layers tolerate larger
     // thresholds, so walk the ladder per group while the joint
     // configuration stays above the accuracy floor.
     for (const std::vector<int> &group : groups) {
+        if (group.empty())
+            continue;
+        // While this group's thresholds move, every node before its
+        // first conv layer keeps its inputs and thresholds: compute
+        // that prefix once per image (from the last group's prefix
+        // when it lies behind) and resume each candidate there.
+        int cut = accNet.nodeCount();
+        for (int layer : group)
+            cut = std::min(cut, accNet.convNodeIds().at(layer));
+        nn::ForwardOptions prefixOpts;
+        prefixOpts.prune = &current;
+        sim::parallelFor(prefixes.size(), [&](std::size_t i) {
+            const nn::LiveSet &from =
+                prefixes[i].cut <= cut ? prefixes[i] : inputs[i];
+            prefixes[i] = accNet.advance(from, cut, prefixOpts);
+        });
+
         std::size_t level = 0;
         while (level + 1 < opts.levels.size()) {
             PruneConfig candidate = current;
