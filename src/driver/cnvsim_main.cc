@@ -521,9 +521,17 @@ cmdPower(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
 {
-    const auto fullNet = nn::zoo::build(id, opts.seed);
-    auto accNet = nn::zoo::build(id, opts.seed, opts.scale);
-    accNet->calibrate();
+    std::unique_ptr<nn::Network> fullNet;
+    std::unique_ptr<nn::Network> accNet;
+    {
+        const sim::ScopedPhase phase("build");
+        fullNet = nn::zoo::build(id, opts.seed);
+        accNet = nn::zoo::build(id, opts.seed, opts.scale);
+    }
+    {
+        const sim::ScopedPhase phase("calibrate");
+        accNet->calibrate();
+    }
 
     dadiannao::NodeConfig node;
     pruning::SearchOptions search;
@@ -532,8 +540,11 @@ cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
     search.seed = opts.seed + 7;
     search.accuracyFloor = opts.floor;
 
-    const auto point =
-        pruning::searchLossless(node, *fullNet, *accNet, search);
+    pruning::ExplorationPoint point;
+    {
+        const sim::ScopedPhase phase("search");
+        point = pruning::searchLossless(node, *fullNet, *accNet, search);
+    }
     std::cout << "thresholds:";
     for (std::int32_t t : point.config.thresholds)
         std::cout << ' ' << t;

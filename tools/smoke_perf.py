@@ -29,6 +29,11 @@ contract (docs/observability.md, "Host telemetry"):
 A second run with ``--progress on`` asserts the live meter reaches
 stderr (the final line is printed unconditionally when forced on).
 
+A third run, ``cnvsim prune nin --perf-json``, asserts the pruning
+search is instrumented: ``hostProfile.phases`` must carry ``search``
+(next to ``build`` and ``calibrate``), so its wall time is accounted
+for.
+
 Usage: smoke_perf.py CNVSIM OUTDIR
 """
 
@@ -141,6 +146,23 @@ def main(argv: list[str]) -> int:
     elif "runs/s" not in proc.stderr or "nin" not in proc.stderr:
         problems.append(f"--progress on produced no meter on stderr "
                         f"(stderr was: {proc.stderr!r})")
+
+    # cnvsim prune must say where its wall time goes.
+    prune_perf = outdir / "prune-perf.json"
+    proc = subprocess.run(
+        [cnvsim, "prune", "nin", "--jobs", "1", "--perf-json",
+         str(prune_perf)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        problems.append(f"prune run failed (exit {proc.returncode}): "
+                        f"{proc.stderr}")
+    else:
+        prune_phases = json.loads(prune_perf.read_text()).get(
+            "hostProfile", {}).get("phases", {})
+        for phase in ("build", "calibrate", "search"):
+            if phase not in prune_phases:
+                problems.append(f"prune hostProfile.phases lacks "
+                                f"'{phase}' (has {sorted(prune_phases)})")
 
     for p in problems:
         print(f"smoke_perf: {p}", file=sys.stderr)
