@@ -6,6 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "sim/logging.h"
 #include "tensor/bytes.h"
@@ -74,46 +75,60 @@ writeRaw(std::ostream &os, const Fixed16 *data, std::size_t count)
         CNV_FATAL("tensor write failed");
 }
 
-void
-readRaw(std::istream &is, Fixed16 *data, std::size_t count)
-{
-    std::array<char, kStageElems * sizeof(Fixed16)> stage;
-    for (std::size_t done = 0; done < count;) {
-        const std::size_t n = std::min(count - done, kStageElems);
-        is.read(stage.data(),
-                static_cast<std::streamsize>(n * sizeof(Fixed16)));
-        if (!is)
-            CNV_FATAL("truncated tensor stream");
-        std::memcpy(data + done, stage.data(), n * sizeof(Fixed16));
-        done += n;
-    }
-}
-
 /**
- * Fatal unless the stream still holds `count` elements, checked
- * before the caller allocates them: a hostile header may declare up
- * to 2^32 elements (8 GiB). Only seekable streams can report what is
- * left; on others readRaw()'s truncation check is the guard.
+ * True once the stream is known to hold `count` more elements; fatal
+ * if it is known not to. Only seekable streams can report what is
+ * left; on others this returns false and the caller must not trust
+ * the count.
  */
-void
-expectPayload(std::istream &is, std::uint64_t count)
+bool
+payloadPresent(std::istream &is, std::uint64_t count)
 {
     const std::streamoff here = is.tellg();
     if (here < 0) {
         is.clear();
-        return;
+        return false;
     }
     is.seekg(0, std::ios::end);
     const std::streamoff end = is.tellg();
     is.clear();
     is.seekg(here);
     if (end < here)
-        return;
+        return false;
     const auto left = static_cast<std::uint64_t>(end - here);
     if (count > left / sizeof(Fixed16))
         CNV_FATAL("tensor stream declares {} elements but holds only {} "
                   "payload bytes",
                   count, left);
+    return true;
+}
+
+/**
+ * Read `count` raw elements. A hostile header may declare up to
+ * 2^32 elements (8 GiB), so memory follows the bytes actually read:
+ * a seekable stream is checked before the one allocation, and on any
+ * other the payload grows in staging-buffer chunks, so a short
+ * stream fails having allocated about what it held.
+ */
+std::vector<Fixed16>
+readPayload(std::istream &is, std::uint64_t count)
+{
+    std::vector<Fixed16> data;
+    if (payloadPresent(is, count))
+        data.reserve(count);
+    std::array<char, kStageElems * sizeof(Fixed16)> stage;
+    while (data.size() < count) {
+        const std::size_t done = data.size();
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(count - done, kStageElems));
+        is.read(stage.data(),
+                static_cast<std::streamsize>(n * sizeof(Fixed16)));
+        if (!is)
+            CNV_FATAL("truncated tensor stream");
+        data.resize(done + n);
+        std::memcpy(data.data() + done, stage.data(), n * sizeof(Fixed16));
+    }
+    return data;
 }
 
 } // namespace
@@ -139,10 +154,9 @@ loadTensor(std::istream &is)
     if (x < 0 || y < 0 || z < 0 ||
         static_cast<std::uint64_t>(x) * y * z > (1ULL << 32))
         CNV_FATAL("implausible tensor dimensions {}x{}x{}", x, y, z);
-    expectPayload(is, static_cast<std::uint64_t>(x) * y * z);
-    NeuronTensor t(x, y, z);
-    readRaw(is, t.data(), t.size());
-    return t;
+    return NeuronTensor(
+        Shape3{x, y, z},
+        readPayload(is, static_cast<std::uint64_t>(x) * y * z));
 }
 
 void
@@ -168,10 +182,9 @@ loadFilterBank(std::istream &is)
     if (n < 0 || x < 0 || y < 0 || z < 0 ||
         static_cast<std::uint64_t>(n) * x * y * z > (1ULL << 32))
         CNV_FATAL("implausible filter dimensions");
-    expectPayload(is, static_cast<std::uint64_t>(n) * x * y * z);
-    FilterBank f(n, x, y, z);
-    readRaw(is, f.data(), f.size());
-    return f;
+    return FilterBank(
+        Shape4{n, x, y, z},
+        readPayload(is, static_cast<std::uint64_t>(n) * x * y * z));
 }
 
 void

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.h"
@@ -49,6 +50,15 @@ class Tensor3
     explicit Tensor3(Shape3 shape) : shape_(shape), data_(shape.volume()) {}
 
     Tensor3(int x, int y, int z) : Tensor3(Shape3{x, y, z}) {}
+
+    /** Adopt `data`: shape.volume() elements, depth-fastest. */
+    Tensor3(Shape3 shape, std::vector<T> data)
+        : shape_(shape), data_(std::move(data))
+    {
+        CNV_ASSERT(data_.size() == shape_.volume(),
+                   "{} elements for a {}x{}x{} tensor", data_.size(),
+                   shape_.x, shape_.y, shape_.z);
+    }
 
     const Shape3 &shape() const { return shape_; }
     std::size_t size() const { return data_.size(); }
@@ -129,6 +139,15 @@ class Tensor4
     explicit Tensor4(Shape4 shape) : shape_(shape), data_(shape.volume()) {}
 
     Tensor4(int n, int x, int y, int z) : Tensor4(Shape4{n, x, y, z}) {}
+
+    /** Adopt `data`: shape.volume() elements, filter-major. */
+    Tensor4(Shape4 shape, std::vector<T> data)
+        : shape_(shape), data_(std::move(data))
+    {
+        CNV_ASSERT(data_.size() == shape_.volume(),
+                   "{} elements for a {}x{}x{}x{} filter bank",
+                   data_.size(), shape_.n, shape_.x, shape_.y, shape_.z);
+    }
 
     const Shape4 &shape() const { return shape_; }
     std::size_t size() const { return data_.size(); }

@@ -7,6 +7,9 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/error.h"
@@ -165,6 +168,53 @@ TEST(Serialize, HostileElementCountIsFatalBeforeAllocating)
     expectPayloadCheckFatal([&] { tensor::loadTensorFile(path); });
     std::remove(path.c_str());
     sim::setVerbosity(sim::Verbosity::Info);
+}
+
+/** A read-only stream buffer over bytes that cannot seek (a pipe):
+ *  tellg() fails, so no payload size is known up front. */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes))
+    {
+        setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+    }
+
+  private:
+    std::string bytes_;
+};
+
+TEST(Serialize, HostileCountOnNonSeekableStreamIsFatal)
+{
+    // 2^31 declared elements (4 GiB) and 10 payload bytes on a
+    // stream that cannot report its length: the load must fail on
+    // the short read, having allocated only what it read.
+    sim::setVerbosity(sim::Verbosity::Silent);
+    {
+        PipeBuf buf(hostileStream("CNVT", {1u << 15, 1u << 8, 1u << 8}));
+        std::istream is(&buf);
+        ASSERT_LT(is.tellg(), 0);
+        is.clear();
+        EXPECT_THROW(tensor::loadTensor(is), sim::FatalError);
+    }
+    {
+        PipeBuf buf(
+            hostileStream("CNVF", {1u << 7, 1u << 8, 1u << 8, 1u << 8}));
+        std::istream is(&buf);
+        EXPECT_THROW(tensor::loadFilterBank(is), sim::FatalError);
+    }
+    sim::setVerbosity(sim::Verbosity::Info);
+}
+
+TEST(Serialize, NonSeekableStreamRoundTrips)
+{
+    // Payloads longer than one read chunk load intact from a pipe.
+    const NeuronTensor t = randomTensor(40, 30, 9, 17);
+    std::stringstream ss;
+    tensor::save(ss, t);
+    PipeBuf buf(ss.str());
+    std::istream is(&buf);
+    EXPECT_EQ(tensor::loadTensor(is), t);
 }
 
 TEST(Serialize, FileRoundTrip)
