@@ -163,4 +163,35 @@ TEST(Simd, GeMaskRandomizedAgainstScalar)
     }
 }
 
+TEST(Simd, MacBlockFlushesLanesInWeightOrder)
+{
+    // Each lane must land in out[i] for weight i (the AVX2 unpacks
+    // interleave lanes), exact at the int16 extremes when flushed
+    // after every product, and exact over several products between
+    // flushes while the lane sums fit in int32.
+    const auto w = randomLanes(3 * simd::kMacLanes, 0xc);
+    const std::int16_t n[] = {std::numeric_limits<std::int16_t>::min(),
+                              std::numeric_limits<std::int16_t>::max(),
+                              -1};
+    simd::MacBlock mac;
+    std::int64_t out[simd::kMacLanes] = {};
+    std::int64_t expect[simd::kMacLanes] = {};
+    for (int k = 0; k < 3; ++k) {
+        const std::int16_t *row = w.data() + k * simd::kMacLanes;
+        mac.mulAcc(n[k], row);
+        mac.flush(out);
+        for (int i = 0; i < simd::kMacLanes; ++i)
+            expect[i] += std::int64_t{n[k]} * row[i];
+    }
+    const std::int16_t small[] = {3, -300, 300, 1};
+    for (const std::int16_t v : small) {
+        mac.mulAcc(v, w.data());
+        for (int i = 0; i < simd::kMacLanes; ++i)
+            expect[i] += std::int64_t{v} * w[static_cast<std::size_t>(i)];
+    }
+    mac.flush(out);
+    for (int i = 0; i < simd::kMacLanes; ++i)
+        EXPECT_EQ(out[i], expect[i]) << "lane " << i;
+}
+
 } // namespace
