@@ -5,7 +5,8 @@
  * (every timing-model access goes through `mem::` now, so any
  * accidental cost on the ideal path shows up here), and the banked
  * backend must attribute its extra cycles without breaking the
- * stalls.total() == laneIdleCycles invariant.
+ * stalls.total() == laneIdleCycles invariant and reproduce its
+ * pinned nin cycle and counter totals.
  */
 
 #include <gtest/gtest.h>
@@ -72,6 +73,46 @@ TEST(MemoryModelPins, BankedKeepsStallAttributionInvariant)
             EXPECT_GT(run.totalMicro().stalls.nmBankConflict, 0u)
                 << archId;
         }
+    }
+}
+
+TEST(MemoryModelPins, BankedCycleAndCounterTotalsArePinned)
+{
+    // Absolute banked numbers for nin, image seed 2016: any change to
+    // the bank-conflict replay, the global buffer or the DRAM channel
+    // moves at least one of these.
+    struct Pin
+    {
+        const char *arch;
+        std::uint64_t cycles;
+        mem::Counters mem;
+    };
+    const Pin pins[] = {
+        {"dadiannao", 362123u,
+         {357434u, 0u, 0u, 0u, 0u, 15179840u, 29649u}},
+        {"cnv", 300040u,
+         {175210u, 46u, 182224u, 78982u, 42214u, 15179840u, 29649u}},
+        {"cnv2", 277320u,
+         {175210u, 46u, 182224u, 78982u, 42214u, 15179840u, 29649u}},
+    };
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    dadiannao::NodeConfig cfg;
+    for (const Pin &pin : pins) {
+        timing::RunOptions opts;
+        opts.imageSeed = 2016;
+        opts.memKind = mem::Kind::Banked;
+        const auto run =
+            arch::builtin().get(pin.arch).simulateNetwork(cfg, *net, opts);
+        EXPECT_EQ(run.totalCycles(), pin.cycles) << pin.arch;
+        const auto total = run.totalMem();
+        EXPECT_EQ(total.nmAccesses, pin.mem.nmAccesses) << pin.arch;
+        EXPECT_EQ(total.nmConflictCycles, pin.mem.nmConflictCycles)
+            << pin.arch;
+        EXPECT_EQ(total.gbHits, pin.mem.gbHits) << pin.arch;
+        EXPECT_EQ(total.gbMisses, pin.mem.gbMisses) << pin.arch;
+        EXPECT_EQ(total.gbEvictions, pin.mem.gbEvictions) << pin.arch;
+        EXPECT_EQ(total.dramBytes, pin.mem.dramBytes) << pin.arch;
+        EXPECT_EQ(total.dramCycles, pin.mem.dramCycles) << pin.arch;
     }
 }
 
