@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "mem/memory_model.h"
+
 namespace cnv::dadiannao {
 
 /** Per-lane-cycle activity categories (Figure 10). */
@@ -131,40 +133,6 @@ struct StallBreakdown
 };
 
 /**
- * Per-layer memory-hierarchy counters (filled only on `--mem
- * banked` runs; all zero — and omitted from every report — under
- * the ideal model). Mirrors mem::Counters so result records stay
- * plain data with no mem dependency.
- */
-struct MemTrace
-{
-    /** Brick-granular NM reads issued (global-buffer hits excluded). */
-    std::uint64_t nmAccesses = 0;
-    /** Extra cycles serialised on NM bank conflicts. */
-    std::uint64_t nmConflictCycles = 0;
-    /** Global-buffer hits / misses / capacity evictions. */
-    std::uint64_t gbHits = 0;
-    std::uint64_t gbMisses = 0;
-    std::uint64_t gbEvictions = 0;
-    /** Off-chip traffic and the channel cycles it occupied. */
-    std::uint64_t dramBytes = 0;
-    std::uint64_t dramCycles = 0;
-
-    MemTrace &
-    operator+=(const MemTrace &o)
-    {
-        nmAccesses += o.nmAccesses;
-        nmConflictCycles += o.nmConflictCycles;
-        gbHits += o.gbHits;
-        gbMisses += o.gbMisses;
-        gbEvictions += o.gbEvictions;
-        dramBytes += o.dramBytes;
-        dramCycles += o.dramCycles;
-        return *this;
-    }
-};
-
-/**
  * Per-layer microarchitecture occupancy detail (observability).
  *
  * Lane counts are per unit (multiply by the unit count for node
@@ -240,7 +208,7 @@ struct LayerResult
     EnergyCounters energy;
     MicroTrace micro;
     /** Memory-hierarchy counters (all zero unless `--mem banked`). */
-    MemTrace mem;
+    mem::Counters mem;
 };
 
 /** Whole-network result. */
@@ -250,7 +218,7 @@ struct NetworkResult
     std::string architecture;
     /**
      * True when the run simulated the memory hierarchy (`--mem
-     * banked`): per-layer MemTrace fields are meaningful and the
+     * banked`): per-layer mem counters are meaningful and the
      * reports emit the memory blocks. False keeps every report
      * byte-identical to a pre-mem build.
      */
@@ -293,10 +261,10 @@ struct NetworkResult
         return m;
     }
 
-    MemTrace
+    mem::Counters
     totalMem() const
     {
-        MemTrace m;
+        mem::Counters m;
         for (const LayerResult &l : layers)
             m += l.mem;
         return m;

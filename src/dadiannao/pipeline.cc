@@ -283,16 +283,8 @@ runConvPipelineBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     result.micro.laneIdleCycles =
         units.idleCycles() * static_cast<std::uint64_t>(lanes);
     result.micro.stalls.brickBufferEmpty = result.micro.laneIdleCycles;
-    if (mem) {
-        const mem::Counters c = mem->drainLayer();
-        result.mem.nmAccesses = c.nmAccesses;
-        result.mem.nmConflictCycles = c.nmConflictCycles;
-        result.mem.gbHits = c.gbHits;
-        result.mem.gbMisses = c.gbMisses;
-        result.mem.gbEvictions = c.gbEvictions;
-        result.mem.dramBytes = c.dramBytes;
-        result.mem.dramCycles = c.dramCycles;
-    }
+    if (mem)
+        result.mem = mem->drainLayer();
 
     result.output = NeuronTensor(outShape);
     for (std::int64_t w = 0; w < windows; ++w) {

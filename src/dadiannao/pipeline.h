@@ -45,7 +45,7 @@ struct BaselinePipelineResult
      */
     MicroTrace micro;
     /** Memory counters when a model was supplied (zero otherwise). */
-    MemTrace mem;
+    mem::Counters mem;
 };
 
 /**

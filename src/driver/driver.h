@@ -55,7 +55,7 @@ struct ArchAggregate
     dadiannao::EnergyCounters energy;
     /** Memory-hierarchy counters summed over images (`--mem banked`
      *  runs only; all zero with memModelled false otherwise). */
-    dadiannao::MemTrace mem;
+    mem::Counters mem;
     bool memModelled = false;
 
     const std::string &id() const { return model->id(); }

@@ -108,7 +108,7 @@ isMemoryBound(const dadiannao::MicroTrace &m)
 }
 
 void
-fillMemory(sim::StatGroup &g, const dadiannao::MemTrace &mem,
+fillMemory(sim::StatGroup &g, const mem::Counters &mem,
            const dadiannao::MicroTrace &micro)
 {
     g.addCounter("nmAccesses", "brick-granular NM reads issued") +=

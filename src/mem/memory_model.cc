@@ -1,8 +1,9 @@
 #include "mem/memory_model.h"
 
-#include "mem/banked_nm.h"
-#include "mem/dram_channel.h"
-#include "mem/global_buffer.h"
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "sim/logging.h"
 
 namespace cnv::mem {
@@ -29,150 +30,109 @@ parseKind(std::string_view name)
 
 namespace {
 
-/**
- * The legacy single-cycle-NM assumption: every fetch is free, no
- * traffic is tracked. Kept callable so code paths need no null
- * checks where the pointer is always set, but the timing models
- * skip the calls entirely on the ideal path (the model pointer is
- * null there), keeping it zero-overhead.
- */
-class IdealMemory final : public MemoryModel
-{
-  public:
-    Kind
-    kind() const override
-    {
-        return Kind::Ideal;
-    }
-
-    GroupCost
-    fetchGroup(const std::vector<Access> &, std::uint64_t) override
-    {
-        return {};
-    }
-
-    void
-    fetchSequential(std::uint64_t) override
-    {
-    }
-
-    std::uint64_t
-    dramTransfer(std::uint64_t) override
-    {
-        return 0;
-    }
-
-    Counters
-    drainLayer() override
-    {
-        return {};
-    }
-
-    Counters
-    totals() const override
-    {
-        return {};
-    }
-};
-
-/** The simulated hierarchy: GB in front of banked NM, plus DRAM. */
-class BankedMemory final : public MemoryModel
-{
-  public:
-    explicit BankedMemory(const Geometry &g)
-        : geometry_(g), nm_(g.banks, g.slicedFetch), gb_(g.gbLines),
-          dram_(g.dramBytesPerCycle)
-    {
-    }
-
-    Kind
-    kind() const override
-    {
-        return Kind::Banked;
-    }
-
-    GroupCost
-    fetchGroup(const std::vector<Access> &group,
-               std::uint64_t computeCycles) override
-    {
-        GroupCost cost;
-        misses_.clear();
-        const std::uint64_t missed = gb_.filterGroup(group, misses_);
-        cost.conflictCycles = nm_.serveGroup(misses_);
-        // The GB fill port installs one line per cycle; fills hide
-        // behind the group's compute and only the excess is exposed.
-        if (missed > computeCycles)
-            cost.gbFillCycles = missed - computeCycles;
-        return cost;
-    }
-
-    void
-    fetchSequential(std::uint64_t reads) override
-    {
-        nm_.addSequential(reads);
-    }
-
-    std::uint64_t
-    dramTransfer(std::uint64_t bytes) override
-    {
-        return dram_.transfer(bytes);
-    }
-
-    Counters
-    drainLayer() override
-    {
-        const Counters now = totals();
-        Counters delta = now;
-        delta.nmAccesses -= drained_.nmAccesses;
-        delta.nmConflictCycles -= drained_.nmConflictCycles;
-        delta.gbHits -= drained_.gbHits;
-        delta.gbMisses -= drained_.gbMisses;
-        delta.gbEvictions -= drained_.gbEvictions;
-        delta.dramBytes -= drained_.dramBytes;
-        delta.dramCycles -= drained_.dramCycles;
-        drained_ = now;
-        gb_.invalidate();
-        return delta;
-    }
-
-    Counters
-    totals() const override
-    {
-        Counters c;
-        c.nmAccesses = nm_.accesses();
-        c.nmConflictCycles = nm_.conflictCycles();
-        c.gbHits = gb_.hits();
-        c.gbMisses = gb_.misses();
-        c.gbEvictions = gb_.evictions();
-        c.dramBytes = dram_.bytes();
-        c.dramCycles = dram_.cycles();
-        return c;
-    }
-
-  private:
-    const Geometry geometry_;
-    BankedNm nm_;
-    GlobalBuffer gb_;
-    DramChannel dram_;
-    /** Scratch miss list reused across groups (single caller). */
-    std::vector<Access> misses_;
-    /** Totals snapshot at the previous drainLayer(). */
-    Counters drained_;
-};
+/** Sentinel tag for an unoccupied GB slot. */
+constexpr std::uint64_t kEmpty = std::numeric_limits<std::uint64_t>::max();
 
 } // namespace
 
-std::unique_ptr<MemoryModel>
-makeMemoryModel(Kind k, const Geometry &g)
+MemoryModel::MemoryModel(const Geometry &g)
+    : banks_(static_cast<std::uint64_t>(g.banks)),
+      dramBytesPerCycle_(g.dramBytesPerCycle)
 {
-    if (k == Kind::Ideal)
-        return std::make_unique<IdealMemory>();
     CNV_ASSERT(g.banks > 0, "banked memory model needs a bank count");
     CNV_ASSERT(g.dramBytesPerCycle > 0,
                "banked memory model needs a DRAM bandwidth");
     CNV_ASSERT(g.gbLines > 0,
                "banked memory model needs a global-buffer capacity");
-    return std::make_unique<BankedMemory>(g);
+    gbTag_.assign(static_cast<std::size_t>(g.gbLines), kEmpty);
+}
+
+GroupCost
+MemoryModel::fetchGroup(std::span<const Access> group,
+                        std::uint64_t computeCycles)
+{
+    const std::uint64_t lines = gbTag_.size();
+    std::uint64_t missed = 0;
+    std::size_t rounds = 0;
+    for (const Access &a : group) {
+        std::uint64_t &tag = gbTag_[a.address % lines];
+        if (tag == a.address) {
+            ++layer_.gbHits;
+            continue;
+        }
+        if (tag != kEmpty)
+            ++layer_.gbEvictions;
+        tag = a.address;
+        ++missed;
+
+        // The miss is the next fetch of its lane's slice pointer:
+        // the k-th one presents its bank in round k.
+        CNV_ASSERT(a.lane >= 0, "fetch lane {} out of range", a.lane);
+        const auto lane = static_cast<std::size_t>(a.lane);
+        if (lane >= laneMisses_.size())
+            laneMisses_.resize(lane + 1, 0);
+        const std::size_t round = laneMisses_[lane]++;
+        if (round == rounds) {
+            ++rounds;
+            if (rounds > roundBusiest_.size()) {
+                roundBusiest_.resize(rounds, 0);
+                roundBankHeads_.resize(rounds * banks_, 0);
+            }
+        }
+        std::uint32_t &heads =
+            roundBankHeads_[round * banks_ + a.address % banks_];
+        roundBusiest_[round] = std::max(roundBusiest_[round], ++heads);
+    }
+
+    // A round takes its busiest bank's head count in cycles instead
+    // of one; the excess is the conflict cost.
+    std::uint64_t conflict = 0;
+    for (std::size_t r = 0; r < rounds; ++r)
+        conflict += roundBusiest_[r] - 1;
+    std::fill(laneMisses_.begin(), laneMisses_.end(), 0);
+    std::fill_n(roundBusiest_.begin(), rounds, 0);
+    std::fill_n(roundBankHeads_.begin(), rounds * banks_, 0);
+
+    layer_.gbMisses += missed;
+    layer_.nmAccesses += missed;
+    layer_.nmConflictCycles += conflict;
+    GroupCost cost;
+    cost.conflictCycles = conflict;
+    if (missed > computeCycles)
+        cost.gbFillCycles = missed - computeCycles;
+    return cost;
+}
+
+void
+MemoryModel::fetchSequential(std::uint64_t reads)
+{
+    layer_.nmAccesses += reads;
+}
+
+std::uint64_t
+MemoryModel::dramTransfer(std::uint64_t bytes)
+{
+    const std::uint64_t busy =
+        (bytes + dramBytesPerCycle_ - 1) / dramBytesPerCycle_;
+    layer_.dramBytes += bytes;
+    layer_.dramCycles += busy;
+    return busy;
+}
+
+Counters
+MemoryModel::drainLayer()
+{
+    drained_ += layer_;
+    std::fill(gbTag_.begin(), gbTag_.end(), kEmpty);
+    return std::exchange(layer_, Counters{});
+}
+
+Counters
+MemoryModel::totals() const
+{
+    Counters c = drained_;
+    c += layer_;
+    return c;
 }
 
 } // namespace cnv::mem

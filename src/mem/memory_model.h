@@ -1,20 +1,21 @@
 /**
  * @file
- * The memory-hierarchy interface every timing model issues its
- * accesses against: `mem::MemoryModel` abstracts the banked neuron
- * memory (mem::BankedNm), the shared global buffer
- * (mem::GlobalBuffer) and the off-chip DRAM channel
- * (mem::DramChannel) behind one per-run object carried in
- * `timing::RunOptions`.
+ * The simulated memory hierarchy every timing model issues its
+ * accesses against on a `--mem banked` run: `mem::MemoryModel` is the
+ * banked neuron memory (NM), the direct-mapped global buffer (GB) in
+ * front of it and the off-chip DRAM channel, as one per-run object.
+ * An ideal run (`--mem ideal`, the default) builds no model: a null
+ * `MemoryModel *` is the legacy single-cycle-NM assumption, and the
+ * timing models skip every call, so those reports stay bit-identical
+ * to the pre-hierarchy numbers.
  *
- * Two backends exist. The `ideal` backend (the registry default) is
- * the legacy single-cycle-NM assumption: every call is a no-op, so
- * reports are bit-identical to the pre-refactor numbers. The
- * `banked` backend (`--mem banked`) models CNV's sixteen
- * independent per-slice fetch pointers vs DaDianNao's single
- * unit-wide pointer (paper Section 4's contention risk area): brick
- * fetches that miss the global buffer contend for NM banks, and
- * activation footprints past the NM capacity spill to DRAM.
+ * The datapath picks the fetch pattern by the call it makes. CNV's
+ * sixteen independent per-slice fetch pointers (paper Section 4's
+ * contention risk area) issue fetchGroup(): brick fetches that miss
+ * the GB contend for NM banks. DaDianNao's single unit-wide pointer
+ * issues fetchSequential(), which walks banks in order and never
+ * conflicts. Activation footprints past the NM capacity spill to
+ * DRAM through dramTransfer().
  *
  * Accounting units: conflict and fill costs are *cycles* added to a
  * window group's runtime; the timing models convert them to idle
@@ -28,8 +29,8 @@
 #define CNV_MEM_MEMORY_MODEL_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -37,7 +38,7 @@ namespace cnv::mem {
 
 /** Which memory backend a run simulates. */
 enum class Kind {
-    Ideal,  ///< legacy single-cycle NM; every access is free
+    Ideal,  ///< legacy single-cycle NM; no model, every access is free
     Banked, ///< banked NM + global buffer + DRAM channel
 };
 
@@ -58,20 +59,12 @@ inline constexpr std::uint64_t kDefaultGbLines = 4096;
 
 /**
  * Geometry of the simulated hierarchy. `timing::simulateNetwork`
- * derives it from the run's NodeConfig and conv datapath.
+ * derives it from the run's NodeConfig.
  */
 struct Geometry
 {
-    /** NM bank count (must be positive). */
+    /** NM bank count; a brick at address A lives in bank A % banks. */
     int banks = 0;
-    /**
-     * True when every lane advances its own slice fetch pointer
-     * (CNV, Section 4); false for the baseline's single unit-wide
-     * pointer, which walks banks in order and cannot conflict.
-     */
-    bool slicedFetch = false;
-    /** NM capacity in bytes (activation working set per layer). */
-    std::uint64_t nmBytes = 0;
     /** Global-buffer capacity in brick lines. */
     std::uint64_t gbLines = kDefaultGbLines;
     /** Off-chip channel bandwidth in bytes per cycle. */
@@ -94,7 +87,11 @@ struct GroupCost
     std::uint64_t gbFillCycles = 0;
 };
 
-/** Cumulative hierarchy counters (per layer or whole run). */
+/**
+ * Cumulative hierarchy counters: per layer in
+ * `dadiannao::LayerResult::mem`, per run in
+ * `NetworkResult::totalMem()`. All zero on ideal runs.
+ */
 struct Counters
 {
     /** Brick-granular NM reads actually issued (GB hits excluded). */
@@ -124,62 +121,78 @@ struct Counters
 };
 
 /**
- * Per-run memory hierarchy. One instance is created per
- * `timing::simulateNetwork` call (i.e. per (architecture, image)
- * task), so the parallel runtime never shares one across threads
- * and conflict accounting stays deterministic at any --jobs count;
- * the components still lock internally so a model outliving that
- * contract stays race-free.
+ * Per-run memory hierarchy. `timing::simulateNetwork` builds one per
+ * call (i.e. per (architecture, image) task) and passes it down by
+ * pointer, so a model has a single owner, is never shared across
+ * threads, and its accounting is deterministic at any --jobs count.
+ * It takes no locks.
  */
 class MemoryModel
 {
   public:
-    virtual ~MemoryModel() = default;
+    /** Requires banks > 0, gbLines > 0 and dramBytesPerCycle > 0. */
+    explicit MemoryModel(const Geometry &g);
 
-    /** Which backend this is. */
-    virtual Kind kind() const = 0;
+    MemoryModel(const MemoryModel &) = delete;
+    MemoryModel &operator=(const MemoryModel &) = delete;
 
     /**
-     * Serve one window group's synchronised brick fetches. The
-     * group's accesses are filtered through the global buffer, the
-     * misses contend for NM banks, and the returned costs are the
-     * cycles the group's runtime grows by. `computeCycles` is the
-     * group's compute time, behind which GB miss fills can hide.
+     * Serve one window group's synchronised brick fetches, issued
+     * through per-lane slice pointers. Each fetch is looked up in the
+     * GB: a hit is absorbed; a miss is installed (evicting any line
+     * resident in its slot) and read from NM. A lane's misses form
+     * an in-order stream, so its k-th miss presents in round k; a
+     * bank serving n of a round's heads takes n cycles, and the
+     * round's conflict cost is its busiest bank's count minus one.
+     * The GB fill port installs one line per cycle, hidden behind
+     * the group's `computeCycles`; only the excess is exposed.
      */
-    virtual GroupCost fetchGroup(const std::vector<Access> &group,
-                                 std::uint64_t computeCycles) = 0;
+    GroupCost fetchGroup(std::span<const Access> group,
+                         std::uint64_t computeCycles);
 
     /**
      * Account `reads` NM fetches issued by a single unit-wide
      * pointer (the baseline's sequential walk: one bank per cycle
      * in order, never a conflict, never through the GB).
      */
-    virtual void fetchSequential(std::uint64_t reads) = 0;
+    void fetchSequential(std::uint64_t reads);
 
     /**
      * Stream `bytes` over the off-chip channel; returns the channel
-     * cycles occupied. Callers decide whether those cycles are
-     * exposed (activation spills) or already overlapped elsewhere
-     * (synapse streams timed by the overlap tracker).
+     * cycles occupied (bytes over the bandwidth, rounded up). Callers
+     * decide whether those cycles are exposed (activation spills) or
+     * already overlapped elsewhere (synapse streams timed by the
+     * overlap tracker).
      */
-    virtual std::uint64_t dramTransfer(std::uint64_t bytes) = 0;
+    std::uint64_t dramTransfer(std::uint64_t bytes);
 
     /**
      * Counters accumulated since the previous drain, and start a
-     * new layer epoch (the global buffer is invalidated — one
-     * layer's activations never hit on the previous layer's).
+     * new layer epoch (the GB is invalidated — one layer's
+     * activations never hit on the previous layer's).
      */
-    virtual Counters drainLayer() = 0;
+    Counters drainLayer();
 
     /** Whole-run counter totals. */
-    virtual Counters totals() const = 0;
-};
+    Counters totals() const;
 
-/**
- * Build a backend. Kind::Ideal ignores the geometry; Kind::Banked
- * requires banks > 0 and dramBytesPerCycle > 0.
- */
-std::unique_ptr<MemoryModel> makeMemoryModel(Kind k, const Geometry &g);
+  private:
+    const std::uint64_t banks_;
+    const std::uint64_t dramBytesPerCycle_;
+    /** Resident address per GB slot; kEmpty when the slot is free. */
+    std::vector<std::uint64_t> gbTag_;
+    /** Counters of the current layer epoch and of drained epochs. */
+    Counters layer_;
+    Counters drained_;
+    /**
+     * fetchGroup scratch, all zero between calls: each lane's miss
+     * count so far, the heads per (round, bank), and each round's
+     * busiest bank.
+     */
+    std::vector<std::uint32_t> laneMisses_;
+    std::vector<std::uint32_t> roundBankHeads_;
+    std::vector<std::uint32_t> roundBusiest_;
+};
 
 } // namespace cnv::mem
 

@@ -47,13 +47,13 @@ enum class StallReason {
      *  other lanes were still draining theirs. */
     SliceDrained,
     /** Independent slice fetch pointers landed on the same NM bank
-     *  and serialised (`--mem banked`, mem::BankedNm). */
+     *  and serialised (`--mem banked`, mem::MemoryModel::fetchGroup). */
     NmBankConflict,
     /** Global-buffer miss fills not hidden behind the window
-     *  group's compute (`--mem banked`, mem::GlobalBuffer). */
+     *  group's compute (`--mem banked`, mem::MemoryModel::fetchGroup). */
     GbMiss,
     /** Whole node idle on an off-chip activation spill past the NM
-     *  capacity (`--mem banked`, mem::DramChannel). */
+     *  capacity (`--mem banked`, mem::MemoryModel::dramTransfer). */
     DramWait,
 };
 

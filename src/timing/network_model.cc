@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "dadiannao/other_layers.h"
@@ -82,21 +83,6 @@ fcInputZeroFraction(const nn::Network &net, int nodeId)
         id = n.inputs[0];
     }
     return 0.0;
-}
-
-/** Copy a drained mem::Counters delta into the result-record POD. */
-dadiannao::MemTrace
-toMemTrace(const mem::Counters &c)
-{
-    dadiannao::MemTrace m;
-    m.nmAccesses = c.nmAccesses;
-    m.nmConflictCycles = c.nmConflictCycles;
-    m.gbHits = c.gbHits;
-    m.gbMisses = c.gbMisses;
-    m.gbEvictions = c.gbEvictions;
-    m.dramBytes = c.dramBytes;
-    m.dramCycles = c.dramCycles;
-    return m;
 }
 
 /**
@@ -209,27 +195,25 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
     result.network = net.name();
     result.architecture = archName(arch);
 
-    // One model instance per simulateNetwork call (per arch x image
-    // task): components lock internally, but single-owner use keeps
-    // runs deterministic at any --jobs count.
-    std::unique_ptr<mem::MemoryModel> memModel;
+    // One model per simulateNetwork call (per arch x image task):
+    // a single owner, so it takes no locks and runs stay
+    // deterministic at any --jobs count. The datapath picks the
+    // fetch pattern: the baseline's single unit-wide pointer issues
+    // fetchSequential, the CNV family's per-slice pointers
+    // fetchGroup (Section IV-B2).
+    std::optional<mem::MemoryModel> memModel;
     if (opts.memKind != mem::Kind::Ideal) {
         mem::Geometry geo;
         geo.banks = cfg.nmBanks;
-        // Every CNV-family datapath fetches through per-slice
-        // pointers; only the baseline keeps DaDianNao's single
-        // unit-wide pointer (Section IV-B2).
-        geo.slicedFetch = arch != Arch::Baseline;
-        geo.nmBytes = cfg.nmBytes;
         geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
-        memModel = mem::makeMemoryModel(opts.memKind, geo);
+        memModel.emplace(geo);
         result.memModelled = true;
     }
     // Fold the model's per-layer counter delta into the layer just
     // pushed (also resets the global buffer at the boundary).
     const auto drainInto = [&] {
         if (memModel && !result.layers.empty())
-            result.layers.back().mem += toMemTrace(memModel->drainLayer());
+            result.layers.back().mem += memModel->drainLayer();
     };
 
     OverlapTracker overlap;
@@ -298,7 +282,8 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
 
             LayerResult conv = convLayerTiming(cfg, arch, n, counts,
                                                opts.weightSparsity,
-                                               memModel.get());
+                                               memModel ? &*memModel
+                                                        : nullptr);
             overlap.deposit(conv.cycles);
             result.layers.push_back(conv);
             drainInto();

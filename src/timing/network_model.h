@@ -126,8 +126,7 @@ struct RunOptions
      * global buffer + DRAM channel). The model instance is created
      * inside simulateNetwork, so runs stay deterministic at any
      * --jobs count; its geometry comes from the NodeConfig (banks =
-     * nmBanks, nmBytes, dramBytesPerCycle = offchipBytesPerCycle)
-     * with sliced fetch on every datapath except the baseline.
+     * nmBanks, dramBytesPerCycle = offchipBytesPerCycle).
      */
     mem::Kind memKind = mem::Kind::Ideal;
 };

@@ -11,10 +11,11 @@ pre-generated ``--current`` file) against a committed baseline
                     With ``--bench`` the binary is run ``--retries``+1
                     times and the fastest run is compared, so scheduler
                     noise on loaded machines does not flake the gate.
-  * model speedups: averageSpeedup / averageCnv2Speedup must not drop
-                    below baseline * (1 - tolerance) — these are
-                    deterministic, so a drop is a real model change
-                    that must come with a re-baseline.
+  * model stats:    averageSpeedup / averageCnv2Speedup /
+                    averageBankedOverhead must equal the baseline
+                    exactly — they are deterministic, so any change,
+                    up or down, is a model change that must come with
+                    a re-baseline.
   * cache hit rate: hostProfile.traceCache.hitRate must not drop more
                     than the tolerance (absolute) below baseline — a
                     drop means trace-cache sharing regressed.
@@ -24,7 +25,7 @@ static-checks job uses it: CI machines are not comparable to the
 machine that recorded the baseline). ``--self-test`` additionally
 verifies the gate can fail: it re-runs the comparison against a
 synthetically inflated baseline and asserts regressions are
-reported. Re-baselining is documented in docs/development.md.
+reported, including a model stat one ulp off. Re-baselining is documented in docs/development.md.
 
 Usage: check_perf_regression.py --baseline BENCH.json
            (--current CUR.json | --bench BENCH_BINARY)
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -47,6 +49,10 @@ import tempfile
 # Matches the committed baseline's generation recipe (see
 # docs/development.md, "Re-baselining the perf gate").
 BENCH_ARGS = ["--quick", "--images", "1", "--jobs", "4"]
+
+# Deterministic model outputs, compared for exact equality.
+MODEL_STATS = ("averageSpeedup", "averageCnv2Speedup",
+               "averageBankedOverhead")
 
 
 def stat_values(node: object, out: dict) -> None:
@@ -67,8 +73,7 @@ def load_artifact(path: pathlib.Path) -> dict:
     return {
         "wallSeconds": hp.get("totalSeconds",
                               doc.get("manifest", {}).get("wallSeconds")),
-        "averageSpeedup": stats.get("averageSpeedup"),
-        "averageCnv2Speedup": stats.get("averageCnv2Speedup"),
+        **{key: stats.get(key) for key in MODEL_STATS},
         "hitRate": hp.get("traceCache", {}).get("hitRate"),
     }
 
@@ -90,18 +95,16 @@ def compare(base: dict, cur: dict, tolerance: float,
     else:
         print("  wallSeconds        unavailable — skipped")
 
-    for key in ("averageSpeedup", "averageCnv2Speedup"):
+    for key in MODEL_STATS:
         bv, cv = base.get(key), cur.get(key)
         if bv is None or cv is None:
-            print(f"  {key:18} unavailable — skipped")
+            print(f"  {key:21} unavailable — skipped")
             continue
-        floor = bv * (1.0 - tolerance)
-        print(f"  {key:18} {cv:10.4f} vs baseline {bv:.4f} "
-              f"(floor {floor:.4f})")
-        if cv < floor:
+        print(f"  {key:21} {cv!r} vs baseline {bv!r} (must be equal)")
+        if cv != bv:
             regressions.append(
-                f"{key} regressed: {cv:.4f} < floor {floor:.4f} "
-                f"(baseline {bv:.4f} - {tolerance:.0%})")
+                f"{key} changed: {cv!r} != baseline {bv!r} (a model "
+                f"change must re-baseline)")
 
     bh, ch = base.get("hitRate"), cur.get("hitRate")
     if bh is not None and ch is not None:
@@ -157,8 +160,21 @@ def self_test(base: dict, cur: dict, tolerance: float,
         if not compare(fast, cur, tolerance, 0.0):
             problems.append("gate passed against a halved-wall baseline")
 
+    for key in MODEL_STATS:
+        if cur.get(key) is None:
+            continue
+        for direction in (math.inf, -math.inf):
+            off = copy.deepcopy(cur)
+            off[key] = math.nextafter(cur[key], direction)
+            print(f"self-test: {key} baseline one ulp off (must "
+                  f"regress)")
+            if not compare(off, cur, tolerance, wall_slack):
+                problems.append(
+                    f"gate passed against a baseline with {key} one "
+                    f"ulp off")
+
     inflated = copy.deepcopy(base)
-    for key in ("averageSpeedup", "averageCnv2Speedup"):
+    for key in MODEL_STATS:
         if inflated.get(key):
             inflated[key] *= 2.0
     if inflated.get("hitRate") is not None:

@@ -11,12 +11,13 @@ documented in docs/architecture.md ("Threading model and
 determinism"): every result, stat tree, and cache counter must be
 invariant under the worker-pool size.
 
-Two experiments run: the wide five-architecture sweep under the
-default ideal memory model, and a ``--mem banked`` run over
-dadiannao/cnv/cnv2 — the banked hierarchy's conflict, buffer and
-DRAM counters must be just as job-count-invariant as the cycle
-counts (one `mem::MemoryModel` per (arch, image) task, never shared
-across workers).
+Two experiments run: the wide five-architecture sweep with the
+default ideal memory (no memory model is built), and a ``--mem
+banked`` run over dadiannao/cnv/cnv2 — the banked hierarchy's
+conflict, buffer and DRAM counters must be just as
+job-count-invariant as the cycle counts (each (arch, image) task
+builds its own lock-free `mem::MemoryModel`, never shared across
+workers).
 
 The JSON writer emits one key per line, so dropping the brace-
 balanced ``hostProfile`` block and then filtering whole lines
