@@ -11,6 +11,17 @@
  * full-network experiments and pruning sweeps run in seconds
  * instead of hours; every experiment can be spot-checked against
  * the detailed models.
+ *
+ * convCnv and convCnv2 are thin wrappers over one encoded walk (CNV
+ * is Cnvlutin2 with no weight brick pruned). It gathers each window
+ * group's valid cells and NM fetch list once and replays them for
+ * every filter pass; a pass reads which weight bricks its filter
+ * group prunes from a per-layer table. It rests on one lane
+ * identity: under every LaneAssignment, brick b of a cell runs on
+ * lane (rot + b) % lanes, where rot is core::laneOf of the cell's
+ * first brick, so laneOf runs once per cell rather than per brick.
+ * tests/analysis/reference_cnv2.h keeps the per-brick, per-pass walk
+ * as the oracle both are tested against.
  */
 
 #ifndef CNV_TIMING_CONV_MODEL_H

@@ -82,11 +82,18 @@ TEST(Driver, SpeedupAverages)
 {
     auto synthetic = [](std::uint64_t baseCycles,
                         std::uint64_t cnvCycles) {
+        // Field by field: GCC 12's -Wmissing-field-initializers
+        // flags any brace or designated initializer that leaves out
+        // a member without a default member initializer.
+        const auto aggregate = [](const char *id, std::uint64_t cycles) {
+            driver::ArchAggregate a;
+            a.model = &arch::builtin().get(id);
+            a.cycles = cycles;
+            return a;
+        };
         driver::NetworkReport r;
-        r.archs.push_back(
-            {&arch::builtin().get("dadiannao"), baseCycles, {}, {}});
-        r.archs.push_back(
-            {&arch::builtin().get("cnv"), cnvCycles, {}, {}});
+        r.archs.push_back(aggregate("dadiannao", baseCycles));
+        r.archs.push_back(aggregate("cnv", cnvCycles));
         return r;
     };
     const std::vector<driver::NetworkReport> reports{
