@@ -85,10 +85,10 @@ TEST(Zoo, CalibrationMatchesFigureOneTargets)
 {
     // The MAC-weighted zero-operand fraction of each network's
     // synthesized traces must land on its Figure 1 value.
-    for (NetId id : {NetId::Alex, NetId::Nin, NetId::CnnS}) {
+    for (NetId id : nn::zoo::allNetworks()) {
         const auto net = nn::zoo::build(id, 1);
         const double measured = nn::zeroOperandFraction(*net, 11);
-        EXPECT_NEAR(measured, nn::zoo::zeroOperandTarget(id), 0.03)
+        EXPECT_NEAR(measured, nn::zoo::zeroOperandTarget(id), 0.005)
             << nn::zoo::netName(id);
     }
 }
