@@ -6,6 +6,7 @@
 
 #include "core/assignment.h"
 #include "sim/logging.h"
+#include "sim/rng.h"
 
 namespace cnv::timing {
 
@@ -147,16 +148,6 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
 
 namespace {
 
-/** splitmix64 finalizer: uncorrelated 64-bit hash of its input. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /**
  * Whether the weight brick a filter group applies at one (kernel
  * position, depth brick, pass) is ineffectual. A pure function of
@@ -168,11 +159,11 @@ bool
 weightBrickIneffectual(int convIndex, int ky, int kx, int brick, int pass,
                        double sparsity)
 {
-    std::uint64_t h = mix64(static_cast<std::uint64_t>(convIndex) + 1);
-    h = mix64(h ^ static_cast<std::uint64_t>(ky));
-    h = mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
-    h = mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
-    h = mix64(h ^ static_cast<std::uint64_t>(pass));
+    std::uint64_t h = sim::mix64(static_cast<std::uint64_t>(convIndex) + 1);
+    h = sim::mix64(h ^ static_cast<std::uint64_t>(ky));
+    h = sim::mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
+    h = sim::mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
+    h = sim::mix64(h ^ static_cast<std::uint64_t>(pass));
     // Top 53 bits as a uniform deviate in [0, 1).
     return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
 }
