@@ -17,7 +17,8 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem}, 1);
 
     sim::Table t({"network", "ZOnly", "XYZHash", "WindowEven (default)"});
     double sums[3] = {0, 0, 0};
@@ -27,10 +28,7 @@ main(int argc, char **argv)
         for (auto policy : {dadiannao::LaneAssignment::ZOnly,
                             dadiannao::LaneAssignment::XYZHash,
                             dadiannao::LaneAssignment::WindowEven}) {
-            driver::ExperimentConfig cfg;
-            cfg.images = opts.images;
-            cfg.seed = opts.seed;
-            cfg.memKind = opts.memKind;
+            driver::ExperimentConfig cfg = opts.cfg;
             cfg.node.laneAssignment = policy;
             const auto r = driver::evaluateZooNetwork(cfg, id);
             sums[i++] += r.speedup();

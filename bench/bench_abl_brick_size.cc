@@ -15,22 +15,19 @@
 #include "common.h"
 #include "sim/error.h"
 #include "sim/logging.h"
-#include "timing/network_model.h"
 
 using namespace cnv;
 
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem}, 1);
 
     sim::Table t({"brick size", "offset bits", "NM capacity overhead",
                   "avg CNV speedup vs same-lane baseline"});
     for (int brick : {4, 8, 16, 32}) {
-        driver::ExperimentConfig cfg;
-        cfg.images = opts.images;
-        cfg.seed = opts.seed;
-        cfg.memKind = opts.memKind;
+        driver::ExperimentConfig cfg = opts.cfg;
         cfg.node.brickSize = brick;
         cfg.node.lanes = brick;
         cfg.node.nmBanks = brick; // one bank per lane
@@ -45,7 +42,7 @@ main(int argc, char **argv)
             sim::setVerbosity(sim::Verbosity::Silent);
             try {
                 const double s =
-                    timing::speedup(cfg.node, *net, cfg.images, cfg.seed);
+                    driver::evaluateNetwork(cfg, *net).speedup();
                 sim::setVerbosity(verbosity);
                 sum += s;
                 ++n;

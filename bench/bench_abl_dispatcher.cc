@@ -17,7 +17,8 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem}, 1);
 
     {
         sim::Table t({"network", "empty brick = 1 cycle (default)",
@@ -25,10 +26,7 @@ main(int argc, char **argv)
         for (auto id : nn::zoo::allNetworks()) {
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (bool costs : {true, false}) {
-                driver::ExperimentConfig cfg;
-                cfg.images = opts.images;
-                cfg.seed = opts.seed;
-                cfg.memKind = opts.memKind;
+                driver::ExperimentConfig cfg = opts.cfg;
                 cfg.node.emptyBrickCostsCycle = costs;
                 const auto r = driver::evaluateZooNetwork(cfg, id);
                 row.push_back(sim::Table::num(r.speedup()));
@@ -44,10 +42,7 @@ main(int argc, char **argv)
         for (auto id : nn::zoo::allNetworks()) {
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (int nbout : {16, 32, 64, 128}) {
-                driver::ExperimentConfig cfg;
-                cfg.images = opts.images;
-                cfg.seed = opts.seed;
-                cfg.memKind = opts.memKind;
+                driver::ExperimentConfig cfg = opts.cfg;
                 cfg.node.nboutEntries = nbout;
                 const auto r = driver::evaluateZooNetwork(cfg, id);
                 row.push_back(sim::Table::num(r.speedup()));

@@ -19,18 +19,19 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed}, 1);
 
     sim::Table t({"assumed zero fraction", "avg CNV speedup",
                   "ideal bound 1/(1-z)"});
     for (double target : {0.25, 0.35, 0.44, 0.55, 0.65}) {
         double sum = 0.0;
         for (auto id : nn::zoo::allNetworks()) {
-            auto net = nn::zoo::build(id, opts.seed);
+            auto net = nn::zoo::build(id, opts.cfg.seed);
             nn::zoo::calibrateSparsity(*net, target);
             net->deriveOutputTargets();
             dadiannao::NodeConfig cfg;
-            sum += timing::speedup(cfg, *net, opts.images, opts.seed);
+            sum += timing::speedup(cfg, *net, opts.cfg.images, opts.cfg.seed);
         }
         t.addRow({sim::Table::pct(target) +
                       (target == 0.44 ? " (paper avg)" : ""),

@@ -31,7 +31,8 @@ plus(double delta)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem}, 1);
 
     sim::Table t({"network", "CNV (conv only, paper)",
                   "CNV + FC skipping", "delta"});
@@ -40,10 +41,7 @@ main(int argc, char **argv)
         double speedups[2];
         int i = 0;
         for (bool fcSkip : {false, true}) {
-            driver::ExperimentConfig cfg;
-            cfg.images = opts.images;
-            cfg.seed = opts.seed;
-            cfg.memKind = opts.memKind;
+            driver::ExperimentConfig cfg = opts.cfg;
             cfg.node.cnvSkipsFcLayers = fcSkip;
             const auto r = driver::evaluateZooNetwork(cfg, id);
             speedups[i] = r.speedup();

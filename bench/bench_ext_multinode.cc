@@ -18,19 +18,20 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Seed});
 
     for (auto arch : {timing::Arch::Baseline, timing::Arch::Cnv}) {
         sim::Table t({"network", "2 nodes", "4 nodes", "8 nodes",
                       "16 nodes"});
         for (auto id : nn::zoo::allNetworks()) {
-            const auto net = nn::zoo::build(id, opts.seed);
+            const auto net = nn::zoo::build(id, opts.cfg.seed);
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (int nodes : {2, 4, 8, 16}) {
                 timing::MultiNodeOptions mn;
                 mn.nodes = nodes;
                 row.push_back(sim::Table::num(timing::multiNodeScaling(
-                    dadiannao::NodeConfig{}, mn, *net, arch, opts.seed)));
+                    dadiannao::NodeConfig{}, mn, *net, arch, opts.cfg.seed)));
             }
             t.addRow(std::move(row));
         }
@@ -43,13 +44,13 @@ main(int argc, char **argv)
     // CNV speedup over the baseline at each system size.
     sim::Table t({"network", "1 node", "4 nodes", "16 nodes"});
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.cfg.seed);
         std::vector<std::string> row{nn::zoo::netName(id)};
         for (int nodes : {1, 4, 16}) {
             timing::MultiNodeOptions mn;
             mn.nodes = nodes;
             timing::RunOptions ropts;
-            ropts.imageSeed = opts.seed;
+            ropts.imageSeed = opts.cfg.seed;
             const auto base = timing::simulateMultiNode(
                 dadiannao::NodeConfig{}, mn, *net,
                 timing::Arch::Baseline, ropts);

@@ -28,7 +28,7 @@ paperZeroFraction(nn::zoo::NetId id)
 }
 
 void
-tableOne(const bench::Options &opts)
+tableOne(const driver::CliOptions &opts)
 {
     sim::Table t({"network", "conv layers", "source (paper Table I)"});
     const char *sources[] = {
@@ -41,7 +41,7 @@ tableOne(const bench::Options &opts)
     };
     int i = 0;
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.cfg.seed);
         t.addRow({nn::zoo::netName(id),
                   std::to_string(net->convLayerCount()), sources[i++]});
     }
@@ -49,22 +49,22 @@ tableOne(const bench::Options &opts)
 }
 
 void
-figureOne(const bench::Options &opts)
+figureOne(const driver::CliOptions &opts)
 {
     sim::Table t({"network", "zero operands (measured)", "stddev",
                   "paper (Fig. 1)"});
     double sum = 0.0;
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.cfg.seed);
         double mean = 0.0, sq = 0.0;
-        for (int i = 0; i < opts.images; ++i) {
+        for (int i = 0; i < opts.cfg.images; ++i) {
             const double f =
-                nn::zeroOperandFraction(*net, opts.seed + 100 + i);
+                nn::zeroOperandFraction(*net, opts.cfg.seed + 100 + i);
             mean += f;
             sq += f * f;
         }
-        mean /= opts.images;
-        const double var = sq / opts.images - mean * mean;
+        mean /= opts.cfg.images;
+        const double var = sq / opts.cfg.images - mean * mean;
         sum += mean;
         t.addRow({nn::zoo::netName(id), sim::Table::pct(mean),
                   sim::Table::pct(var > 0 ? std::sqrt(var) : 0.0),
@@ -78,19 +78,19 @@ figureOne(const bench::Options &opts)
 }
 
 void
-zeroStability(const bench::Options &opts)
+zeroStability(const driver::CliOptions &opts)
 {
     // Section II: zero positions move with the input. Measure, on a
     // representative mid-network layer input, the fraction of neuron
     // positions that are zero in >= 99% of images and in all images.
-    const auto net = nn::zoo::build(nn::zoo::NetId::Alex, opts.seed);
+    const auto net = nn::zoo::build(nn::zoo::NetId::Alex, opts.cfg.seed);
     const int node = net->convNodeIds()[2]; // conv3's input
-    const int images = std::max(32, opts.images * 8);
+    const int images = std::max(32, opts.cfg.images * 8);
 
     std::vector<int> zeroCount;
     for (int i = 0; i < images; ++i) {
         const auto in =
-            nn::synthesizeConvInput(*net, node, opts.seed + 500 + i);
+            nn::synthesizeConvInput(*net, node, opts.cfg.seed + 500 + i);
         if (zeroCount.empty())
             zeroCount.assign(in.size(), 0);
         const tensor::Fixed16 *d = in.data();
@@ -119,7 +119,8 @@ zeroStability(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 4);
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Quick}, 4);
     tableOne(opts);
     figureOne(opts);
     if (!opts.quick)

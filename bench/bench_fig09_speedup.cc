@@ -61,18 +61,16 @@ paperCnvPruned(nn::zoo::NetId id)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 2);
-
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(
+        argc, argv, {Images, Seed, Mem, Quick, Json, TraceOut});
+    const driver::ExperimentConfig &cfg = opts.cfg;
     bench::printConfig(cfg.node);
 
     pruning::SearchOptions search;
     search.accuracyImages = opts.quick ? 4 : 10;
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
 
     const auto threeArchs =
         arch::builtin().select("dadiannao,cnv,cnv2");
@@ -191,7 +189,7 @@ main(int argc, char **argv)
                       "arithmetic mean of CNV+Pruning speedups") =
             sumPruned / 6;
     bench::emit(opts, "Figure 9: speedup of CNV over the baseline", t);
-    bench::writeFigureArtifact(opts, "fig09_speedup", cfg.node, fig);
+    bench::writeFigureArtifact(opts, "fig09_speedup", fig);
     if (!opts.traceOut.empty()) {
         std::ofstream os(opts.traceOut);
         if (!os) {
@@ -200,7 +198,7 @@ main(int argc, char **argv)
             return 1;
         }
         trace.writeJson(os, {sim::TraceArg("tool", "bench_fig09_speedup"),
-                             sim::TraceArg("seed", opts.seed)});
+                             sim::TraceArg("seed", cfg.seed)});
         std::cout << "wrote " << trace.events().size()
                   << " trace events to " << opts.traceOut << '\n';
     }

@@ -30,12 +30,9 @@ breakdownRow(const std::string &label, const dadiannao::Activity &a,
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 2);
-
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem, Json});
+    const driver::ExperimentConfig &cfg = opts.cfg;
     bench::printConfig(cfg.node);
 
     sim::Table t({"network/arch", "other", "conv1", "non-zero", "zero",
@@ -73,7 +70,7 @@ main(int argc, char **argv)
                 "Figure 10: execution activity breakdown, CNV (c) "
                 "normalised to baseline (b)",
                 t);
-    bench::writeFigureArtifact(opts, "fig10_activity", cfg.node, fig);
+    bench::writeFigureArtifact(opts, "fig10_activity", fig);
 
     std::cout << "\nPaper observations to compare against: conv layers\n"
                  "(conv1 + zero + non-zero) dominate baseline activity on\n"

@@ -15,7 +15,7 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv);
+    const auto opts = bench::parseFlags(argc, argv, {});
 
     const auto base = arch::builtin().get("dadiannao").area();
     const auto cnvA = arch::builtin().get("cnv").area();

@@ -16,12 +16,9 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
-
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Images, Seed, Mem}, 1);
+    const driver::ExperimentConfig &cfg = opts.cfg;
     bench::printConfig(cfg.node);
 
     power::PowerBreakdown baseAvg, cnvAvg;

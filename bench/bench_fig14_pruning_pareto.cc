@@ -18,17 +18,14 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
-
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
+    using enum driver::Flag;
+    const auto opts = bench::parseFlags(argc, argv, {Seed, Quick});
+    const driver::ExperimentConfig &cfg = opts.cfg;
 
     pruning::SearchOptions search;
     search.accuracyImages = opts.quick ? 4 : 10;
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
     search.levels = {0, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 
     double sum1pct = 0.0, sum10pct = 0.0;

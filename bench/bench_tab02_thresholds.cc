@@ -16,17 +16,15 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
-
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
+    using enum driver::Flag;
+    const auto opts =
+        bench::parseFlags(argc, argv, {Images, Seed, Mem, Quick}, 1);
+    const driver::ExperimentConfig &cfg = opts.cfg;
 
     pruning::SearchOptions search;
     search.accuracyImages = opts.quick ? 4 : 10;
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
 
     sim::Table t({"network", "thresholds per layer (found)", "speedup",
                   "paper speedup"});

@@ -5,146 +5,60 @@
  * DESIGN.md's per-experiment index) and prints the same rows the
  * paper reports, plus the paper's value for comparison.
  *
- * Options (all optional):
- *   --images N   trace instances per network (default varies)
- *   --seed S     root seed
- *   --csv        emit CSV instead of an aligned table
- *   --quick      minimal work (used for smoke runs)
- *   --json PATH  also write the figure's data as a JSON artifact
- *                (schema "cnv-figure-v1", see docs/observability.md)
- *   --trace-out PATH  write a Chrome trace-event JSON of the runs
- *                (honoured by benches that advertise it in --help)
- *   --jobs N     worker-pool size (default: hardware concurrency or
- *                CNVSIM_JOBS); results are job-count-invariant
- *   --mem M      memory-hierarchy model: 'ideal' (default, keeps the
- *                legacy numbers) or 'banked' (NM banking + global
- *                buffer + DRAM channel)
+ * Each bench reads its options through the shared flag table
+ * (driver/cli.h) and accepts only the flags its code reads;
+ * `<bench> --help` lists them.
  */
 
 #ifndef CNV_BENCH_COMMON_H
 #define CNV_BENCH_COMMON_H
 
-#include <charconv>
-#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <system_error>
 #include <vector>
 
+#include "driver/cli.h"
 #include "driver/driver.h"
 #include "driver/run_manifest.h"
-#include "mem/memory_model.h"
 #include "sim/metrics.h"
-#include "sim/parallel.h"
 #include "sim/stats_export.h"
 #include "sim/table.h"
 
 namespace cnv::bench {
 
-/** Parsed command-line options shared by all bench binaries. */
-struct Options
+/**
+ * Parse a bench's command line: the `flags` its code reads plus the
+ * ones every bench reads through this header (--csv for emit(), the
+ * process-wide --jobs, and --help), with `images` as the --images
+ * default. A mistake exits 2 with the parser's diagnostic; --help
+ * prints the accepted flags and exits 0. Benches always profile
+ * themselves: the perf-regression gate compares the hostProfile
+ * block of their --json artifacts across the BENCH_* trajectory.
+ */
+inline driver::CliOptions
+parseFlags(int argc, char **argv, std::vector<driver::Flag> flags,
+           int images = 2)
 {
-    int images = 2;
-    std::uint64_t seed = 2016;
-    bool csv = false;
-    bool quick = false;
-    /** When non-empty, figure data is also written here as JSON. */
-    std::string json;
-    /** When non-empty, a trace-event JSON is also written here. */
-    std::string traceOut;
-    /** Worker-pool size this run was configured with. */
-    int jobs = 0;
-    /** Memory-hierarchy model (ExperimentConfig::memKind). */
-    mem::Kind memKind = mem::Kind::Ideal;
-};
-
-inline Options
-parseArgs(int argc, char **argv, int defaultImages = 2)
-{
-    // Accept both "--flag value" and "--flag=value" spellings.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const std::size_t eq = a.find('=');
-        if (a.rfind("--", 0) == 0 && eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    // Benches always profile themselves: the hostProfile block of
-    // their --json artifacts is what the perf-regression gate
-    // compares across the committed BENCH_* trajectory.
     sim::metrics().setEnabled(true);
-
-    Options opts;
-    opts.images = defaultImages;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= args.size()) {
-                std::cerr << "missing value for " << arg << '\n';
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        // Whole-string numeric parse: a value like "2x" or "abc"
-        // must be a clean exit-2 diagnostic, not an uncaught
-        // std::invalid_argument out of std::stoi.
-        auto numeric = [&](auto &out) {
-            const std::string value = next();
-            const auto [ptr, ec] = std::from_chars(
-                value.data(), value.data() + value.size(), out);
-            if (ec != std::errc() || ptr != value.data() + value.size()) {
-                std::cerr << "invalid numeric value '" << value
-                          << "' for " << arg << '\n';
-                std::exit(2);
-            }
-        };
-        if (arg == "--images") {
-            numeric(opts.images);
-        } else if (arg == "--seed") {
-            numeric(opts.seed);
-        } else if (arg == "--jobs") {
-            numeric(opts.jobs);
-            if (opts.jobs < 1) {
-                std::cerr << "invalid numeric value '" << opts.jobs
-                          << "' for " << arg << " (expected >= 1)\n";
-                std::exit(2);
-            }
-        } else if (arg == "--mem") {
-            const std::string value = next();
-            const auto kind = mem::parseKind(value);
-            if (!kind) {
-                std::cerr << "invalid value '" << value << "' for "
-                          << arg << " (expected 'ideal' or 'banked')\n";
-                std::exit(2);
-            }
-            opts.memKind = *kind;
-        } else if (arg == "--json") {
-            opts.json = next();
-        } else if (arg == "--trace-out") {
-            opts.traceOut = next();
-        } else if (arg == "--csv") {
-            opts.csv = true;
-        } else if (arg == "--quick") {
-            opts.quick = true;
-        } else if (arg == "--help") {
-            std::cout << "options: --images N --seed S --csv --quick "
-                         "--json PATH --trace-out PATH --jobs N "
-                         "--mem ideal|banked\n";
-            std::exit(0);
-        } else {
-            std::cerr << "unknown option " << arg << '\n';
-            std::exit(2);
-        }
+    const std::string tool = std::filesystem::path(argv[0]).filename();
+    flags.insert(flags.end(),
+                 {driver::Flag::Csv, driver::Flag::Jobs, driver::Flag::Help});
+    driver::CliOptions opts;
+    opts.cfg.images = images;
+    try {
+        driver::parseFlags(tool, {argv + 1, argv + argc}, flags, opts);
+    } catch (const driver::UsageError &e) {
+        std::cerr << e.what() << '\n';
+        std::exit(2);
     }
-    if (opts.jobs > 0)
-        sim::setJobCount(opts.jobs);
+    if (opts.help) {
+        std::cout << "usage: " << tool << " [options]\n";
+        driver::printFlagHelp(std::cout, flags);
+        std::exit(0);
+    }
     return opts;
 }
 
@@ -157,7 +71,8 @@ printConfig(const dadiannao::NodeConfig &cfg)
 
 /** Print a titled table in the selected format. */
 inline void
-emit(const Options &opts, const std::string &title, const sim::Table &table)
+emit(const driver::CliOptions &opts, const std::string &title,
+     const sim::Table &table)
 {
     std::cout << "\n=== " << title << " ===\n";
     if (opts.csv)
@@ -180,8 +95,7 @@ emit(const Options &opts, const std::string &title, const sim::Table &table)
  * plotting scripts consume one schema for both kinds of file.
  */
 inline void
-writeFigureArtifact(const Options &opts, const std::string &figure,
-                    const dadiannao::NodeConfig &node,
+writeFigureArtifact(const driver::CliOptions &opts, const std::string &figure,
                     const sim::StatGroup &data)
 {
     if (opts.json.empty())
@@ -192,12 +106,8 @@ writeFigureArtifact(const Options &opts, const std::string &figure,
                   << '\n';
         std::exit(1);
     }
-    driver::RunManifest manifest = driver::makeManifest(figure);
-    manifest.network = "(all zoo networks)";
-    manifest.nodeConfig = node.describe();
-    manifest.images = opts.images;
-    manifest.seed = opts.seed;
-    manifest.mem = mem::kindName(opts.memKind);
+    driver::RunManifest manifest =
+        driver::makeManifest(figure, "(all zoo networks)", opts.cfg);
     manifest.wallSeconds = sim::metrics().secondsSinceEnable();
 
     sim::JsonWriter w(os);

@@ -2,65 +2,24 @@
  * @file
  * cnvsim — the command-line front end to the simulator.
  *
- *   cnvsim list                          network inventory
- *   cnvsim archs [--ids]                 architecture registry listing
- *                                        (--ids: bare id per line, for
- *                                        scripts and doc checks)
- *   cnvsim run <net> [opts]              timing run on selected archs
- *   cnvsim power <net> [opts]            power / energy / EDP
- *   cnvsim prune <net> [opts]            lossless threshold search
- *   cnvsim validate <net> [opts]         functional equivalence check
- *   cnvsim zfnaf <net> [opts]            per-layer ZFNAf statistics
- *   cnvsim export-traces <net> [opts]    write per-layer traces to --out
- *   cnvsim trace <net> [opts]            cycle-level event trace with
- *                                        stall attribution
- *   cnvsim reproduce [opts]              headline paper-vs-measured table
+ *   cnvsim <command> [network] [options]
  *
- * Common options:
- *   --arch a,b,... architectures to run, by registry id (default
- *                  "dadiannao,cnv"; see `cnvsim archs`)
- *   --images N     trace instances (default 2)
- *   --seed S       root seed (default 2016)
- *   --scale K      reduced-scale geometry (validate/prune accuracy)
- *   --stats        dump the full statistics tree (gem5-style)
- *   --layers       per-layer cycle table (run)
- *   --floor F      accuracy floor for prune (default 1.0)
- *   --report-json PATH   write the run report (manifest + per-layer
- *                        timelines + summary) as JSON (run)
- *   --report-csv PATH    same report as CSV rows (run)
- *   --net NAME     network (trace; alternative to the positional)
- *   --trace-out PATH     write the Chrome trace-event JSON (trace)
- *   --stall-csv PATH     write the per-layer stall breakdown (trace)
- *   --max-events N       bound the trace sink (default 1048576)
- *   --jobs N       worker-pool size (default: hardware concurrency,
- *                  or the CNVSIM_JOBS environment variable); results
- *                  are bit-identical for every value
- *   --weight-sparsity F  fraction of ineffectual weight bricks the
- *                  cnv2 model skips (0..1, default 0.35); recorded
- *                  in the report manifest, ignored by other archs
- *   --mem ideal|banked   memory-hierarchy model (run/power/trace):
- *                  ideal (default) keeps the legacy numbers
- *                  byte-identical; banked simulates NM banking, the
- *                  shared global buffer and the DRAM channel, and
- *                  adds the summary.memory report block
- *   --perf-json PATH     write the host-side telemetry profile
- *                  (phase timers, pool utilization, trace-cache
- *                  stats, peak RSS) as a cnv-perf-v1 artifact
- *   --progress on|off|auto   live stderr progress meter during the
- *                  image sweep (auto: only when stderr is a TTY)
+ * The commands are the kCommands table below; each names the flags
+ * its code reads. The flags themselves are defined once, in the
+ * table of driver/cli.h. `cnvsim` without arguments prints both. A
+ * flag a command does not read, or a malformed value, exits 2 with a
+ * diagnostic; a runtime FatalError exits 1.
  *
  * Every network command takes its network as a positional argument
  * (`cnvsim run nin ...`) or via --net (`cnvsim run --net nin ...`).
- *
- * Options accept both "--flag value" and "--flag=value" spellings.
  * The report, trace-event, stall and perf schemas are documented in
  * docs/observability.md.
  */
 
-#include <charconv>
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -69,11 +28,11 @@
 #include "arch/registry.h"
 #include "core/node.h"
 #include "dadiannao/node.h"
+#include "driver/cli.h"
 #include "driver/driver.h"
 #include "driver/run_manifest.h"
 #include "driver/stats_report.h"
 #include "driver/trace_pipeline.h"
-#include "mem/memory_model.h"
 #include "nn/trace.h"
 #include "tensor/serialize.h"
 #include "zfnaf/format.h"
@@ -82,7 +41,6 @@
 #include "sim/error.h"
 #include "sim/logging.h"
 #include "sim/metrics.h"
-#include "sim/parallel.h"
 #include "sim/stats_export.h"
 #include "sim/table.h"
 #include "timing/network_model.h"
@@ -91,194 +49,17 @@ namespace {
 
 using namespace cnv;
 
-struct CliOptions
-{
-    std::string archs = "dadiannao,cnv";
-    int images = 2;
-    std::uint64_t seed = 2016;
-    int scale = 8;
-    bool stats = false;
-    bool layers = false;
-    double floor = 1.0;
-    std::string out = "traces";
-    std::string reportJson;
-    std::string reportCsv;
-    std::string net;
-    std::string traceOut;
-    std::string stallCsv;
-    std::size_t maxEvents = sim::TraceSink::kDefaultMaxEvents;
-    int jobs = 0; ///< 0 = keep the process default
-    double weightSparsity = timing::kDefaultWeightSparsity;
-    mem::Kind memKind = mem::Kind::Ideal;
-    std::string perfJson;
-    sim::MetricsRegistry::Progress progress =
-        sim::MetricsRegistry::Progress::Off;
-};
+using driver::CliOptions;
+using enum driver::Flag;
 
-[[noreturn]] void
-usage()
+/** Open an output file named on the command line; fatal on failure. */
+std::ofstream
+openOutput(const std::string &path)
 {
-    std::cerr <<
-        "usage: cnvsim <command> [network] [options]\n"
-        "  commands: list | archs | run | power | prune | validate |\n"
-        "            zfnaf | export-traces | trace | reproduce\n"
-        "  networks: alex google nin vgg19 cnnM cnnS\n"
-        "  options : --arch a,b,... --images N --seed S --scale K\n"
-        "            --stats --layers --floor F --report-json PATH\n"
-        "            --report-csv PATH --net NAME --trace-out PATH\n"
-        "            --stall-csv PATH --max-events N --jobs N\n"
-        "            --weight-sparsity F --mem ideal|banked\n"
-        "            --perf-json PATH --progress on|off|auto\n"
-        "  archs accepts --ids (bare registry ids, one per line)\n";
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    std::exit(2);
-}
-
-/**
- * Strict --jobs parsing: a plain positive integer, nothing else.
- * Mirrors the bench runner's numeric validation (exit 2 with a
- * diagnostic) rather than std::stoi's exception path.
- */
-int
-parseJobs(const std::string &value)
-{
-    int jobs = 0;
-    const char *begin = value.data();
-    const char *end = begin + value.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, jobs);
-    if (ec != std::errc() || ptr != end || jobs < 1) {
-        std::cerr << "cnvsim: invalid value '" << value
-                  << "' for --jobs (expected an integer >= 1)\n";
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        std::exit(2);
-    }
-    return jobs;
-}
-
-/**
- * Strict --mem parsing: one of the mem::Kind names, nothing else.
- * Same exit-2 diagnostic convention as --jobs.
- */
-mem::Kind
-parseMem(const std::string &value)
-{
-    const auto kind = mem::parseKind(value);
-    if (!kind) {
-        std::cerr << "cnvsim: invalid value '" << value
-                  << "' for --mem (expected 'ideal' or 'banked')\n";
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        std::exit(2);
-    }
-    return *kind;
-}
-
-CliOptions
-parseOptions(const std::vector<std::string> &rawArgs, std::size_t start)
-{
-    // Normalise "--flag=value" into "--flag value" so both spellings
-    // work everywhere.
-    std::vector<std::string> args;
-    for (std::size_t i = start; i < rawArgs.size(); ++i) {
-        const std::string &a = rawArgs[i];
-        const std::size_t eq = a.find('=');
-        if (a.rfind("--", 0) == 0 && eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    CliOptions opts;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto next = [&]() -> const std::string & {
-            if (i + 1 >= args.size())
-                usage();
-            return args[++i];
-        };
-        if (args[i] == "--arch")
-            opts.archs = next();
-        else if (args[i] == "--images")
-            opts.images = std::stoi(next());
-        else if (args[i] == "--seed")
-            opts.seed = std::stoull(next());
-        else if (args[i] == "--scale")
-            opts.scale = std::stoi(next());
-        else if (args[i] == "--floor")
-            opts.floor = std::stod(next());
-        else if (args[i] == "--out")
-            opts.out = next();
-        else if (args[i] == "--report-json")
-            opts.reportJson = next();
-        else if (args[i] == "--report-csv")
-            opts.reportCsv = next();
-        else if (args[i] == "--net")
-            opts.net = next();
-        else if (args[i] == "--trace-out")
-            opts.traceOut = next();
-        else if (args[i] == "--stall-csv")
-            opts.stallCsv = next();
-        else if (args[i] == "--max-events")
-            opts.maxEvents = std::stoull(next());
-        else if (args[i] == "--jobs")
-            opts.jobs = parseJobs(next());
-        else if (args[i] == "--mem")
-            opts.memKind = parseMem(next());
-        else if (args[i] == "--perf-json") {
-            opts.perfJson = next();
-            if (opts.perfJson.empty()) {
-                std::cerr << "cnvsim: invalid value '' for --perf-json "
-                             "(expected an output path)\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
-        else if (args[i] == "--progress") {
-            const std::string &value = next();
-            if (value == "on")
-                opts.progress = sim::MetricsRegistry::Progress::On;
-            else if (value == "off")
-                opts.progress = sim::MetricsRegistry::Progress::Off;
-            else if (value == "auto")
-                opts.progress = sim::MetricsRegistry::Progress::Auto;
-            else {
-                std::cerr << "cnvsim: invalid value '" << value
-                          << "' for --progress (expected on, off or "
-                             "auto)\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
-        else if (args[i] == "--weight-sparsity") {
-            const std::string &value = next();
-            opts.weightSparsity = std::stod(value);
-            if (opts.weightSparsity < 0.0 || opts.weightSparsity > 1.0) {
-                std::cerr << "cnvsim: invalid value '" << value
-                          << "' for --weight-sparsity (expected a "
-                             "fraction in [0, 1])\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
-        else if (args[i] == "--stats")
-            opts.stats = true;
-        else if (args[i] == "--layers")
-            opts.layers = true;
-        else
-            usage();
-    }
-    if (opts.jobs > 0)
-        sim::setJobCount(opts.jobs);
-    sim::metrics().configureProgress(opts.progress);
-    return opts;
-}
-
-/** The architecture models selected with --arch (registry order
- *  preserved as given; fatal on unknown ids). */
-std::vector<const arch::ArchModel *>
-selectedArchs(const CliOptions &opts)
-{
-    return arch::builtin().select(opts.archs);
+    std::ofstream os(path);
+    if (!os)
+        CNV_FATAL("cannot open output file '{}'", path);
+    return os;
 }
 
 /** Write the run report to the paths requested on the command line. */
@@ -288,19 +69,13 @@ writeReports(const CliOptions &opts, driver::RunReport &report)
     if (opts.reportJson.empty() && opts.reportCsv.empty())
         return;
     report.manifest.wallSeconds = sim::metrics().secondsSinceEnable();
-    auto open = [](const std::string &path) {
-        std::ofstream os(path);
-        if (!os)
-            CNV_FATAL("cannot open report file '{}'", path);
-        return os;
-    };
     if (!opts.reportJson.empty()) {
-        auto os = open(opts.reportJson);
+        auto os = openOutput(opts.reportJson);
         driver::writeReportJson(report, os);
         std::cout << "wrote JSON report to " << opts.reportJson << '\n';
     }
     if (!opts.reportCsv.empty()) {
-        auto os = open(opts.reportCsv);
+        auto os = openOutput(opts.reportCsv);
         driver::writeReportCsv(report, os);
         std::cout << "wrote CSV report to " << opts.reportCsv << '\n';
     }
@@ -317,20 +92,13 @@ writePerfJson(const CliOptions &opts, const std::string &network)
 {
     if (opts.perfJson.empty())
         return;
-    std::ofstream os(opts.perfJson);
-    if (!os)
-        CNV_FATAL("cannot open perf file '{}'", opts.perfJson);
-    driver::RunManifest manifest = driver::makeManifest("cnvsim");
-    manifest.network = network;
-    manifest.nodeConfig = dadiannao::NodeConfig().describe();
-    manifest.images = opts.images;
-    manifest.seed = opts.seed;
-    manifest.weightSparsity = opts.weightSparsity;
+    auto os = openOutput(opts.perfJson);
+    driver::RunManifest manifest =
+        driver::makeManifest("cnvsim", network, opts.cfg);
     manifest.wallSeconds = sim::metrics().secondsSinceEnable();
     sim::JsonWriter w(os);
     w.beginObject();
-    w.key("schema");
-    w.value("cnv-perf-v1");
+    w.key("schema").value("cnv-perf-v1");
     w.key("manifest");
     manifest.writeJson(w);
     w.key("hostProfile");
@@ -342,7 +110,7 @@ writePerfJson(const CliOptions &opts, const std::string &network)
 }
 
 int
-cmdList()
+cmdList(const CliOptions &)
 {
     sim::Table t({"network", "conv layers", "conv GMACs",
                   "zero-operand target", "input"});
@@ -360,9 +128,9 @@ cmdList()
 }
 
 int
-cmdArchs(bool idsOnly)
+cmdArchs(const CliOptions &opts)
 {
-    if (idsOnly) {
+    if (opts.ids) {
         // Machine-readable listing for scripts (the docs-coverage
         // check diffs this against docs/architectures.md sections).
         for (const auto &model : arch::builtin().models())
@@ -387,19 +155,15 @@ cmdArchs(bool idsOnly)
 }
 
 int
-cmdRun(nn::zoo::NetId id, const CliOptions &opts)
+cmdRun(const CliOptions &opts)
 {
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
+    const driver::ExperimentConfig &cfg = opts.cfg;
     std::unique_ptr<nn::Network> net;
     std::vector<const arch::ArchModel *> archs;
     {
         const sim::ScopedPhase phase("build");
-        net = nn::zoo::build(id, cfg.seed);
-        archs = selectedArchs(opts);
+        net = nn::zoo::build(nn::zoo::netFromName(opts.net), cfg.seed);
+        archs = arch::builtin().select(opts.archs);
     }
     const auto &ref = *archs.front();
 
@@ -465,19 +229,15 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
 }
 
 int
-cmdPower(nn::zoo::NetId id, const CliOptions &opts)
+cmdPower(const CliOptions &opts)
 {
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
+    const driver::ExperimentConfig &cfg = opts.cfg;
     std::unique_ptr<nn::Network> net;
     std::vector<const arch::ArchModel *> archs;
     {
         const sim::ScopedPhase phase("build");
-        archs = selectedArchs(opts);
-        net = nn::zoo::build(id, cfg.seed);
+        archs = arch::builtin().select(opts.archs);
+        net = nn::zoo::build(nn::zoo::netFromName(opts.net), cfg.seed);
     }
     const auto &ref = *archs.front();
     driver::NetworkReport report;
@@ -519,14 +279,16 @@ cmdPower(nn::zoo::NetId id, const CliOptions &opts)
 }
 
 int
-cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
+cmdPrune(const CliOptions &opts)
 {
+    const driver::ExperimentConfig &cfg = opts.cfg;
     std::unique_ptr<nn::Network> fullNet;
     std::unique_ptr<nn::Network> accNet;
     {
         const sim::ScopedPhase phase("build");
-        fullNet = nn::zoo::build(id, opts.seed);
-        accNet = nn::zoo::build(id, opts.seed, opts.scale);
+        const auto id = nn::zoo::netFromName(opts.net);
+        fullNet = nn::zoo::build(id, cfg.seed);
+        accNet = nn::zoo::build(id, cfg.seed, cfg.accuracyScale);
     }
     {
         const sim::ScopedPhase phase("calibrate");
@@ -535,9 +297,9 @@ cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
 
     dadiannao::NodeConfig node;
     pruning::SearchOptions search;
-    search.accuracyImages = std::max(6, opts.images * 3);
+    search.accuracyImages = std::max(6, cfg.images * 3);
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
     search.accuracyFloor = opts.floor;
 
     pruning::ExplorationPoint point;
@@ -555,16 +317,17 @@ cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
 }
 
 int
-cmdZfnaf(nn::zoo::NetId id, const CliOptions &opts)
+cmdZfnaf(const CliOptions &opts)
 {
-    const auto net = nn::zoo::build(id, opts.seed);
+    const std::uint64_t seed = opts.cfg.seed;
+    const auto net = nn::zoo::build(nn::zoo::netFromName(opts.net), seed);
     sim::Table t({"conv layer", "input", "zero", "avg nz/brick",
                   "empty bricks", "ZFNAf bits vs dense",
                   "offset-only vs dense"});
     for (int nodeId : net->convNodeIds()) {
         const nn::Node &n = net->node(nodeId);
         const auto in =
-            nn::synthesizeConvInput(*net, nodeId, opts.seed + 1);
+            nn::synthesizeConvInput(*net, nodeId, seed + 1);
         const auto enc = zfnaf::encode(in);
         std::size_t empty = 0;
         for (int y = 0; y < in.shape().y; ++y)
@@ -599,14 +362,15 @@ cmdZfnaf(nn::zoo::NetId id, const CliOptions &opts)
 }
 
 int
-cmdExportTraces(nn::zoo::NetId id, const CliOptions &opts)
+cmdExportTraces(const CliOptions &opts)
 {
-    const auto net = nn::zoo::build(id, opts.seed);
+    const driver::ExperimentConfig &cfg = opts.cfg;
+    const auto net = nn::zoo::build(nn::zoo::netFromName(opts.net), cfg.seed);
     std::filesystem::create_directories(opts.out);
     const timing::DirectoryTraceProvider provider(opts.out);
     int written = 0;
-    for (int i = 0; i < opts.images; ++i) {
-        const std::uint64_t seed = opts.seed + i;
+    for (int i = 0; i < cfg.images; ++i) {
+        const std::uint64_t seed = cfg.seed + i;
         for (int nodeId : net->convNodeIds()) {
             const auto in = nn::synthesizeConvInput(*net, nodeId, seed);
             tensor::saveTensorFile(provider.pathFor(*net, nodeId, seed),
@@ -622,18 +386,16 @@ cmdExportTraces(nn::zoo::NetId id, const CliOptions &opts)
 }
 
 int
-cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
+cmdTrace(const CliOptions &opts)
 {
     // The trace covers one image: the grid's image-0 run per arch.
-    driver::ExperimentConfig cfg;
+    driver::ExperimentConfig cfg = opts.cfg;
     cfg.images = 1;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
-    const auto net = nn::zoo::build(id, cfg.seed);
+    const auto net = nn::zoo::build(nn::zoo::netFromName(opts.net), cfg.seed);
 
     std::vector<driver::ArchTimeline> timelines;
-    driver::evaluateNetworkArchs(cfg, *net, selectedArchs(opts), nullptr,
+    driver::evaluateNetworkArchs(cfg, *net,
+                                 arch::builtin().select(opts.archs), nullptr,
                                  nullptr, &timelines);
 
     sim::TraceSink sink(opts.maxEvents);
@@ -654,16 +416,10 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
                    micro.laneIdleCycles);
     }
 
-    auto open = [](const std::string &path) {
-        std::ofstream os(path);
-        if (!os)
-            CNV_FATAL("cannot open output file '{}'", path);
-        return os;
-    };
     if (!opts.traceOut.empty()) {
-        auto os = open(opts.traceOut);
+        auto os = openOutput(opts.traceOut);
         sink.writeJson(os, {sim::TraceArg("network", net->name()),
-                            sim::TraceArg("seed", opts.seed),
+                            sim::TraceArg("seed", cfg.seed),
                             sim::TraceArg("tool", "cnvsim trace")});
         std::cout << "wrote " << sink.events().size()
                   << " trace events to " << opts.traceOut;
@@ -674,7 +430,7 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
                      "chrome://tracing; 1 trace us = 1 cycle\n";
     }
     if (!opts.stallCsv.empty()) {
-        auto os = open(opts.stallCsv);
+        auto os = openOutput(opts.stallCsv);
         bool header = true;
         for (const driver::ArchTimeline &tl : timelines) {
             driver::buildStallProfile(tl.result).writeCsv(
@@ -716,9 +472,7 @@ cmdReproduce(const CliOptions &opts)
 {
     // The headline numbers of EXPERIMENTS.md in one run: Figure 1,
     // Figure 9 (zero skipping only), Figure 11 and Figure 13.
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
+    const driver::ExperimentConfig &cfg = opts.cfg;
     std::cout << "node: " << cfg.node.describe() << "\n\n";
 
     sim::Table t({"network", "zero operands", "CNV speedup",
@@ -758,12 +512,14 @@ cmdReproduce(const CliOptions &opts)
 }
 
 int
-cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
+cmdValidate(const CliOptions &opts)
 {
-    auto net = nn::zoo::build(id, opts.seed, opts.scale);
+    const driver::ExperimentConfig &cfg = opts.cfg;
+    const auto id = nn::zoo::netFromName(opts.net);
+    auto net = nn::zoo::build(id, cfg.seed, cfg.accuracyScale);
     net->calibrate();
     const auto image = nn::synthesizeImage(net->node(0).outShape,
-                                           opts.seed + 1);
+                                           cfg.seed + 1);
 
     const dadiannao::NodeConfig node;
     dadiannao::NodeModel baseline{node};
@@ -773,7 +529,7 @@ cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
     const auto golden = net->forward(image);
 
     const bool ok = b.final == c.final && b.final == golden.final;
-    std::cout << nn::zoo::netName(id) << " at 1/" << opts.scale
+    std::cout << nn::zoo::netName(id) << " at 1/" << cfg.accuracyScale
               << " scale: baseline/CNV/golden outputs "
               << (ok ? "bit-identical" : "MISMATCH") << "; top-1 "
               << b.top1 << "; cycles " << b.timing.totalCycles() << " vs "
@@ -781,68 +537,118 @@ cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
     return ok ? 0 : 1;
 }
 
+/** One cnvsim command and the flags its code reads. */
+struct Command
+{
+    std::string_view name;
+    std::string_view summary;
+    std::vector<driver::Flag> flags;
+    int (*run)(const CliOptions &);
+
+    /** Network commands take --net or a positional network. */
+    bool
+    network() const
+    {
+        return std::find(flags.begin(), flags.end(), Net) != flags.end();
+    }
+};
+
+const std::vector<Command> kCommands = {
+    {"list", "network inventory", {}, cmdList},
+    {"archs", "architecture registry listing", {Ids}, cmdArchs},
+    {"run", "timing run on the selected architectures",
+     {Net, Arch, Images, Seed, WeightSparsity, Mem, Layers, Stats, ReportJson,
+      ReportCsv, Jobs, PerfJson, Progress}, cmdRun},
+    {"power", "power / energy / EDP",
+     {Net, Arch, Images, Seed, WeightSparsity, Mem, Jobs, PerfJson, Progress},
+     cmdPower},
+    {"prune", "lossless threshold search",
+     {Net, Images, Seed, Scale, Floor, Jobs, PerfJson, Progress}, cmdPrune},
+    {"validate", "functional equivalence check",
+     {Net, Seed, Scale, Jobs, PerfJson, Progress}, cmdValidate},
+    {"zfnaf", "per-layer ZFNAf statistics",
+     {Net, Seed, Jobs, PerfJson, Progress}, cmdZfnaf},
+    {"export-traces", "write per-layer traces to --out",
+     {Net, Images, Seed, Out, Jobs, PerfJson, Progress}, cmdExportTraces},
+    {"trace", "cycle-level event trace with stall attribution",
+     {Net, Arch, Seed, WeightSparsity, Mem, Stats, TraceOut, StallCsv,
+      MaxEvents, Jobs, PerfJson, Progress}, cmdTrace},
+    {"reproduce", "headline paper-vs-measured table",
+     {Images, Seed, Jobs, PerfJson, Progress}, cmdReproduce},
+};
+
+/** "run <net>", "list": a command's synopsis. */
+std::string
+synopsis(const Command &c)
+{
+    return std::string(c.name) + (c.network() ? " <net>" : "");
+}
+
+/** The full usage text, generated from kCommands and the flag table. */
+void
+printUsage(std::ostream &os)
+{
+    os << "usage: cnvsim <command> [network] [options]\n  networks:";
+    for (auto id : nn::zoo::allNetworks())
+        os << ' ' << nn::zoo::netName(id);
+    os << "\ncommands (each accepts only the options listed with it):\n";
+    std::vector<driver::Flag> all;
+    for (const Command &c : kCommands) {
+        os << "  " << std::left << std::setw(20) << synopsis(c) << ' '
+           << c.summary << '\n';
+        if (!c.flags.empty())
+            os << "      " << driver::flagNames(c.flags) << '\n';
+        all.insert(all.end(), c.flags.begin(), c.flags.end());
+    }
+    os << "options:\n";
+    driver::printFlagHelp(os, all);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty())
-        usage();
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    const auto cmd = std::find_if(
+        kCommands.begin(), kCommands.end(),
+        [&](const Command &c) { return !args.empty() && c.name == args[0]; });
+    if (cmd == kCommands.end()) {
+        printUsage(std::cerr);
+        return 2;
+    }
+    const std::string tool = "cnvsim " + std::string(cmd->name);
     // Telemetry is on for the whole process: every phase timer, pool
     // lane and cache counter below records against this epoch.
     sim::metrics().setEnabled(true);
 
     try {
-        const std::string &command = args[0];
-        if (command == "list")
-            return cmdList();
-        if (command == "archs")
-            return cmdArchs(args.size() >= 2 && args[1] == "--ids");
-        if (command == "reproduce") {
-            const CliOptions opts = parseOptions(args, 1);
-            const int rc = cmdReproduce(opts);
-            writePerfJson(opts, "(all zoo networks)");
-            return rc;
-        }
-
-        // Every remaining command takes a network, positionally
-        // (`run nin`) or via --net (`run --net nin`).
         CliOptions opts;
-        std::string netName;
-        if (args.size() >= 2 && args[1].rfind("--", 0) != 0) {
-            netName = args[1];
-            opts = parseOptions(args, 2);
-            opts.net = netName;
-        } else {
-            opts = parseOptions(args, 1);
-            if (opts.net.empty())
-                usage();
-            netName = opts.net;
-        }
-        const auto id = nn::zoo::netFromName(netName);
-        int rc = 0;
-        if (command == "run")
-            rc = cmdRun(id, opts);
-        else if (command == "power")
-            rc = cmdPower(id, opts);
-        else if (command == "prune")
-            rc = cmdPrune(id, opts);
-        else if (command == "validate")
-            rc = cmdValidate(id, opts);
-        else if (command == "zfnaf")
-            rc = cmdZfnaf(id, opts);
-        else if (command == "export-traces")
-            rc = cmdExportTraces(id, opts);
-        else if (command == "trace")
-            rc = cmdTrace(id, opts);
-        else
-            usage();
-        writePerfJson(opts, netName);
+        opts.cfg.images = 2;
+        // The network comes positionally (`run nin`) or via --net
+        // (`run --net nin`); the positional wins.
+        const bool positional =
+            cmd->network() && args.size() >= 2 && !args[1].starts_with("--");
+        driver::parseFlags(
+            tool, {args.begin() + (positional ? 2 : 1), args.end()},
+            cmd->flags, opts);
+        if (positional)
+            opts.net = args[1];
+        if (cmd->network() && opts.net.empty())
+            throw driver::UsageError(tool + ": missing network "
+                                            "(positional or --net)");
+        const int rc = cmd->run(opts);
+        writePerfJson(opts, cmd->network() ? opts.net : "(all zoo networks)");
         return rc;
-    } catch (const sim::FatalError &e) {
-        std::cerr << e.what() << '\n';
-        return 1;
+    } catch (const driver::UsageError &e) {
+        std::cerr << e.what() << "\nusage: cnvsim " << synopsis(*cmd)
+                  << " [options]\n";
+        driver::printFlagHelp(std::cerr, cmd->flags);
+        return 2;
+    } catch (const sim::FatalError &) {
+        return 1; // CNV_FATAL printed its "fatal:" line already
+    } catch (const sim::PanicError &) {
+        return 1; // likewise CNV_PANIC's "panic:" line
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;

@@ -1,7 +1,8 @@
 #include "driver/run_manifest.h"
 
+#include "driver/driver.h"
+#include "mem/memory_model.h"
 #include "sim/parallel.h"
-#include "timing/network_model.h"
 
 #ifndef CNV_GIT_SHA
 #define CNV_GIT_SHA "unknown"
@@ -44,14 +45,20 @@ buildVersion()
 }
 
 RunManifest
-makeManifest(std::string tool)
+makeManifest(std::string tool, std::string network,
+             const ExperimentConfig &cfg)
 {
     RunManifest m;
     m.tool = std::move(tool);
     m.gitSha = buildGitSha();
     m.version = buildVersion();
+    m.network = std::move(network);
+    m.nodeConfig = cfg.node.describe();
+    m.images = cfg.images;
+    m.seed = cfg.seed;
     m.jobs = sim::jobCount();
-    m.weightSparsity = timing::kDefaultWeightSparsity;
+    m.weightSparsity = cfg.weightSparsity;
+    m.mem = mem::kindName(cfg.memKind);
     return m;
 }
 

@@ -65,8 +65,15 @@ std::string buildGitSha();
 /** Project version string baked in at configure time. */
 std::string buildVersion();
 
-/** Manifest pre-filled with the build's provenance fields. */
-RunManifest makeManifest(std::string tool);
+struct ExperimentConfig;
+
+/**
+ * The manifest of `tool`'s run of `cfg` on `network`: build
+ * provenance, the worker-pool size and every experiment parameter.
+ * The caller fills wallSeconds when the run ends.
+ */
+RunManifest makeManifest(std::string tool, std::string network,
+                         const ExperimentConfig &cfg);
 
 } // namespace cnv::driver
 

@@ -223,13 +223,7 @@ buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
 {
     CNV_ASSERT(!archs.empty(), "need at least one architecture");
     RunReport report;
-    report.manifest = makeManifest("cnvsim");
-    report.manifest.network = net.name();
-    report.manifest.nodeConfig = cfg.node.describe();
-    report.manifest.images = cfg.images;
-    report.manifest.seed = cfg.seed;
-    report.manifest.weightSparsity = cfg.weightSparsity;
-    report.manifest.mem = mem::kindName(cfg.memKind);
+    report.manifest = makeManifest("cnvsim", net.name(), cfg);
 
     timing::TraceCache cache;
     report.aggregate =

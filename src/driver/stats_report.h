@@ -63,8 +63,8 @@ struct RunReport
  * Evaluate `net` on the selected architectures and assemble a
  * RunReport from one evaluateNetworkArchs() pass: the timelines are
  * that pass's image-0 runs, so every trace is synthesized once. The
- * caller fills manifest.wallSeconds (the tool and build provenance
- * fields are filled here via makeManifest()).
+ * manifest comes from makeManifest(); the caller fills its
+ * wallSeconds.
  */
 RunReport buildRunReport(const ExperimentConfig &cfg,
                          const nn::Network &net,

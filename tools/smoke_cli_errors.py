@@ -7,10 +7,11 @@ user as a non-zero exit with a diagnostic on stderr — the contract
 docs/development.md documents for embedding scripts — instead of a
 crash, a zero exit, or a silent stdout message.
 
-Cases:
-  * unknown network        -> exit 1, "fatal:" + the bad name on stderr
+Every argument mistake exits 2 and names the flag; a runtime
+FatalError exits 1 with one "fatal:" line. Cases:
+  * unknown network        -> exit 1, one "fatal:" line + the bad name
   * unknown flag           -> exit 2, usage text on stderr
-  * malformed flag value   -> exit 1, diagnostic on stderr
+  * malformed flag value   -> exit 2, "invalid value" + the flag
   * unknown --arch id      -> exit 1, "fatal:" + known ids on stderr
   * missing --net (trace)  -> exit 2, usage text on stderr
   * unwritable report path -> exit 1, "fatal:" + the path on stderr
@@ -19,15 +20,23 @@ Cases:
   * bad --progress value   -> exit 2, diagnostic on stderr
   * empty --perf-json path -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
+  * out-of-range or malformed numbers (--images 2x / 0, --seed -5,
+    --weight-sparsity nan, --floor nan, --scale 0, --max-events abc)
+                           -> exit 2, the flag on stderr
+  * a flag the command does not read (reproduce --mem,
+    zfnaf --arch)          -> exit 2, the flag on stderr
 
-With ``--bench BENCH`` a bench binary's shared argument parser
-(bench/common.h) is smoked too:
+With ``--bench BENCH`` a bench binary's use of the shared parser
+(driver/cli.h) is smoked too; BENCH must read --images, --seed and
+--mem but not --trace-out (bench_fig10_activity does):
   * non-numeric --images   -> exit 2, diagnostic on stderr
   * non-numeric --seed     -> exit 2, diagnostic on stderr
   * trailing junk (--images 2x) -> exit 2, diagnostic on stderr
   * trailing junk (--jobs 2x)   -> exit 2, diagnostic on stderr
   * zero --jobs            -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
+  * zero / negative --images -> exit 2, the flag on stderr
+  * unread --trace-out     -> exit 2, the flag on stderr
 
 Usage: smoke_cli_errors.py CNVSIM [--bench BENCH]
 """
@@ -71,21 +80,23 @@ def main(argv: list[str]) -> int:
         if proc.returncode != 0 and not proc.stderr.strip():
             problems.append(f"{label}: non-zero exit but empty stderr")
 
-    expect("unknown network",
-           run(cnvsim, "run", "no-such-net", "--images", "1"),
-           1, ["fatal:", "no-such-net"])
+    proc = run(cnvsim, "run", "no-such-net", "--images", "1")
+    expect("unknown network", proc, 1, ["fatal:", "no-such-net"])
+    if proc.stderr.count("fatal:") != 1:
+        problems.append(f"unknown network: the fatal: diagnostic is not "
+                        f"printed exactly once (stderr was: {proc.stderr!r})")
     expect("unknown flag",
            run(cnvsim, "run", "alex", "--bogus-flag"),
            2, ["usage:"])
     expect("malformed flag value",
            run(cnvsim, "run", "alex", "--images", "notanumber"),
-           1, ["error"])
+           2, ["invalid value", "--images"])
     expect("unknown --arch id",
            run(cnvsim, "run", "nin", "--images", "1",
                "--arch", "dadiannao,eyeriss"),
            1, ["fatal:", "eyeriss", "dadiannao"])
     expect("trace without --net",
-           run(cnvsim, "trace", "--images", "1"),
+           run(cnvsim, "trace"),
            2, ["usage:"])
     expect("unwritable report path",
            run(cnvsim, "run", "nin", "--images", "1",
@@ -109,27 +120,56 @@ def main(argv: list[str]) -> int:
            run(cnvsim, "run", "nin", "--images", "1", "--mem", "bogus"),
            2, ["invalid value", "--mem"])
 
-    cases = 11
+    bad_values = [
+        ("run", "nin", "--images", "2x"),
+        ("run", "nin", "--images", "0"),
+        ("run", "nin", "--seed", "-5"),
+        ("run", "nin", "--weight-sparsity", "nan"),
+        ("prune", "nin", "--floor", "nan"),
+        ("validate", "nin", "--scale", "0"),
+        ("trace", "nin", "--max-events", "abc"),
+    ]
+    for command, net, flag, value in bad_values:
+        expect(f"{command} {flag} {value}",
+               run(cnvsim, command, net, flag, value),
+               2, ["invalid value", flag])
+    expect("reproduce does not read --mem",
+           run(cnvsim, "reproduce", "--mem", "banked"),
+           2, ["--mem"])
+    expect("zfnaf does not read --arch",
+           run(cnvsim, "zfnaf", "nin", "--arch", "cnv"),
+           2, ["--arch"])
+
+    cases = 11 + len(bad_values) + 2
     if bench is not None:
         expect("bench non-numeric --images",
                run(bench, "--images", "notanumber"),
-               2, ["invalid numeric value", "--images"])
+               2, ["invalid value", "--images"])
         expect("bench non-numeric --seed",
                run(bench, "--seed", "twenty"),
-               2, ["invalid numeric value", "--seed"])
+               2, ["invalid value", "--seed"])
         expect("bench trailing junk in --images",
                run(bench, "--images", "2x"),
-               2, ["invalid numeric value", "2x"])
+               2, ["invalid value", "2x"])
         expect("bench trailing junk in --jobs",
                run(bench, "--jobs", "2x"),
-               2, ["invalid numeric value", "--jobs"])
+               2, ["invalid value", "--jobs"])
         expect("bench zero --jobs",
                run(bench, "--jobs", "0"),
-               2, ["invalid numeric value", "--jobs"])
+               2, ["invalid value", "--jobs"])
         expect("bench bad --mem value",
                run(bench, "--mem", "bogus"),
                2, ["invalid value", "--mem"])
-        cases += 6
+        expect("bench zero --images",
+               run(bench, "--images", "0"),
+               2, ["invalid value", "--images"])
+        expect("bench negative --images",
+               run(bench, "--images", "-1"),
+               2, ["invalid value", "--images"])
+        expect("bench unread --trace-out",
+               run(bench, "--trace-out", "t.json"),
+               2, ["--trace-out"])
+        cases += 9
 
     for p in problems:
         print(f"smoke_cli_errors: {p}", file=sys.stderr)

@@ -29,7 +29,11 @@ contract (docs/observability.md, "Host telemetry"):
 A second run with ``--progress on`` asserts the live meter reaches
 stderr (the final line is printed unconditionally when forced on).
 
-A third run, ``cnvsim prune nin --perf-json``, asserts the pruning
+A ``--mem banked`` run writing both artifacts asserts the perf
+manifest and the report manifest agree on ``images``, ``seed``,
+``weightSparsity`` and ``mem`` (both are built by one makeManifest).
+
+A last run, ``cnvsim prune nin --perf-json``, asserts the pruning
 search is instrumented: ``hostProfile.phases`` must carry ``search``
 (next to ``build`` and ``calibrate``), so its wall time is accounted
 for.
@@ -146,6 +150,27 @@ def main(argv: list[str]) -> int:
     elif "runs/s" not in proc.stderr or "nin" not in proc.stderr:
         problems.append(f"--progress on produced no meter on stderr "
                         f"(stderr was: {proc.stderr!r})")
+
+    # The perf manifest records the same experiment as the report.
+    banked_perf = outdir / "banked-perf.json"
+    banked_report = outdir / "banked-report.json"
+    proc = subprocess.run(
+        [cnvsim, "run", "nin", "--images", "1", "--mem", "banked",
+         "--jobs", "1", "--perf-json", str(banked_perf),
+         "--report-json", str(banked_report)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        problems.append(f"--mem banked run failed "
+                        f"(exit {proc.returncode}): {proc.stderr}")
+    else:
+        perf_m = json.loads(banked_perf.read_text()).get("manifest", {})
+        report_m = json.loads(banked_report.read_text()).get("manifest", {})
+        for field in ("images", "seed", "weightSparsity", "mem"):
+            if perf_m.get(field) != report_m.get(field) or \
+                    field not in perf_m:
+                problems.append(
+                    f"perf manifest {field} {perf_m.get(field)!r} != "
+                    f"report manifest {field} {report_m.get(field)!r}")
 
     # cnvsim prune must say where its wall time goes.
     prune_perf = outdir / "prune-perf.json"

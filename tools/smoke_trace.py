@@ -26,7 +26,7 @@ def main(argv: list[str]) -> int:
     csv_path = out_dir / f"{network}-stalls.csv"
 
     cmd = [
-        cnvsim, "trace", "--net", network, "--images", "1",
+        cnvsim, "trace", "--net", network,
         "--trace-out", str(trace_path), "--stall-csv", str(csv_path),
     ]
     proc = subprocess.run(cmd)
