@@ -87,15 +87,16 @@ zeroStability(const driver::CliOptions &opts)
     const int node = net->convNodeIds()[2]; // conv3's input
     const int images = std::max(32, opts.cfg.images * 8);
 
+    // Zero-ness is stage 1's mask alone; no magnitude is drawn.
     std::vector<int> zeroCount;
     for (int i = 0; i < images; ++i) {
-        const auto in =
-            nn::synthesizeConvInput(*net, node, opts.cfg.seed + 500 + i);
+        const tensor::ActivityMask mask =
+            nn::synthesizeConvActivity(*net, node, opts.cfg.seed + 500 + i)
+                .mask;
         if (zeroCount.empty())
-            zeroCount.assign(in.size(), 0);
-        const tensor::Fixed16 *d = in.data();
-        for (std::size_t k = 0; k < in.size(); ++k)
-            zeroCount[k] += d[k].isZero();
+            zeroCount.assign(mask.size(), 0);
+        for (std::size_t k = 0; k < mask.size(); ++k)
+            zeroCount[k] += !mask.test(k);
     }
     std::size_t always = 0, mostly = 0;
     for (int c : zeroCount) {

@@ -240,7 +240,7 @@ BM_FcForwardScalar(benchmark::State &state)
 BENCHMARK(BM_FcForwardScalar);
 
 // The two synthesis stages on one shape: items/s gives each
-// stage's ns per element (activity alone vs activity + values).
+// stage's ns per element (activity alone, values alone, both).
 constexpr tensor::Shape3 kTraceShape{56, 56, 256};
 
 void
@@ -272,6 +272,22 @@ BM_TraceActivity(benchmark::State &state)
                             static_cast<std::int64_t>(kTraceShape.volume()));
 }
 BENCHMARK(BM_TraceActivity);
+
+void
+BM_TraceValues(benchmark::State &state)
+{
+    // Stage 2 alone, on the activity BM_TraceActivity draws.
+    nn::SparsityModel model;
+    model.zeroFraction = 0.44;
+    sim::Rng rng(7);
+    const nn::Activity activity =
+        nn::synthesizeActivity(kTraceShape, model, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(nn::synthesizeValues(activity));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kTraceShape.volume()));
+}
+BENCHMARK(BM_TraceValues);
 
 /** The 56x56x256, 3x3, 256-filter layer every conv timing bench runs. */
 struct ConvTimingLayer
