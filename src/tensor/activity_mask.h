@@ -52,6 +52,19 @@ class ActivityMask
             words_[(begin >> 6) + 1] |= bits >> (64 - bit);
     }
 
+    /** Elements [begin, begin + n), n in [1, 64], as the low n bits
+     *  of a word (element `begin` at bit 0); they must lie inside
+     *  the mask. */
+    std::uint64_t
+    bits(std::size_t begin, int n) const
+    {
+        const std::size_t bit = begin & 63;
+        std::uint64_t w = words_[begin >> 6] >> bit;
+        if (bit + static_cast<std::size_t>(n) > 64)
+            w |= words_[(begin >> 6) + 1] << (64 - bit);
+        return n < 64 ? w & ((std::uint64_t{1} << n) - 1) : w;
+    }
+
     /** Number of set bits among elements [begin, begin + n). */
     std::size_t
     count(std::size_t begin, std::size_t n) const

@@ -162,7 +162,7 @@ TEST(Pruning, LosslessSearchIsPinned)
     const std::vector<std::int32_t> expect = {4,  2,  2,   4,   4,   2,
                                               4,  8,  32,  128, 256, 256};
     EXPECT_EQ(point.config.thresholds, expect);
-    EXPECT_EQ(point.speedup, 0x1.5168badd689f3p+0);
+    EXPECT_EQ(point.speedup, 0x1.50f07d42fcbbp+0);
     EXPECT_EQ(point.relativeAccuracy, 1.0);
 }
 
