@@ -4,6 +4,8 @@
 
 #include "sim/error.h"
 #include "sim/logging.h"
+#include "sim/rng.h"
+#include "tensor/activity_mask.h"
 #include "tensor/neuron_tensor.h"
 
 namespace {
@@ -84,6 +86,24 @@ TEST(Tensor3, EqualityComparesShapeAndData)
     b.at(1, 0, 0) = 9;
     EXPECT_FALSE(a == b);
     EXPECT_FALSE(a == c);
+}
+
+TEST(ActivityMask, BitsReadWhatTestReads)
+{
+    // 3 x 2 x 37 = 222 elements: runs of every length up to 64 start
+    // at every offset, so many straddle a word boundary.
+    ActivityMask mask({3, 2, 37});
+    cnv::sim::Rng rng(4);
+    for (std::size_t i = 0; i + 64 <= mask.size(); i += 1 + rng.uniformInt(40))
+        mask.setBits(i, rng.next());
+    for (std::size_t begin = 0; begin < mask.size(); ++begin)
+        for (int n = 1; n <= 64 && begin + n <= mask.size(); ++n) {
+            std::uint64_t expected = 0;
+            for (int j = 0; j < n; ++j)
+                expected |= std::uint64_t{mask.test(begin + j)} << j;
+            ASSERT_EQ(mask.bits(begin, n), expected)
+                << "begin " << begin << " n " << n;
+        }
 }
 
 } // namespace
