@@ -12,7 +12,6 @@
 
 #include "common.h"
 #include "nn/zoo/zoo.h"
-#include "timing/network_model.h"
 
 using namespace cnv;
 
@@ -30,8 +29,7 @@ main(int argc, char **argv)
             auto net = nn::zoo::build(id, opts.cfg.seed);
             nn::zoo::calibrateSparsity(*net, target);
             net->deriveOutputTargets();
-            dadiannao::NodeConfig cfg;
-            sum += timing::speedup(cfg, *net, opts.cfg.images, opts.cfg.seed);
+            sum += driver::evaluateNetwork(opts.cfg, *net).speedup();
         }
         t.addRow({sim::Table::pct(target) +
                       (target == 0.44 ? " (paper avg)" : ""),

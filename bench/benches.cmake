@@ -8,7 +8,7 @@ function(cnv_bench name)
     add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cc)
     target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR}/bench)
     target_link_libraries(${name} PRIVATE
-        cnv_driver cnv_arch cnv_pruning cnv_power cnv_timing cnv_core
+        cnv_driver cnv_arch cnv_pruning cnv_power cnv_timing
         cnv_dadiannao cnv_nn cnv_zfnaf cnv_tensor cnv_sim cnv_warnings)
     set_target_properties(${name} PROPERTIES
         RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "driver/driver.h"
 #include "nn/zoo/zoo.h"
 #include "sim/table.h"
 #include "timing/network_model.h"
@@ -22,6 +23,14 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "vgg19";
     const auto net = nn::zoo::build(nn::zoo::netFromName(name), 2016);
     std::cout << "design space for " << name << " (1 image)\n";
+
+    // Canonical dadiannao-over-cnv speedup of one image (seed 2016).
+    const auto speedupOn = [&](const dadiannao::NodeConfig &node) {
+        driver::ExperimentConfig cfg;
+        cfg.node = node;
+        cfg.images = 1;
+        return driver::evaluateNetwork(cfg, *net).speedup();
+    };
 
     {
         sim::Table t({"units", "parallel filters", "baseline Mcycles",
@@ -53,8 +62,7 @@ main(int argc, char **argv)
             cfg.nboutEntries = nbout;
             t.addRow({std::to_string(nbout),
                       std::to_string(cfg.windowsInFlight()),
-                      sim::Table::num(
-                          timing::speedup(cfg, *net, 1, 2016))});
+                      sim::Table::num(speedupOn(cfg))});
         }
         std::cout << "\n-- window-synchronisation granularity --\n";
         t.print(std::cout);
@@ -71,8 +79,7 @@ main(int argc, char **argv)
         for (const auto &[policy, label] : rows) {
             dadiannao::NodeConfig cfg;
             cfg.laneAssignment = policy;
-            t.addRow({label, sim::Table::num(
-                                 timing::speedup(cfg, *net, 1, 2016))});
+            t.addRow({label, sim::Table::num(speedupOn(cfg))});
         }
         std::cout << "\n-- brick-to-lane assignment --\n";
         t.print(std::cout);

@@ -14,10 +14,10 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/node.h"
-#include "dadiannao/node.h"
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
+#include "ref/baseline_node.h"
+#include "ref/cnv_node.h"
 #include "sim/table.h"
 
 int
@@ -36,8 +36,8 @@ main(int argc, char **argv)
     const auto image = nn::synthesizeImage(net->node(0).outShape, 7);
 
     const dadiannao::NodeConfig node;
-    dadiannao::NodeModel baseline{node};
-    core::CnvNodeModel cnv{node};
+    ref::BaselineNodeModel baseline{node};
+    ref::CnvNodeModel cnv{node};
 
     std::cout << "running the baseline node...\n";
     const auto baseRun = baseline.run(*net, image);

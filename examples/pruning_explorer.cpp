@@ -11,10 +11,10 @@
 
 #include <iostream>
 
+#include "driver/driver.h"
 #include "nn/zoo/zoo.h"
 #include "pruning/explore.h"
 #include "sim/table.h"
-#include "timing/network_model.h"
 
 int
 main(int argc, char **argv)
@@ -35,8 +35,13 @@ main(int argc, char **argv)
     opts.accuracyImages = 10;
     opts.timingImages = 1;
 
+    driver::ExperimentConfig plain;
+    plain.node = node;
+    plain.images = 1;
+    plain.seed = opts.seed;
     std::cout << "zero-skipping speedup (no pruning): "
-              << timing::speedup(node, *fullNet, 1, opts.seed) << "x\n";
+              << driver::evaluateNetwork(plain, *fullNet).speedup()
+              << "x\n";
 
     std::cout << "searching lossless thresholds (greedy, power-of-two "
                  "ladder)...\n";

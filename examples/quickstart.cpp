@@ -12,9 +12,9 @@
 
 #include <iostream>
 
-#include "core/unit.h"
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/baseline_nfu.h"
+#include "ref/cnv_unit.h"
 #include "sim/rng.h"
 #include "zfnaf/format.h"
 
@@ -50,13 +50,13 @@ main()
 
     // Baseline: all lanes in lock step, zeros multiplied anyway.
     const auto base =
-        dadiannao::simulateConvBaseline(node, layer, input, weights,
-                                        bias, false);
+        ref::simulateConvBaseline(node, layer, input, weights,
+                                  bias, false);
 
     // CNV: encode to the Zero-Free Neuron Array format, then skip.
     const zfnaf::EncodedArray encoded = zfnaf::encode(input);
     const auto cnvRun =
-        core::simulateConvCnv(node, layer, encoded, weights, bias);
+        ref::simulateConvCnv(node, layer, encoded, weights, bias);
 
     std::cout << "input zeros            : "
               << 100.0 * tensor::zeroFraction(input) << "%\n";

@@ -14,9 +14,8 @@
  * is how the parallel driver keeps determinism and avoids
  * synchronisation on the hot path.
  *
- * Layering: freestanding (includes nothing from src/), so any module
- * may use it without creating a layering edge; see
- * tools/check_layering.py.
+ * Layering: core is the bottom module, so this header includes
+ * nothing from src/ (tools/check_layering.py).
  */
 
 #ifndef CNV_CORE_ARENA_H

@@ -21,9 +21,8 @@
  * backends are bit-identical by construction; the equivalence tests
  * in tests/nn and tests/zfnaf pin this.
  *
- * Layering: this header is *freestanding* — it includes nothing from
- * src/ — so any module may use it without creating a layering edge
- * (tools/check_layering.py verifies the property). It is also the
+ * Layering: core is the bottom module, so this header includes
+ * nothing from src/ (tools/check_layering.py). It is also the
  * only file in the tree allowed to touch raw intrinsics: the cnvlint
  * `raw-simd` rule bans `<immintrin.h>` / `<arm_neon.h>` and the
  * `__m128`/`__m256`/NEON vector types everywhere else.

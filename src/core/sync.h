@@ -16,9 +16,8 @@
  * held across `wait()`, which matches the caller-visible contract
  * (locked before, locked after).
  *
- * Like thread_annotations.h this header is freestanding (no src/
- * includes beyond that header), so using it never creates a
- * layering edge (tools/check_layering.py verifies that).
+ * Like the rest of core it includes nothing from src/ outside core
+ * (core is the bottom module in tools/check_layering.py).
  */
 
 #ifndef CNV_CORE_SYNC_H

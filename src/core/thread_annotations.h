@@ -13,9 +13,8 @@
  * `std::mutex` / `std::lock_guard`. Usage and how to read the
  * resulting diagnostics: docs/development.md, "Static analysis".
  *
- * This header is freestanding: it includes nothing from src/, so any
- * module may use it without creating a layering edge
- * (tools/check_layering.py verifies that property).
+ * Layering: core is the bottom module, so this header includes
+ * nothing from src/ (tools/check_layering.py).
  */
 
 #ifndef CNV_CORE_THREAD_ANNOTATIONS_H

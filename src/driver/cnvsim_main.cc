@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "arch/registry.h"
-#include "core/node.h"
-#include "dadiannao/node.h"
 #include "driver/cli.h"
 #include "driver/driver.h"
 #include "driver/run_manifest.h"
@@ -38,6 +36,8 @@
 #include "zfnaf/format.h"
 #include "nn/zoo/zoo.h"
 #include "pruning/explore.h"
+#include "ref/baseline_node.h"
+#include "ref/cnv_node.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 #include "sim/metrics.h"
@@ -522,8 +522,8 @@ cmdValidate(const CliOptions &opts)
                                            cfg.seed + 1);
 
     const dadiannao::NodeConfig node;
-    dadiannao::NodeModel baseline{node};
-    core::CnvNodeModel cnv{node};
+    ref::BaselineNodeModel baseline{node};
+    ref::CnvNodeModel cnv{node};
     const auto b = baseline.run(*net, image);
     const auto c = cnv.run(*net, image);
     const auto golden = net->forward(image);

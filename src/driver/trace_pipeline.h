@@ -10,7 +10,8 @@
  * "layers" track of per-layer spans, one track per stall reason
  * carrying the reason's idle lane-cycles, and an encoder track.
  * Lane-level cycle-accurate spans come from the structural
- * pipelines instead (core/pipeline.h, dadiannao/pipeline.h).
+ * reference pipelines instead (ref/cnv_pipeline.h,
+ * ref/baseline_pipeline.h), which no production target links.
  *
  * The `cnvsim trace` subcommand and bench --trace-out options are
  * thin wrappers around these calls; docs/observability.md documents

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "arch/registry.h"
 #include "nn/trace.h"
 #include "sim/logging.h"
 #include "sim/parallel.h"
 #include "timing/network_model.h"
+#include "timing/trace_cache.h"
 
 namespace cnv::pruning {
 
@@ -36,6 +39,37 @@ referenceOf(nn::ForwardResult run)
     ref.norm = std::sqrt(sq);
     ref.logits = std::move(run.logits);
     return ref;
+}
+
+/**
+ * Canonical (dadiannao over cnv) speedup of `images` traces seeded
+ * `seed + i` under `prune`: the ratio of summed cycles, as
+ * driver::evaluateNetwork reports it. Both architectures share one
+ * cache, so each image's tensor is synthesized once.
+ */
+double
+canonicalSpeedup(const dadiannao::NodeConfig &cfg, const Network &net,
+                 int images, std::uint64_t seed, const PruneConfig *prune)
+{
+    const std::vector<const arch::ArchModel *> pair = arch::canonicalPair();
+    timing::TraceCache cache;
+    std::uint64_t base = 0, cnvCycles = 0;
+    sim::parallelMapReduce(
+        static_cast<std::size_t>(images),
+        [&](std::size_t i) {
+            timing::RunOptions opts;
+            opts.imageSeed = seed + static_cast<std::uint64_t>(i);
+            opts.prune = prune;
+            opts.cache = &cache;
+            return std::pair<std::uint64_t, std::uint64_t>(
+                pair[0]->simulateNetwork(cfg, net, opts).totalCycles(),
+                pair[1]->simulateNetwork(cfg, net, opts).totalCycles());
+        },
+        [&](std::size_t, std::pair<std::uint64_t, std::uint64_t> &&r) {
+            base += r.first;
+            cnvCycles += r.second;
+        });
+    return static_cast<double>(base) / static_cast<double>(cnvCycles);
 }
 
 /** Seeded synthetic input image `i` of the accuracy study. */
@@ -205,8 +239,8 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
     ExplorationPoint point;
     point.config = current;
     point.relativeAccuracy = accuracyOf(current);
-    point.speedup = timing::speedup(cfg, fullNet, opts.timingImages,
-                                    opts.seed, &current);
+    point.speedup = canonicalSpeedup(cfg, fullNet, opts.timingImages,
+                                     opts.seed, &current);
     return point;
 }
 
@@ -254,8 +288,8 @@ tradeoffSweep(const dadiannao::NodeConfig &cfg, const Network &fullNet,
         ExplorationPoint pt;
         pt.relativeAccuracy =
             relativeAccuracy(accNet, c, opts.accuracyImages, opts.seed);
-        pt.speedup = timing::speedup(cfg, fullNet, opts.timingImages,
-                                     opts.seed, &c);
+        pt.speedup = canonicalSpeedup(cfg, fullNet, opts.timingImages,
+                                      opts.seed, &c);
         pt.config = std::move(c);
         points.push_back(std::move(pt));
     }

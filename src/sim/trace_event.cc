@@ -176,32 +176,4 @@ TraceSink::writeJson(std::ostream &os,
     CNV_ASSERT(w.complete(), "trace document left unbalanced");
 }
 
-ScopedSpan::ScopedSpan(TraceSink *sink, const Engine &engine,
-                       std::uint32_t pid, std::uint32_t tid,
-                       std::string name, std::string cat,
-                       std::vector<TraceArg> args)
-    : sink_(sink),
-      engine_(engine),
-      pid_(pid),
-      tid_(tid),
-      name_(std::move(name)),
-      cat_(std::move(cat)),
-      args_(std::move(args)),
-      begin_(engine.now())
-{
-}
-
-void
-ScopedSpan::end()
-{
-    if (ended_)
-        return;
-    ended_ = true;
-    const Cycle now = engine_.now();
-    if (sink_ && now > begin_) {
-        sink_->complete(pid_, tid_, std::move(name_), std::move(cat_),
-                        begin_, now - begin_, std::move(args_));
-    }
-}
-
 } // namespace cnv::sim

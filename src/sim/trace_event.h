@@ -27,11 +27,12 @@
 #include <utility>
 #include <vector>
 
-#include "sim/engine.h"
-
 namespace cnv::sim {
 
 class JsonWriter;
+
+/** Simulation time in cycles. */
+using Cycle = std::uint64_t;
 
 /** One named argument attached to a trace event (number or string). */
 struct TraceArg
@@ -147,40 +148,6 @@ class TraceSink
     std::vector<std::pair<std::pair<std::uint32_t, std::uint32_t>,
                           std::string>>
         threadNames_;
-};
-
-/**
- * RAII duration span bound to an engine's clock: reads
- * engine.now() at construction and again at end() (or destruction)
- * and records one 'X' event covering the interval. Zero-length
- * spans are suppressed.
- */
-class ScopedSpan
-{
-  public:
-    /** @param sink May be null — the span then records nothing. */
-    ScopedSpan(TraceSink *sink, const Engine &engine, std::uint32_t pid,
-               std::uint32_t tid, std::string name, std::string cat,
-               std::vector<TraceArg> args = {});
-
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-
-    ~ScopedSpan() { end(); }
-
-    /** Close the span now (idempotent). */
-    void end();
-
-  private:
-    TraceSink *sink_;
-    const Engine &engine_;
-    std::uint32_t pid_;
-    std::uint32_t tid_;
-    std::string name_;
-    std::string cat_;
-    std::vector<TraceArg> args_;
-    Cycle begin_;
-    bool ended_ = false;
 };
 
 } // namespace cnv::sim

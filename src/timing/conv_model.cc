@@ -4,7 +4,7 @@
 #include <array>
 #include <vector>
 
-#include "core/assignment.h"
+#include "dadiannao/assignment.h"
 #include "sim/logging.h"
 #include "sim/rng.h"
 
@@ -64,7 +64,7 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     const std::uint64_t units = cfg.units;
 
     // Shallow inputs pack fetch blocks across window rows (see
-    // dadiannao/nfu.cc); blocks per window row depend only on ox.
+    // ref/baseline_nfu.cc); blocks per window row depend only on ox.
     const bool packedRows = depthPerGroup < lanes && p.groups == 1;
     std::uint64_t packedRowBlocks = 0;
     if (packedRows) {
@@ -313,8 +313,8 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                         if (ix < 0 || ix >= inShape.x)
                             continue;
                         const int rot =
-                            core::laneOf(cfg.laneAssignment, ix, iy,
-                                         brickBase, windowSeq, lanes);
+                            dadiannao::laneOf(cfg.laneAssignment, ix, iy,
+                                              brickBase, windowSeq, lanes);
                         windowSeq += bricksPerCell;
                         cells.push_back({counts.column(ix, iy) + brickBase,
                                          ky * p.fx + kx, rot});

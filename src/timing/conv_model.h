@@ -6,7 +6,7 @@
  * These consume only layer geometry plus a per-brick non-zero count
  * map of the layer's input, and produce exactly the same cycle
  * counts, activity events, and energy counters as the cycle-level
- * models in dadiannao/nfu.* and core/unit.* (property tests enforce
+ * models in ref/baseline_nfu.* and ref/cnv_unit.* (property tests enforce
  * bit-exact agreement on randomized layers). They exist so that
  * full-network experiments and pruning sweeps run in seconds
  * instead of hours; every experiment can be spot-checked against
@@ -18,8 +18,9 @@
  * every filter pass; a pass reads which weight bricks its filter
  * group prunes from a per-layer table. It rests on one lane
  * identity: under every LaneAssignment, brick b of a cell runs on
- * lane (rot + b) % lanes, where rot is core::laneOf of the cell's
- * first brick, so laneOf runs once per cell rather than per brick.
+ * lane (rot + b) % lanes, where rot is dadiannao::laneOf of the
+ * cell's first brick, so laneOf runs once per cell rather than per
+ * brick.
  * tests/analysis/reference_cnv2.h keeps the per-brick, per-pass walk
  * as the oracle both are tested against.
  */

@@ -9,7 +9,6 @@
 #include "dadiannao/other_layers.h"
 #include "nn/trace.h"
 #include "sim/logging.h"
-#include "sim/parallel.h"
 #include "tensor/serialize.h"
 #include "timing/conv_model.h"
 #include "timing/trace_cache.h"
@@ -339,34 +338,6 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
     }
     result.stampTimeline();
     return result;
-}
-
-double
-speedup(const NodeConfig &cfg, const nn::Network &net, int images,
-        std::uint64_t seedBase, const nn::PruneConfig *prune)
-{
-    CNV_ASSERT(images > 0, "need at least one image");
-    // One cache for the batch: baseline and CNV share each image's
-    // synthesized tensor instead of generating it twice.
-    TraceCache cache;
-    std::uint64_t base = 0, cnvCycles = 0;
-    sim::parallelMapReduce(
-        static_cast<std::size_t>(images),
-        [&](std::size_t i) {
-            RunOptions opts;
-            opts.imageSeed = seedBase + static_cast<std::uint64_t>(i);
-            opts.prune = prune;
-            opts.cache = &cache;
-            return std::pair<std::uint64_t, std::uint64_t>(
-                simulateNetwork(cfg, net, Arch::Baseline, opts)
-                    .totalCycles(),
-                simulateNetwork(cfg, net, Arch::Cnv, opts).totalCycles());
-        },
-        [&](std::size_t, std::pair<std::uint64_t, std::uint64_t> &&r) {
-            base += r.first;
-            cnvCycles += r.second;
-        });
-    return static_cast<double>(base) / static_cast<double>(cnvCycles);
 }
 
 } // namespace cnv::timing

@@ -171,14 +171,6 @@ dadiannao::NetworkResult simulateNetwork(const dadiannao::NodeConfig &cfg,
                                          const nn::Network &net, Arch arch,
                                          const RunOptions &opts);
 
-/**
- * Average speedup of CNV over the baseline for a batch of images
- * (ratio of summed cycles, as an execution-time ratio).
- */
-double speedup(const dadiannao::NodeConfig &cfg, const nn::Network &net,
-               int images, std::uint64_t seedBase,
-               const nn::PruneConfig *prune = nullptr);
-
 } // namespace cnv::timing
 
 #endif // CNV_TIMING_NETWORK_MODEL_H

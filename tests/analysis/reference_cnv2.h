@@ -3,11 +3,11 @@
  * Reference Cnvlutin2 conv timing, the oracle timing::convCnv and
  * timing::convCnv2 are differentially tested against. It is the
  * straightforward per-pass, per-brick walk: every filter pass
- * re-walks every window group, asks core::laneOf for the lane of
+ * re-walks every window group, asks dadiannao::laneOf for the lane of
  * each brick, hashes each (tap, brick, pass) weight brick afresh,
  * and rebuilds the group's fetch list before handing it to the
  * memory model. It shares no code with the production walker apart
- * from core::laneOf and the memory model it feeds; the weight-brick
+ * from dadiannao::laneOf and the memory model it feeds; the weight-brick
  * hash is a private copy, so a change to either side's schedule
  * shows up as a mismatch.
  */
@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/assignment.h"
+#include "dadiannao/assignment.h"
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
 #include "mem/memory_model.h"
@@ -121,7 +121,7 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
                                 continue;
                             ++cells;
                             for (int b = 0; b < bricksPerCell; ++b) {
-                                const int lane = core::laneOf(
+                                const int lane = dadiannao::laneOf(
                                     cfg.laneAssignment, ix, iy,
                                     brickBase + b, windowSeq++, lanes);
                                 if (mem)

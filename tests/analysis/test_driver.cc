@@ -27,10 +27,12 @@ TEST(TimingModel, BaselineCyclesAreContentIndependent)
 
 TEST(TimingModel, CnvFasterThanBaselineOnEveryNetwork)
 {
-    dadiannao::NodeConfig cfg;
+    driver::ExperimentConfig cfg;
+    cfg.images = 1;
+    cfg.seed = 5;
     for (auto id : nn::zoo::allNetworks()) {
         const auto net = nn::zoo::build(id, 3);
-        const double s = timing::speedup(cfg, *net, 1, 5);
+        const double s = driver::evaluateNetwork(cfg, *net).speedup();
         EXPECT_GT(s, 1.0) << nn::zoo::netName(id);
         EXPECT_LT(s, 2.0) << nn::zoo::netName(id);
     }
@@ -52,11 +54,14 @@ TEST(TimingModel, ActivityAccountsEveryLaneCycle)
 TEST(TimingModel, PruningIncreasesCnvSpeedup)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Alex, 3);
-    dadiannao::NodeConfig cfg;
-    const double plain = timing::speedup(cfg, *net, 1, 5);
+    driver::ExperimentConfig cfg;
+    cfg.images = 1;
+    cfg.seed = 5;
+    const double plain = driver::evaluateNetwork(cfg, *net).speedup();
     nn::PruneConfig prune;
     prune.thresholds.assign(net->convLayerCount(), 32);
-    const double pruned = timing::speedup(cfg, *net, 1, 5, &prune);
+    const double pruned =
+        driver::evaluateNetwork(cfg, *net, &prune).speedup();
     EXPECT_GT(pruned, plain);
 }
 

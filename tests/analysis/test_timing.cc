@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/driver.h"
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
 #include "sim/rng.h"
@@ -182,10 +183,13 @@ TEST(TimingNetwork, PruneOnlyAffectsCnv)
 TEST(TimingNetwork, FcSkippingExtensionHelpsFcHeavyNetworks)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Alex, 3);
-    dadiannao::NodeConfig off, on;
-    on.cnvSkipsFcLayers = true;
-    const double plain = timing::speedup(off, *net, 1, 3);
-    const double ext = timing::speedup(on, *net, 1, 3);
+    driver::ExperimentConfig off;
+    off.images = 1;
+    off.seed = 3;
+    driver::ExperimentConfig on = off;
+    on.node.cnvSkipsFcLayers = true;
+    const double plain = driver::evaluateNetwork(off, *net).speedup();
+    const double ext = driver::evaluateNetwork(on, *net).speedup();
     EXPECT_GT(ext, plain);
 }
 

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "dadiannao/nfu.h"
-#include "dadiannao/node.h"
 #include "nn/zoo/zoo.h"
+#include "ref/baseline_nfu.h"
+#include "ref/baseline_node.h"
 #include "sim/rng.h"
 
 namespace {
@@ -58,8 +58,8 @@ TEST(BaselineConv, HandComputedCycleCount)
     tensor::FilterBank w(16, 3, 3, 32);
     std::vector<Fixed16> bias(16);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r = ref::simulateConvBaseline(cfg, p, in, w, bias,
+                                             false);
     EXPECT_EQ(r.timing.cycles, 72u);
     // All neurons non-zero: every lane event is non-zero work.
     EXPECT_EQ(r.timing.activity.zero, 0u);
@@ -83,8 +83,8 @@ TEST(BaselineConv, MultiplePassesForManyFilters)
     tensor::FilterBank w(257, 1, 1, 16);
     std::vector<Fixed16> bias(257);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r = ref::simulateConvBaseline(cfg, p, in, w, bias,
+                                             false);
     EXPECT_EQ(r.timing.cycles, 2u * 2u * 2u); // windows * passes
 }
 
@@ -105,7 +105,7 @@ TEST(BaselineConv, Conv1CategoryAbsorbsAllEvents)
     std::vector<Fixed16> bias(16);
 
     const auto r =
-        dadiannao::simulateConvBaseline(cfg, p, in, w, bias, true);
+        ref::simulateConvBaseline(cfg, p, in, w, bias, true);
     EXPECT_EQ(r.timing.activity.zero, 0u);
     EXPECT_EQ(r.timing.activity.nonZero, 0u);
     EXPECT_EQ(r.timing.activity.conv1, r.timing.activity.total());
@@ -136,8 +136,8 @@ TEST(BaselineConv, ZeroEventsMatchInputZeroCount)
     tensor::FilterBank w(16, 1, 1, 32);
     std::vector<Fixed16> bias(16);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r = ref::simulateConvBaseline(cfg, p, in, w, bias,
+                                             false);
     EXPECT_EQ(r.timing.activity.zero,
               static_cast<std::uint64_t>(zeros) * cfg.units);
 }
@@ -152,7 +152,7 @@ TEST(BaselineNode, RunsSmallNetworkEndToEnd)
     for (Fixed16 &v : input)
         v = Fixed16::fromDouble(std::abs(rng.normal(0.5, 0.25)));
 
-    dadiannao::NodeModel node{NodeConfig{}};
+    ref::BaselineNodeModel node{NodeConfig{}};
     const auto run = node.run(*net, input);
 
     EXPECT_GT(run.timing.totalCycles(), 0u);

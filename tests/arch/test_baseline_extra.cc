@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/baseline_nfu.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
 #include "zfnaf/format.h"
@@ -67,7 +67,7 @@ TEST(BaselineGroups, GroupedFunctionalEquivalence)
     std::vector<Fixed16> bias(8);
 
     const auto r =
-        dadiannao::simulateConvBaseline(cfg, p, in, w, bias, false);
+        ref::simulateConvBaseline(cfg, p, in, w, bias, false);
     EXPECT_EQ(r.output, nn::conv2d(in, w, bias, p));
 }
 

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "dadiannao/pipeline.h"
 #include "nn/ops.h"
+#include "ref/baseline_pipeline.h"
 #include "sim/error.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
@@ -58,7 +58,7 @@ TEST(BaselinePipeline, MatchesGoldenModelBitExactly)
 {
     const LayerSetup s = makeSetup(6, 5, 48, 20, 3, 1, 1, 0.5, 3);
     const NodeConfig cfg;
-    const auto r = dadiannao::runConvPipelineBaseline(
+    const auto r = ref::runConvPipelineBaseline(
         cfg, s.p, s.input, s.weights, s.bias);
     EXPECT_EQ(r.output, nn::conv2d(s.input, s.weights, s.bias, s.p));
 }
@@ -67,7 +67,7 @@ TEST(BaselinePipeline, CyclesMatchClosedFormPlusLatchLatency)
 {
     const LayerSetup s = makeSetup(7, 7, 64, 16, 2, 2, 0, 0.4, 5);
     const NodeConfig cfg;
-    const auto pipe = dadiannao::runConvPipelineBaseline(
+    const auto pipe = ref::runConvPipelineBaseline(
         cfg, s.p, s.input, s.weights, s.bias);
     const auto counts = zfnaf::nonZeroCountMap(s.input, cfg.brickSize);
     const auto fast = timing::convBaseline(cfg, s.p, s.input.shape(),
@@ -83,7 +83,7 @@ TEST(BaselinePipeline, CyclesAreSparsityIndependent)
     std::uint64_t dense = 0;
     for (double zf : {0.0, 0.9}) {
         const LayerSetup s = makeSetup(6, 6, 32, 16, 3, 1, 0, zf, 7);
-        const auto r = dadiannao::runConvPipelineBaseline(
+        const auto r = ref::runConvPipelineBaseline(
             cfg, s.p, s.input, s.weights, s.bias);
         if (!dense)
             dense = r.cycles;
@@ -97,13 +97,13 @@ TEST(BaselinePipeline, RejectsShallowAndMultiPassLayers)
     const NodeConfig cfg;
     {
         const LayerSetup s = makeSetup(6, 6, 3, 16, 3, 1, 0, 0.0, 9);
-        EXPECT_THROW(dadiannao::runConvPipelineBaseline(
+        EXPECT_THROW(ref::runConvPipelineBaseline(
                          cfg, s.p, s.input, s.weights, s.bias),
                      sim::PanicError);
     }
     {
         const LayerSetup s = makeSetup(4, 4, 32, 300, 1, 1, 0, 0.0, 11);
-        EXPECT_THROW(dadiannao::runConvPipelineBaseline(
+        EXPECT_THROW(ref::runConvPipelineBaseline(
                          cfg, s.p, s.input, s.weights, s.bias),
                      sim::PanicError);
     }

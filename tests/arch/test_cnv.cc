@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/assignment.h"
-#include "core/node.h"
-#include "core/unit.h"
-#include "dadiannao/node.h"
+#include "dadiannao/assignment.h"
 #include "nn/zoo/zoo.h"
+#include "ref/baseline_node.h"
+#include "ref/cnv_node.h"
+#include "ref/cnv_unit.h"
 #include "sim/rng.h"
 #include "zfnaf/format.h"
 
@@ -34,28 +34,28 @@ constantInput(int x, int y, int z, std::int16_t raw)
 
 TEST(LaneAssignment, ZOnlyIsBrickIndexModLanes)
 {
-    EXPECT_EQ(core::laneOf(LaneAssignment::ZOnly, 3, 9, 0, 7, 16), 0);
-    EXPECT_EQ(core::laneOf(LaneAssignment::ZOnly, 3, 9, 17, 7, 16), 1);
-    EXPECT_EQ(core::laneOf(LaneAssignment::ZOnly, 0, 0, 15, 7, 16), 15);
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::ZOnly, 3, 9, 0, 7, 16), 0);
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::ZOnly, 3, 9, 17, 7, 16), 1);
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::ZOnly, 0, 0, 15, 7, 16), 15);
 }
 
 TEST(LaneAssignment, XYZHashMatchesZOnlyOnAlignedDepth)
 {
     // For bricks at (x, y) where x + y is a multiple of the lane
     // count, the two policies coincide.
-    EXPECT_EQ(core::laneOf(LaneAssignment::XYZHash, 0, 0, 5, 0, 16),
-              core::laneOf(LaneAssignment::ZOnly, 0, 0, 5, 0, 16));
-    EXPECT_EQ(core::laneOf(LaneAssignment::XYZHash, 16, 16, 5, 0, 16),
-              core::laneOf(LaneAssignment::ZOnly, 0, 0, 5, 0, 16));
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::XYZHash, 0, 0, 5, 0, 16),
+              dadiannao::laneOf(LaneAssignment::ZOnly, 0, 0, 5, 0, 16));
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::XYZHash, 16, 16, 5, 0, 16),
+              dadiannao::laneOf(LaneAssignment::ZOnly, 0, 0, 5, 0, 16));
     // Otherwise it staggers by the spatial position.
-    EXPECT_EQ(core::laneOf(LaneAssignment::XYZHash, 1, 0, 5, 0, 16), 6);
+    EXPECT_EQ(dadiannao::laneOf(LaneAssignment::XYZHash, 1, 0, 5, 0, 16), 6);
 }
 
 TEST(LaneAssignment, WindowEvenRoundRobinsTheWindowSequence)
 {
     for (int seq = 0; seq < 40; ++seq) {
-        EXPECT_EQ(core::laneOf(LaneAssignment::WindowEven, 9, 9, 3, seq,
-                               16),
+        EXPECT_EQ(dadiannao::laneOf(LaneAssignment::WindowEven, 9, 9, 3,
+                                    seq, 16),
                   seq % 16);
     }
 }
@@ -82,7 +82,7 @@ TEST(CnvConv, SkipsZerosPerfectlyBalancedLayer)
     const auto enc = zfnaf::encode(in, cfg.brickSize);
     tensor::FilterBank w(16, 1, 1, 256);
     std::vector<Fixed16> bias(16);
-    const auto r = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto r = ref::simulateConvCnv(cfg, p, enc, w, bias);
 
     EXPECT_EQ(r.timing.cycles, 4u * 8u); // 4 windows x 8 cycles
     EXPECT_EQ(r.timing.activity.stall, 0u);
@@ -108,7 +108,7 @@ TEST(CnvConv, ImbalanceCausesSynchronisationStalls)
     const auto enc = zfnaf::encode(in, cfg.brickSize);
     tensor::FilterBank w(16, 1, 1, 256);
     std::vector<Fixed16> bias(16);
-    const auto r = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto r = ref::simulateConvCnv(cfg, p, enc, w, bias);
 
     EXPECT_EQ(r.timing.cycles, 16u);
     EXPECT_EQ(r.timing.activity.nonZero, 16u * cfg.units);
@@ -135,12 +135,12 @@ TEST(CnvConv, EmptyBrickCostsOneCycleUnlessDisabled)
 
     NodeConfig banked;
     banked.laneAssignment = LaneAssignment::ZOnly;
-    const auto r1 = core::simulateConvCnv(banked, p, enc, w, bias);
+    const auto r1 = ref::simulateConvCnv(banked, p, enc, w, bias);
     EXPECT_EQ(r1.timing.cycles, 1u); // 16 empty bricks over 16 lanes
 
     NodeConfig ideal = banked;
     ideal.emptyBrickCostsCycle = false;
-    const auto r2 = core::simulateConvCnv(ideal, p, enc, w, bias);
+    const auto r2 = ref::simulateConvCnv(ideal, p, enc, w, bias);
     EXPECT_EQ(r2.timing.cycles, 0u);
 }
 
@@ -168,8 +168,8 @@ TEST(CnvConv, XYZHashKeepsLanesBusyOnShallowLayers)
     NodeConfig hashed;
     hashed.laneAssignment = LaneAssignment::XYZHash;
 
-    const auto rz = core::simulateConvCnv(zOnly, p, enc, w, bias);
-    const auto rh = core::simulateConvCnv(hashed, p, enc, w, bias);
+    const auto rz = ref::simulateConvCnv(zOnly, p, enc, w, bias);
+    const auto rh = ref::simulateConvCnv(hashed, p, enc, w, bias);
     EXPECT_LT(rh.timing.cycles, rz.timing.cycles);
     EXPECT_EQ(rh.output, rz.output);
 }
@@ -185,8 +185,8 @@ TEST(CnvNode, MatchesBaselineNodeOutputsExactly)
         v = Fixed16::fromDouble(std::abs(rng.normal(0.5, 0.25)));
 
     const NodeConfig cfg;
-    dadiannao::NodeModel base{cfg};
-    core::CnvNodeModel cnvNode{cfg};
+    ref::BaselineNodeModel base{cfg};
+    ref::CnvNodeModel cnvNode{cfg};
 
     const auto baseRun = base.run(*net, input);
     const auto cnvRun = cnvNode.run(*net, input);
@@ -227,8 +227,8 @@ TEST(CnvNode, SpeedsUpDeepSparseNetwork)
         v = Fixed16::fromDouble(std::abs(rng.normal(0.5, 0.25)));
 
     const NodeConfig cfg;
-    dadiannao::NodeModel base{cfg};
-    core::CnvNodeModel cnvNode{cfg};
+    ref::BaselineNodeModel base{cfg};
+    ref::CnvNodeModel cnvNode{cfg};
     const auto baseRun = base.run(net, input);
     const auto cnvRun = cnvNode.run(net, input);
     EXPECT_EQ(baseRun.final, cnvRun.final);
@@ -246,7 +246,7 @@ TEST(CnvNode, PruningZeroesSmallValuesAndSpeedsUp)
         v = Fixed16::fromDouble(std::abs(rng.normal(0.5, 0.25)));
 
     const NodeConfig cfg;
-    core::CnvNodeModel cnvNode{cfg};
+    ref::CnvNodeModel cnvNode{cfg};
 
     const auto plain = cnvNode.run(*net, input);
 
@@ -272,7 +272,7 @@ TEST(CnvConv, ConstantDenseInputProducesBaselineWork)
     const auto enc = zfnaf::encode(in, cfg.brickSize);
     tensor::FilterBank w(16, 2, 2, 64);
     std::vector<Fixed16> bias(16);
-    const auto r = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto r = ref::simulateConvCnv(cfg, p, enc, w, bias);
     EXPECT_EQ(r.timing.activity.stall, 0u);
     EXPECT_EQ(r.timing.activity.nonZero, r.timing.activity.total());
 }

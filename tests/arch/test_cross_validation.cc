@@ -15,9 +15,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unit.h"
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/baseline_nfu.h"
+#include "ref/cnv_unit.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
 #include "zfnaf/format.h"
@@ -104,13 +104,13 @@ TEST_P(ConvCrossValidation, AllModelsAgree)
     const NeuronTensor golden = nn::conv2d(in, w, bias, p);
 
     // Cycle-level baseline: functional + timing.
-    const auto base = dadiannao::simulateConvBaseline(
+    const auto base = ref::simulateConvBaseline(
         cfg, p, in, w, bias, false);
     EXPECT_EQ(base.output, golden) << c;
 
     // Cycle-level CNV on the encoded input: bit-identical output.
     const zfnaf::EncodedArray enc = zfnaf::encode(in, cfg.brickSize);
-    const auto cnvRes = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto cnvRes = ref::simulateConvCnv(cfg, p, enc, w, bias);
     EXPECT_EQ(cnvRes.output, golden) << c;
 
     // Closed-form models agree exactly with the cycle-level models.

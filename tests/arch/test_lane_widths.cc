@@ -8,9 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unit.h"
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/baseline_nfu.h"
+#include "ref/cnv_unit.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
 #include "zfnaf/format.h"
@@ -55,11 +55,11 @@ TEST_P(LaneWidths, ModelsAgreeAndOutputsMatch)
 
     const NeuronTensor golden = nn::conv2d(in, w, bias, p);
     const auto base =
-        dadiannao::simulateConvBaseline(cfg, p, in, w, bias, false);
+        ref::simulateConvBaseline(cfg, p, in, w, bias, false);
     EXPECT_EQ(base.output, golden);
 
     const auto enc = zfnaf::encode(in, width);
-    const auto cnvRes = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto cnvRes = ref::simulateConvCnv(cfg, p, enc, w, bias);
     EXPECT_EQ(cnvRes.output, golden);
 
     const auto counts = zfnaf::nonZeroCountMap(in, width);

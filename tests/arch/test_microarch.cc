@@ -11,18 +11,18 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dispatcher.h"
-#include "core/encoder.h"
-#include "sim/engine.h"
+#include "ref/dispatcher.h"
+#include "ref/encoder.h"
+#include "ref/engine.h"
 #include "sim/rng.h"
 
 namespace {
 
 using namespace cnv;
-using core::BrickData;
-using core::Dispatcher;
-using core::DispatcherConfig;
-using core::EncoderUnit;
+using ref::BrickData;
+using ref::Dispatcher;
+using ref::DispatcherConfig;
+using ref::EncoderUnit;
 using tensor::Fixed16;
 
 BrickData
@@ -44,7 +44,7 @@ TEST(Encoder, EncodesPaperExampleSerially)
     ASSERT_TRUE(enc.offer({group, 4}));
     EXPECT_FALSE(enc.offer({group, 4})); // busy
 
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(enc);
     EXPECT_EQ(engine.run(100), 4u);
     EXPECT_EQ(enc.busyCycles(), 4u);
@@ -63,7 +63,7 @@ TEST(Encoder, AllZeroGroupYieldsEmptyBrick)
     EncoderUnit enc(16);
     std::vector<Fixed16> zeros(16);
     ASSERT_TRUE(enc.offer({zeros.data(), zeros.size()}));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(enc);
     engine.run(100);
     ASSERT_EQ(enc.bricks().size(), 1u);
@@ -73,7 +73,7 @@ TEST(Encoder, AllZeroGroupYieldsEmptyBrick)
 TEST(Encoder, BackToBackGroups)
 {
     EncoderUnit enc(4);
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(enc);
     for (int g = 0; g < 3; ++g) {
         const Fixed16 group[4] = {Fixed16::fromRaw(g + 1), Fixed16{},
@@ -98,7 +98,7 @@ TEST(Dispatcher, BroadcastsOneNeuronPerLanePerCycle)
     lanes[1].push_back(brick({{9, 2}}));
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     const auto cycles = engine.run(100);
 
@@ -126,7 +126,7 @@ TEST(Dispatcher, PrefetchHidesNmLatency)
         lanes[0].push_back(brick({{1, 0}, {2, 1}, {3, 2}}));
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     const auto cycles = engine.run(1000);
     EXPECT_EQ(cycles, 3u * bricks + cfg.nmLatencyCycles);
@@ -147,7 +147,7 @@ TEST(Dispatcher, ShallowBufferLeaksBubbles)
         lanes[0].push_back(brick({{1, 0}}));
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     const auto cycles = engine.run(1000);
     EXPECT_GT(cycles, 8u * 2);
@@ -168,7 +168,7 @@ TEST(Dispatcher, WorstCaseAllZeroBricksSustainsOneBrickPerCycle)
         lanes[0].push_back(BrickData{});
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     const auto cycles = engine.run(1000);
     EXPECT_EQ(cycles, 20u + cfg.nmLatencyCycles);
@@ -190,7 +190,7 @@ TEST(Dispatcher, FreeEmptyBrickSkipConsumesNoCycleWhenBuffered)
     lanes[0].push_back(brick({{2, 3}}));
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     engine.run(100);
     // Both non-zero neurons broadcast; the empties were skipped
@@ -230,7 +230,7 @@ TEST(Dispatcher, MatchesFastModelLaneTiming)
     }
 
     Dispatcher d(cfg, std::move(lanes));
-    sim::Engine engine("t");
+    ref::Engine engine("t");
     engine.add(d);
     const auto cycles = engine.run(10000);
     EXPECT_EQ(cycles, worst + cfg.nmLatencyCycles);

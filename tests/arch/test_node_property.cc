@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/node.h"
-#include "dadiannao/node.h"
 #include "nn/network.h"
 #include "nn/trace.h"
+#include "ref/baseline_node.h"
+#include "ref/cnv_node.h"
 #include "sim/rng.h"
 
 namespace {
@@ -86,8 +86,8 @@ TEST_P(NodeEquivalence, SoftwareBaselineAndCnvAgree)
         nn::synthesizeImage(net->node(0).outShape, GetParam() + 5);
 
     const dadiannao::NodeConfig cfg;
-    dadiannao::NodeModel baseline{cfg};
-    core::CnvNodeModel cnvNode{cfg};
+    ref::BaselineNodeModel baseline{cfg};
+    ref::CnvNodeModel cnvNode{cfg};
 
     const auto sw = net->forward(image);
     const auto base = baseline.run(*net, image);
@@ -116,7 +116,7 @@ TEST_P(NodeEquivalence, PrunedRunsStayConsistentAcrossNodes)
     prune.thresholds.assign(net->convLayerCount(), 24);
 
     const dadiannao::NodeConfig cfg;
-    core::CnvNodeModel cnvNode{cfg};
+    ref::CnvNodeModel cnvNode{cfg};
     const auto hw = cnvNode.run(*net, image, &prune);
 
     nn::ForwardOptions opts;

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
-#include "core/unit.h"
 #include "nn/ops.h"
+#include "ref/cnv_pipeline.h"
+#include "ref/cnv_unit.h"
 #include "sim/error.h"
 #include "sim/rng.h"
 #include "zfnaf/format.h"
@@ -17,7 +17,7 @@
 namespace {
 
 using namespace cnv;
-using core::DispatcherConfig;
+using ref::DispatcherConfig;
 using dadiannao::NodeConfig;
 using tensor::FilterBank;
 using tensor::Fixed16;
@@ -65,8 +65,8 @@ TEST(Pipeline, MatchesGoldenModelBitExactly)
     const LayerSetup s = makeSetup(6, 6, 48, 16, 3, 0.5, 11);
     const NodeConfig cfg;
     const auto enc = zfnaf::encode(s.input, cfg.brickSize);
-    const auto r = core::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
-                                         s.weights, s.bias);
+    const auto r = ref::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
+                                        s.weights, s.bias);
     EXPECT_EQ(r.output, nn::conv2d(s.input, s.weights, s.bias, s.p));
 }
 
@@ -80,10 +80,10 @@ TEST(Pipeline, CycleCountTracksFastModelWithinFillOverhead)
     dcfg.nmLatencyCycles = 2;
     dcfg.bbDepth = 3; // latency fully hidden in steady state
 
-    const auto pipe = core::runConvPipeline(cfg, dcfg, s.p, enc,
-                                            s.weights, s.bias);
+    const auto pipe = ref::runConvPipeline(cfg, dcfg, s.p, enc,
+                                           s.weights, s.bias);
     const auto fast =
-        core::simulateConvCnv(cfg, s.p, enc, s.weights, s.bias);
+        ref::simulateConvCnv(cfg, s.p, enc, s.weights, s.bias);
 
     EXPECT_EQ(pipe.output, fast.output);
     // The pipeline pays the NM fill once per window group on top of
@@ -103,8 +103,8 @@ TEST(Pipeline, EncoderOutputMatchesReferenceEncoding)
     const LayerSetup s = makeSetup(4, 4, 32, 16, 1, 0.4, 17);
     const NodeConfig cfg;
     const auto enc = zfnaf::encode(s.input, cfg.brickSize);
-    const auto r = core::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
-                                         s.weights, s.bias);
+    const auto r = ref::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
+                                        s.weights, s.bias);
     // Re-encode the pipeline's output; it must equal the library
     // encoding of the same tensor (the encoder unit was validated
     // brick by brick in test_microarch).
@@ -125,8 +125,8 @@ TEST(Pipeline, HigherNmLatencyNeverReducesCycles)
         DispatcherConfig dcfg;
         dcfg.nmLatencyCycles = latency;
         dcfg.bbDepth = 2;
-        const auto r = core::runConvPipeline(cfg, dcfg, s.p, enc,
-                                             s.weights, s.bias);
+        const auto r = ref::runConvPipeline(cfg, dcfg, s.p, enc,
+                                            s.weights, s.bias);
         EXPECT_GE(r.cycles, prev) << latency;
         prev = r.cycles;
     }
@@ -138,8 +138,8 @@ TEST(Pipeline, RejectsMultiPassLayers)
     const LayerSetup s = makeSetup(4, 4, 16, 300, 1, 0.5, 23);
     const NodeConfig cfg;
     const auto enc = zfnaf::encode(s.input, cfg.brickSize);
-    EXPECT_THROW(core::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
-                                       s.weights, s.bias),
+    EXPECT_THROW(ref::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
+                                      s.weights, s.bias),
                  cnv::sim::PanicError);
     cnv::sim::setVerbosity(cnv::sim::Verbosity::Info);
 }

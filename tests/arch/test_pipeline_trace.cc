@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "dadiannao/pipeline.h"
 #include "nn/ops.h"
+#include "ref/baseline_pipeline.h"
+#include "ref/cnv_pipeline.h"
 #include "sim/rng.h"
 #include "sim/stall_profile.h"
 #include "support/json_parser.h"
@@ -25,7 +25,7 @@
 namespace {
 
 using namespace cnv;
-using core::DispatcherConfig;
+using ref::DispatcherConfig;
 using dadiannao::NodeConfig;
 using tensor::FilterBank;
 using tensor::Fixed16;
@@ -77,16 +77,16 @@ struct TracedRun
     {
         const NodeConfig cfg;
         const auto enc = zfnaf::encode(s.input, cfg.brickSize);
-        cnv = core::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
-                                    s.weights, s.bias, &trace, 1);
-        base = dadiannao::runConvPipelineBaseline(cfg, s.p, s.input,
-                                                  s.weights, s.bias,
-                                                  &trace, 2);
+        cnv = ref::runConvPipeline(cfg, DispatcherConfig{}, s.p, enc,
+                                   s.weights, s.bias, &trace, 1);
+        base = ref::runConvPipelineBaseline(cfg, s.p, s.input,
+                                            s.weights, s.bias,
+                                            &trace, 2);
     }
 
     sim::TraceSink trace;
-    core::PipelineResult cnv;
-    dadiannao::BaselinePipelineResult base;
+    ref::PipelineResult cnv;
+    ref::BaselinePipelineResult base;
 };
 
 TEST(PipelineTrace, StallSpansFoldToReportedIdleCycles)
@@ -180,12 +180,12 @@ TEST(PipelineTrace, TracingDoesNotPerturbResults)
     const NodeConfig cfg;
     const auto enc = zfnaf::encode(s.input, cfg.brickSize);
 
-    const auto plain = core::runConvPipeline(cfg, DispatcherConfig{}, s.p,
-                                             enc, s.weights, s.bias);
+    const auto plain = ref::runConvPipeline(cfg, DispatcherConfig{}, s.p,
+                                            enc, s.weights, s.bias);
     sim::TraceSink trace;
-    const auto traced = core::runConvPipeline(cfg, DispatcherConfig{}, s.p,
-                                              enc, s.weights, s.bias,
-                                              &trace, 1);
+    const auto traced = ref::runConvPipeline(cfg, DispatcherConfig{}, s.p,
+                                             enc, s.weights, s.bias,
+                                             &trace, 1);
     EXPECT_EQ(traced.output, plain.output);
     EXPECT_EQ(traced.cycles, plain.cycles);
     EXPECT_EQ(traced.micro.laneBusyCycles, plain.micro.laneBusyCycles);

@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unit.h"
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/baseline_nfu.h"
+#include "ref/cnv_unit.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
 #include "zfnaf/format.h"
@@ -109,14 +109,14 @@ TEST_P(PropertySweep, ModelsAgreeOnRandomConfigurations)
         nn::conv2d(d.input, d.weights, d.bias, d.params);
 
     // Cycle-level models are functionally exact.
-    const auto base = dadiannao::simulateConvBaseline(
+    const auto base = ref::simulateConvBaseline(
         d.cfg, d.params, d.input, d.weights, d.bias, false);
     ASSERT_EQ(base.output, golden);
 
     const auto enc = zfnaf::encode(d.input, d.cfg.brickSize);
     enc.checkInvariants();
     const auto cnvRes =
-        core::simulateConvCnv(d.cfg, d.params, enc, d.weights, d.bias);
+        ref::simulateConvCnv(d.cfg, d.params, enc, d.weights, d.bias);
     ASSERT_EQ(cnvRes.output, golden);
 
     // Closed-form == cycle-level, on every counter.

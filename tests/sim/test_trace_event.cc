@@ -1,10 +1,9 @@
 /**
  * @file
  * Pins the trace-event sink's contract: recording order, the
- * bounded-capacity drop behaviour, ScopedSpan's engine-clocked
- * spans, and the exact Chrome trace-event JSON schema documented in
- * docs/observability.md (parsed back with the shared in-test
- * parser).
+ * bounded-capacity drop behaviour, and the exact Chrome trace-event
+ * JSON schema documented in docs/observability.md (parsed back with
+ * the shared in-test parser).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.h"
 #include "sim/logging.h"
 #include "sim/trace_event.h"
 #include "support/json_parser.h"
@@ -146,41 +144,6 @@ TEST(TraceSink, WriteJsonEmitsDocumentedSchema)
     const Json &instant = events.array[3];
     EXPECT_EQ(instant.at("ph").text, "i");
     EXPECT_EQ(instant.at("cat").text, "pipeline");
-}
-
-TEST(ScopedSpan, CoversTheEngineIntervalAndSuppressesEmptySpans)
-{
-    sim::Engine engine("t");
-    TraceSink sink;
-
-    {
-        sim::ScopedSpan span(&sink, engine, 1, 4, "group", "pipeline",
-                             {TraceArg("w0", std::uint64_t{0})});
-        engine.step();
-        engine.step();
-        engine.step();
-    }
-    ASSERT_EQ(sink.events().size(), 1u);
-    EXPECT_EQ(sink.events()[0].ts, 0u);
-    EXPECT_EQ(sink.events()[0].dur, 3u);
-    EXPECT_EQ(sink.events()[0].name, "group");
-    ASSERT_EQ(sink.events()[0].args.size(), 1u);
-    EXPECT_EQ(sink.events()[0].args[0].name, "w0");
-
-    // Explicit end() closes the span early and is idempotent.
-    sim::ScopedSpan span(&sink, engine, 1, 4, "tail", "pipeline");
-    engine.step();
-    span.end();
-    engine.step();
-    span.end();
-    ASSERT_EQ(sink.events().size(), 2u);
-    EXPECT_EQ(sink.events()[1].ts, 3u);
-    EXPECT_EQ(sink.events()[1].dur, 1u);
-
-    // Zero-length spans and null sinks record nothing.
-    { sim::ScopedSpan empty(&sink, engine, 1, 4, "empty", "pipeline"); }
-    { sim::ScopedSpan nosink(nullptr, engine, 1, 4, "x", "pipeline"); }
-    EXPECT_EQ(sink.events().size(), 2u);
 }
 
 } // namespace
