@@ -44,15 +44,17 @@ referenceOf(nn::ForwardResult run)
 /**
  * Canonical (dadiannao over cnv) speedup of `images` traces seeded
  * `seed + i` under `prune`: the ratio of summed cycles, as
- * driver::evaluateNetwork reports it. Both architectures share one
- * cache, so each image's tensor is synthesized once.
+ * driver::evaluateNetwork reports it. Both architectures, and every
+ * call given the same `cache`, share its traces: each image's tensor
+ * is synthesized once, and candidates that agree on a layer's
+ * producer thresholds share its count map.
  */
 double
 canonicalSpeedup(const dadiannao::NodeConfig &cfg, const Network &net,
-                 int images, std::uint64_t seed, const PruneConfig *prune)
+                 int images, std::uint64_t seed, const PruneConfig *prune,
+                 timing::TraceCache &cache)
 {
     const std::vector<const arch::ArchModel *> pair = arch::canonicalPair();
-    timing::TraceCache cache;
     std::uint64_t base = 0, cnvCycles = 0;
     sim::parallelMapReduce(
         static_cast<std::size_t>(images),
@@ -239,8 +241,9 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
     ExplorationPoint point;
     point.config = current;
     point.relativeAccuracy = accuracyOf(current);
+    timing::TraceCache cache;
     point.speedup = canonicalSpeedup(cfg, fullNet, opts.timingImages,
-                                     opts.seed, &current);
+                                     opts.seed, &current, cache);
     return point;
 }
 
@@ -284,12 +287,13 @@ tradeoffSweep(const dadiannao::NodeConfig &cfg, const Network &fullNet,
 
     std::vector<ExplorationPoint> points;
     points.reserve(candidates.size());
+    timing::TraceCache cache;
     for (PruneConfig &c : candidates) {
         ExplorationPoint pt;
         pt.relativeAccuracy =
             relativeAccuracy(accNet, c, opts.accuracyImages, opts.seed);
         pt.speedup = canonicalSpeedup(cfg, fullNet, opts.timingImages,
-                                      opts.seed, &c);
+                                      opts.seed, &c, cache);
         pt.config = std::move(c);
         points.push_back(std::move(pt));
     }

@@ -98,7 +98,9 @@ ExplorationPoint searchLossless(const dadiannao::NodeConfig &cfg,
 /**
  * Accuracy/speedup sweep for Figure 14: evaluates uniform threshold
  * configurations plus scaled variants of the lossless configuration
- * and returns all points sorted by speedup.
+ * and returns all points sorted by speedup. The candidates' timing
+ * runs share one trace cache, so each image's traces are synthesized
+ * once for the whole sweep.
  */
 std::vector<ExplorationPoint> tradeoffSweep(const dadiannao::NodeConfig &cfg,
                                             const nn::Network &fullNet,

@@ -31,21 +31,6 @@ traceKey(const nn::Network &net, int convNodeId, std::uint64_t imageSeed,
     return key;
 }
 
-/** Stable text form of a prune config ("-" when absent/empty). */
-std::string
-pruneKey(const nn::PruneConfig *prune)
-{
-    if (!prune || prune->thresholds.empty())
-        return "-";
-    std::string key;
-    for (std::int32_t t : prune->thresholds) {
-        if (!key.empty())
-            key += ',';
-        key += std::to_string(t);
-    }
-    return key;
-}
-
 } // namespace
 
 TraceCache::Trace
@@ -116,11 +101,30 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
     const std::vector<nn::TraceSegment> inputs =
         nn::inputSegments(net, convNodeId);
     const std::string key = traceKey(net, convNodeId, imageSeed, inputs);
+    // Each depth range is pruned with its producer's threshold, and
+    // those thresholds are all of `prune` the map reads, so they key
+    // it: configs that agree on them share the map. A null or empty
+    // config keys as "-", apart from an all-zero one.
+    std::vector<zfnaf::DepthThreshold> segments;
+    std::string thresholds = "-";
+    bool pruned = false;
+    if (prune && !prune->thresholds.empty()) {
+        thresholds.clear();
+        for (const nn::TraceSegment &seg : inputs) {
+            const std::int32_t t = seg.producerConvIndex >= 0
+                ? prune->forConvIndex(
+                      static_cast<std::size_t>(seg.producerConvIndex))
+                : 0;
+            pruned = pruned || t > 0;
+            segments.push_back({seg.depth, t});
+            thresholds += sim::strfmt("{},", t);
+        }
+    }
     std::shared_ptr<CountSlot> slot;
     {
         const core::MutexLock lock(mutex_);
         auto &entry =
-            counts_[sim::strfmt("{}#{}#{}", key, pruneKey(prune), brickSize)];
+            counts_[sim::strfmt("{}#{}#{}", key, thresholds, brickSize)];
         if (!entry)
             entry = std::make_shared<CountSlot>();
         slot = entry;
@@ -133,17 +137,6 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
     }
     countMisses_.fetch_add(1, std::memory_order_relaxed);
     sim::metrics().add("traceCache.countMapMisses");
-    // Each depth range is pruned with its producer's threshold.
-    std::vector<zfnaf::DepthThreshold> segments;
-    bool pruned = false;
-    for (const nn::TraceSegment &seg : inputs) {
-        const std::int32_t threshold = prune && seg.producerConvIndex >= 0
-            ? prune->forConvIndex(
-                  static_cast<std::size_t>(seg.producerConvIndex))
-            : 0;
-        pruned = pruned || threshold > 0;
-        segments.push_back({seg.depth, threshold});
-    }
     // Without thresholds the counts are the mask's; magnitudes are
     // drawn only when a threshold or a provider needs them.
     const Trace t = trace(key, net, convNodeId, imageSeed, traces,

@@ -8,11 +8,19 @@
  * layer and image — synthesis with pruning is exactly
  * synthesis-unpruned followed by nn::applyPruneToConvInput, so one
  * trace serves baseline, CNV and every pruned variant — and the
- * derived count maps keyed additionally by prune thresholds and
- * brick size. A trace key covers everything synthesis reads:
+ * derived count maps keyed additionally by the thresholds they read
+ * and the brick size. A trace key covers everything synthesis reads:
  * network name, node, image seed, the layer's input shape, its
  * producer segments and its calibrated input zero fraction, so two
  * builds of one network at different scales never share a trace.
+ *
+ * A pruned count map reads only its producer segments' thresholds,
+ * one per nn::inputSegments() entry, so those key it rather than the
+ * whole prune config: the candidates of a threshold search that
+ * agree on a layer's producers share its map, and a search over a
+ * ladder of L rungs holds at most L maps per single-producer layer
+ * and image. A null or empty config keys as "-", apart from an
+ * all-zero one.
  *
  * A trace slot holds either the stage-1 nn::Activity (a bit-packed
  * mask) or the values tensor, never both. Unpruned count maps without

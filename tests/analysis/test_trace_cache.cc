@@ -4,8 +4,9 @@
  * bit-identical to the inline synthesis path (with and without
  * pruning), mask-derived count maps equal the tensor's, hit/miss
  * counters are exact and independent of lookup order, trace keys
- * tell scaled builds of one network apart, concurrent lookups of one
- * key compute it once, and simulateNetwork produces identical
+ * tell scaled builds of one network apart, pruned count maps are
+ * keyed by their producers' thresholds alone, concurrent lookups of
+ * one key compute it once, and simulateNetwork produces identical
  * results with and without a cache.
  */
 
@@ -14,10 +15,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
+#include "pruning/explore.h"
 #include "sim/parallel.h"
 #include "timing/network_model.h"
 #include "timing/trace_cache.h"
@@ -169,6 +174,157 @@ TEST(TraceCache, HitAndMissCountersAreExact)
     EXPECT_EQ(s.countMapMisses, 2u);
     EXPECT_EQ(s.tensorMisses, 1u);
     EXPECT_EQ(s.tensorHits, 1u);
+}
+
+/** The thresholds a pruned count map of `convNodeId` reads: its
+ *  producers' (0 for the raw image). */
+std::vector<std::int32_t>
+producerThresholds(const nn::Network &net, int convNodeId,
+                   const nn::PruneConfig &prune)
+{
+    std::vector<std::int32_t> out;
+    for (const nn::TraceSegment &seg : nn::inputSegments(net, convNodeId))
+        out.push_back(seg.producerConvIndex >= 0
+                          ? prune.forConvIndex(static_cast<std::size_t>(
+                                seg.producerConvIndex))
+                          : 0);
+    return out;
+}
+
+TEST(TraceCache, PrunedCountMapsKeyedByProducerThresholds)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    const int k = 3;
+    const int nodeId = net->convNodeIds().at(k);
+    const auto inputs = nn::inputSegments(*net, nodeId);
+    ASSERT_EQ(inputs.size(), 1u);
+    ASSERT_EQ(inputs[0].producerConvIndex, k - 1);
+
+    const auto convs = static_cast<std::size_t>(net->convLayerCount());
+    nn::PruneConfig a;
+    a.thresholds.assign(convs, 8);
+    // Agrees with `a` on conv k-1 only.
+    nn::PruneConfig b;
+    b.thresholds.assign(convs, 64);
+    b.thresholds[k - 1] = 8;
+    // Agrees with `a` everywhere but conv k-1.
+    nn::PruneConfig c = a;
+    c.thresholds[k - 1] = 64;
+
+    timing::TraceCache cache;
+    auto lookup = [&](const nn::PruneConfig *p) {
+        const auto map = cache.countMap(*net, nodeId, 5, nullptr, p, 16);
+        EXPECT_EQ(*map, zfnaf::nonZeroCountMap(
+                            nn::synthesizeConvInput(*net, nodeId, 5, p), 16));
+        return map;
+    };
+    const auto first = lookup(&a);
+    EXPECT_EQ(lookup(&b), first);
+    auto s = cache.stats();
+    EXPECT_EQ(s.countMapMisses, 1u);
+    EXPECT_EQ(s.countMapHits, 1u);
+
+    const auto other = lookup(&c);
+    EXPECT_NE(other, first);
+    EXPECT_NE(*other, *first);
+    s = cache.stats();
+    EXPECT_EQ(s.countMapMisses, 2u);
+    EXPECT_EQ(s.countMapHits, 1u);
+
+    // An all-zero config counts like no config but keeps its own key,
+    // as a null or empty config keys apart from any threshold tuple.
+    nn::PruneConfig zeros;
+    zeros.thresholds.assign(convs, 0);
+    const nn::PruneConfig empty;
+    const auto unpruned = lookup(nullptr);
+    const auto zero = lookup(&zeros);
+    EXPECT_NE(zero, unpruned);
+    EXPECT_EQ(*zero, *unpruned);
+    EXPECT_EQ(lookup(&empty), unpruned);
+    s = cache.stats();
+    EXPECT_EQ(s.countMapMisses, 4u);
+    EXPECT_EQ(s.countMapHits, 2u);
+}
+
+TEST(TraceCache, ConcatInputKeyedByEachBranchProducer)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    int nodeId = -1;
+    std::vector<nn::TraceSegment> inputs;
+    for (int id : net->convNodeIds()) {
+        inputs = nn::inputSegments(*net, id);
+        if (inputs.size() > 1) {
+            nodeId = id;
+            break;
+        }
+    }
+    ASSERT_GE(nodeId, 0);
+    std::set<int> producers;
+    for (const nn::TraceSegment &seg : inputs) {
+        ASSERT_GE(seg.producerConvIndex, 0);
+        producers.insert(seg.producerConvIndex);
+    }
+    const int convs = net->convLayerCount();
+    int outside = 0;
+    while (producers.count(outside))
+        ++outside;
+    ASSERT_LT(outside, convs);
+
+    nn::PruneConfig base;
+    base.thresholds.assign(static_cast<std::size_t>(convs), 8);
+    nn::PruneConfig elsewhere = base;
+    elsewhere.thresholds[outside] = 64;
+    nn::PruneConfig branch = base;
+    branch.thresholds[inputs.back().producerConvIndex] = 64;
+
+    timing::TraceCache cache;
+    const auto first = cache.countMap(*net, nodeId, 6, nullptr, &base, 16);
+    EXPECT_EQ(cache.countMap(*net, nodeId, 6, nullptr, &elsewhere, 16),
+              first);
+    const auto other = cache.countMap(*net, nodeId, 6, nullptr, &branch, 16);
+    EXPECT_NE(other, first);
+    for (const nn::PruneConfig *p : {&base, &branch})
+        EXPECT_EQ(*cache.countMap(*net, nodeId, 6, nullptr, p, 16),
+                  zfnaf::nonZeroCountMap(
+                      nn::synthesizeConvInput(*net, nodeId, 6, p), 16));
+    const auto s = cache.stats();
+    EXPECT_EQ(s.countMapMisses, 2u);
+    EXPECT_EQ(s.countMapHits, 3u);
+}
+
+TEST(TraceCache, LadderCandidatesMissOncePerProducerThresholdTuple)
+{
+    // A threshold search's candidates: one Table II ladder rung per
+    // conv layer. A layer's maps are bounded by its producers' rungs,
+    // not by the number of candidates.
+    const auto net = nn::zoo::build(nn::zoo::NetId::Vgg19, 1, 8);
+    const std::vector<std::int32_t> ladder = pruning::SearchOptions{}.levels;
+    const int candidates = 60;
+    std::mt19937_64 rng(23);
+    std::set<std::pair<int, std::vector<std::int32_t>>> keys;
+    timing::TraceCache cache;
+    nn::PruneConfig p;
+    for (int c = 0; c < candidates; ++c) {
+        p.thresholds.clear();
+        for (int l = 0; l < net->convLayerCount(); ++l)
+            p.thresholds.push_back(ladder[rng() % ladder.size()]);
+        for (int id : net->convNodeIds()) {
+            cache.countMap(*net, id, 3, nullptr, &p, 16);
+            keys.emplace(id, producerThresholds(*net, id, p));
+        }
+    }
+    const auto s = cache.stats();
+    const auto lookups =
+        static_cast<std::uint64_t>(candidates * net->convLayerCount());
+    EXPECT_EQ(s.countMapMisses + s.countMapHits, lookups);
+    EXPECT_EQ(s.countMapMisses, keys.size());
+    // vgg19 chains its convs: one producer each, none for the first.
+    EXPECT_LE(keys.size(),
+              1 + (net->convLayerCount() - 1) * ladder.size());
+    for (int id : net->convNodeIds())
+        EXPECT_EQ(*cache.countMap(*net, id, 3, nullptr, &p, 16),
+                  zfnaf::nonZeroCountMap(
+                      nn::synthesizeConvInput(*net, id, 3, &p), 16));
 }
 
 TEST(TraceCache, ConcurrentLookupsComputeOnce)
