@@ -15,7 +15,6 @@
 #include "driver/trace_pipeline.h"
 #include "mem/memory_model.h"
 #include "pruning/explore.h"
-#include "timing/network_model.h"
 #include "timing/trace_cache.h"
 
 using namespace cnv;
@@ -88,8 +87,10 @@ main(int argc, char **argv)
     double sumBankedOvh = 0.0;
     for (auto id : nn::zoo::allNetworks()) {
         const auto net = nn::zoo::build(id, cfg.seed);
+        std::vector<driver::ArchTimeline> timelines;
         const auto plain = driver::evaluateNetworkArchs(
-            cfg, *net, threeArchs, nullptr, &cache);
+            cfg, *net, threeArchs, nullptr, &cache,
+            opts.traceOut.empty() ? nullptr : &timelines);
         const double cnv2Speedup = plain.speedupOf("dadiannao", "cnv2");
 
         // Banked-vs-ideal CNV comparison: one extra CNV-only run
@@ -112,17 +113,16 @@ main(int argc, char **argv)
             static_cast<double>(cnvIdealCycles);
 
         if (!opts.traceOut.empty()) {
-            // One timeline per (network, architecture) pair, on the
-            // manifest's root seed like the driver reports.
-            timing::RunOptions ropts;
-            ropts.imageSeed = cfg.seed;
-            ropts.memKind = cfg.memKind;
+            // One timeline per (network, architecture) pair: the
+            // sweep's image-0 runs (seed = cfg.seed, like the driver
+            // reports), traced in cnv, cnv2, dadiannao pid order.
             for (const char *archId : {"cnv", "cnv2", "dadiannao"}) {
-                const auto &model = arch::builtin().get(archId);
-                driver::appendNetworkTrace(
-                    trace, model.simulateNetwork(cfg.node, *net, ropts),
-                    tracePid++,
-                    sim::strfmt("{} ({})", archId, net->name()));
+                for (const driver::ArchTimeline &tl : timelines) {
+                    if (tl.model->id() == archId)
+                        driver::appendNetworkTrace(
+                            trace, tl.result, tracePid++,
+                            sim::strfmt("{} ({})", archId, net->name()));
+                }
             }
         }
 
@@ -132,8 +132,8 @@ main(int argc, char **argv)
             accNet->calibrate();
             const auto point =
                 pruning::searchLossless(cfg.node, *net, *accNet, search);
-            const auto prunedReport =
-                driver::evaluateNetwork(cfg, *net, &point.config);
+            const auto prunedReport = driver::evaluateNetworkArchs(
+                cfg, *net, arch::canonicalPair(), &point.config, &cache);
             pruned = prunedReport.speedup();
         }
 

@@ -1,7 +1,5 @@
 #include "driver/driver.h"
 
-#include <cmath>
-
 #include "sim/logging.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
@@ -108,26 +106,6 @@ evaluateZooNetwork(const ExperimentConfig &cfg, nn::zoo::NetId id,
 {
     const auto net = nn::zoo::build(id, cfg.seed);
     return evaluateNetwork(cfg, *net, prune);
-}
-
-double
-geomeanSpeedup(const std::vector<NetworkReport> &reports)
-{
-    CNV_ASSERT(!reports.empty(), "no reports");
-    double logSum = 0.0;
-    for (const NetworkReport &r : reports)
-        logSum += std::log(r.speedup());
-    return std::exp(logSum / static_cast<double>(reports.size()));
-}
-
-double
-meanSpeedup(const std::vector<NetworkReport> &reports)
-{
-    CNV_ASSERT(!reports.empty(), "no reports");
-    double sum = 0.0;
-    for (const NetworkReport &r : reports)
-        sum += r.speedup();
-    return sum / static_cast<double>(reports.size());
 }
 
 } // namespace cnv::driver

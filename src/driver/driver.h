@@ -132,12 +132,6 @@ NetworkReport evaluateZooNetwork(const ExperimentConfig &cfg,
                                  nn::zoo::NetId id,
                                  const nn::PruneConfig *prune = nullptr);
 
-/** Geometric mean of the reports' canonical speedups. */
-double geomeanSpeedup(const std::vector<NetworkReport> &reports);
-
-/** Arithmetic mean of the canonical speedups (the paper averages so). */
-double meanSpeedup(const std::vector<NetworkReport> &reports);
-
 } // namespace cnv::driver
 
 #endif // CNV_DRIVER_DRIVER_H

@@ -1,5 +1,7 @@
 #include "driver/stats_report.h"
 
+#include <utility>
+
 #include "driver/trace_pipeline.h"
 #include "mem/memory_model.h"
 #include "sim/logging.h"
@@ -134,6 +136,21 @@ fillMemory(sim::StatGroup &g, const mem::Counters &mem,
                                             static_cast<double>(total)
                                       : 0.0;
                  });
+}
+
+/** Memory-bound and compute-bound layer counts of one architecture's
+ *  image-0 timeline (the summary.memory split). */
+std::pair<std::uint64_t, std::uint64_t>
+boundLayers(const RunReport &report, const ArchAggregate &a)
+{
+    std::uint64_t memoryBound = 0, computeBound = 0;
+    for (const ArchTimeline &t : report.timelines) {
+        if (t.model != a.model)
+            continue;
+        for (const dadiannao::LayerResult &l : t.result.layers)
+            (isMemoryBound(l.micro) ? memoryBound : computeBound)++;
+    }
+    return {memoryBound, computeBound};
 }
 
 } // namespace
@@ -288,14 +305,7 @@ writeReportJson(const RunReport &report, std::ostream &os)
             w.key("gbEvictions").value(a.mem.gbEvictions);
             w.key("dramBytes").value(a.mem.dramBytes);
             w.key("dramCycles").value(a.mem.dramCycles);
-            std::uint64_t memoryBound = 0, computeBound = 0;
-            for (const ArchTimeline &t : report.timelines) {
-                if (t.model != a.model)
-                    continue;
-                for (const dadiannao::LayerResult &l : t.result.layers)
-                    (isMemoryBound(l.micro) ? memoryBound
-                                            : computeBound)++;
-            }
+            const auto [memoryBound, computeBound] = boundLayers(report, a);
             w.key("memoryBoundLayers").value(memoryBound);
             w.key("computeBoundLayers").value(computeBound);
             w.endObject();
@@ -386,6 +396,11 @@ writeReportCsv(const RunReport &report, std::ostream &os)
            << ",off-chip bytes transferred\n";
         os << p << ".dramCycles,summary," << a.mem.dramCycles
            << ",DRAM channel busy cycles\n";
+        const auto [memoryBound, computeBound] = boundLayers(report, a);
+        os << p << ".memoryBoundLayers,summary," << memoryBound
+           << ",image-0 layers idle on memory over half their lane-cycles\n";
+        os << p << ".computeBoundLayers,summary," << computeBound
+           << ",image-0 layers that are not memory-bound\n";
     }
     const ArchAggregate *base = report.aggregate.findArch("dadiannao");
     const ArchAggregate *cnvAgg = report.aggregate.findArch("cnv");

@@ -6,21 +6,6 @@
 
 namespace cnv::nn {
 
-const char *
-nodeKindName(NodeKind k)
-{
-    switch (k) {
-      case NodeKind::Input: return "input";
-      case NodeKind::Conv: return "conv";
-      case NodeKind::Pool: return "pool";
-      case NodeKind::Lrn: return "lrn";
-      case NodeKind::Fc: return "fc";
-      case NodeKind::Concat: return "concat";
-      case NodeKind::Softmax: return "softmax";
-    }
-    return "?";
-}
-
 tensor::Shape3
 ConvParams::outputShape(const tensor::Shape3 &in) const
 {

@@ -33,9 +33,6 @@ enum class NodeKind
     Softmax,   ///< final classifier normalisation
 };
 
-/** Human-readable node kind name. */
-const char *nodeKindName(NodeKind k);
-
 /** Convolution geometry and options. */
 struct ConvParams
 {

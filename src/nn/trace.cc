@@ -407,34 +407,6 @@ inputSegments(const Network &net, int convNodeId)
     return result;
 }
 
-void
-applyPruneToConvInput(const Network &net, int convNodeId,
-                      NeuronTensor &input, const PruneConfig &prune)
-{
-    const Node &conv = net.node(convNodeId);
-    CNV_ASSERT(conv.kind == NodeKind::Conv,
-               "applyPruneToConvInput needs a conv node");
-    CNV_ASSERT(input.shape() == conv.inShape,
-               "trace shape does not match the layer input");
-    int zBase = 0;
-    for (const TraceSegment &seg : inputSegments(net, convNodeId)) {
-        const std::int32_t threshold = seg.producerConvIndex >= 0
-            ? prune.forConvIndex(
-                  static_cast<std::size_t>(seg.producerConvIndex))
-            : 0;
-        if (threshold > 0) {
-            for (int y = 0; y < input.shape().y; ++y)
-                for (int x = 0; x < input.shape().x; ++x)
-                    for (int z = zBase; z < zBase + seg.depth; ++z) {
-                        Fixed16 &v = input.at(x, y, z);
-                        if (v.rawAbs() < threshold)
-                            v = Fixed16{};
-                    }
-        }
-        zBase += seg.depth;
-    }
-}
-
 Activity
 synthesizeConvActivity(const Network &net, int convNodeId,
                        std::uint64_t imageSeed)

@@ -182,17 +182,6 @@ tensor::NeuronTensor synthesizeConvInput(const Network &net, int convNodeId,
                                          const PruneConfig *prune = nullptr);
 
 /**
- * Apply dynamic-pruning thresholds to a conv layer's input tensor,
- * segment by segment: each depth range is pruned with its producing
- * layer's threshold, exactly as that producer's encoder would have
- * written it to NM. Used both by the synthetic trace generator and
- * for externally supplied (real-framework) traces.
- */
-void applyPruneToConvInput(const Network &net, int convNodeId,
-                           tensor::NeuronTensor &input,
-                           const PruneConfig &prune);
-
-/**
  * Synthesise one input "image": positive values with a strong
  * per-image low-frequency structure, so that different seeds
  * genuinely excite different features and functional networks

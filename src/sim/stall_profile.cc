@@ -128,26 +128,4 @@ StallProfile::writeCsv(std::ostream &os, const std::string &prefix,
     }
 }
 
-void
-StallProfile::attachStats(StatGroup &parent) const
-{
-    StatGroup &g = parent.addGroup("stalls");
-    static const char *const descs[kStallReasonCount] = {
-        "lane-cycles idle waiting on NM brick fetches",
-        "lane-cycles idle at window-group sync barriers",
-        "lane-cycles idle on the off-chip synapse stream",
-        "lane-cycles idle with the lane's slice drained",
-        "lane-cycles idle serialising on NM bank conflicts",
-        "lane-cycles idle on exposed global-buffer miss fills",
-        "lane-cycles idle on off-chip activation spills",
-    };
-    for (int i = 0; i < kStallReasonCount; ++i) {
-        const auto r = static_cast<StallReason>(i);
-        g.addCounter(stallReasonName(r), descs[i]) += total(r);
-    }
-    const std::uint64_t all = totalIdle();
-    g.addFormula("totalIdle", "idle lane-cycles over all reasons",
-                 [all] { return static_cast<double>(all); });
-}
-
 } // namespace cnv::sim

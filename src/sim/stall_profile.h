@@ -10,8 +10,9 @@
  * reported per layer (enforced by tests/analysis/
  * test_trace_pipeline.cc).
  *
- * The profile exports as CSV (`layer,reason,idleLaneCycles`) and as
- * a "stalls" StatGroup embedded in the cnv-report-v1 stat tree; see
+ * The profile exports as CSV (`layer,reason,idleLaneCycles`); the
+ * cnv-report-v1 stat tree carries the same reasons as each layer's
+ * "stalls" group (driver/stats_report.cc). See
  * docs/observability.md for both schemas.
  */
 
@@ -26,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/stats.h"
 #include "sim/trace_event.h"
 
 namespace cnv::sim {
@@ -125,13 +125,6 @@ class StallProfile
      */
     void writeCsv(std::ostream &os, const std::string &prefix = "",
                   bool header = true) const;
-
-    /**
-     * Register the profile as a "stalls" group of @p parent: one
-     * counter per reason (summed over layers) plus a totalIdle
-     * formula. Values are copied — the profile may die afterwards.
-     */
-    void attachStats(StatGroup &parent) const;
 
   private:
     Row &rowFor(const std::string &layer);

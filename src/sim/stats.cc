@@ -1,49 +1,10 @@
 #include "sim/stats.h"
 
-#include <cmath>
 #include <iomanip>
 
 #include "sim/logging.h"
 
 namespace cnv::sim {
-
-void
-Distribution::sample(double x)
-{
-    ++count_;
-    sum_ += x;
-    sumSq_ += x * x;
-    if (x < min_)
-        min_ = x;
-    if (x > max_)
-        max_ = x;
-}
-
-double
-Distribution::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double n = static_cast<double>(count_);
-    const double var = (sumSq_ - sum_ * sum_ / n) / (n - 1.0);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    sumSq_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-}
 
 template <typename T, typename... Args>
 T &
@@ -77,12 +38,6 @@ StatGroup::addFormula(const std::string &name, const std::string &desc,
                       std::function<double()> fn)
 {
     return add<Formula>(name, desc, std::move(fn));
-}
-
-Distribution &
-StatGroup::addDistribution(const std::string &name, const std::string &desc)
-{
-    return add<Distribution>(name, desc);
 }
 
 StatGroup &

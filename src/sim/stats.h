@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -96,32 +95,6 @@ class Formula : public Stat
     std::function<double()> fn_;
 };
 
-/** Running distribution: count, mean, stddev, min, max. */
-class Distribution : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void sample(double x);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /** value() reports the mean, the most useful single summary. */
-    double value() const override { return mean(); }
-    void reset() override;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /**
  * A named collection of statistics. Groups may nest; dumped names
  * are dot-joined ("cnv.unit0.sbReads").
@@ -138,8 +111,6 @@ class StatGroup
     Scalar &addScalar(const std::string &name, const std::string &desc);
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
-    Distribution &addDistribution(const std::string &name,
-                                  const std::string &desc);
 
     /** Create (and own) a nested group. */
     StatGroup &addGroup(const std::string &name);

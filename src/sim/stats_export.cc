@@ -198,14 +198,6 @@ JsonWriter::value(bool v)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::null()
-{
-    beforeValue();
-    os_ << "null";
-    return *this;
-}
-
 namespace {
 
 const char *
@@ -217,8 +209,6 @@ kindOf(const Stat &stat)
         return "scalar";
     if (dynamic_cast<const Formula *>(&stat))
         return "formula";
-    if (dynamic_cast<const Distribution *>(&stat))
-        return "distribution";
     return "stat";
 }
 
@@ -227,18 +217,7 @@ writeStat(JsonWriter &w, const Stat &stat)
 {
     w.beginObject();
     w.key("kind").value(kindOf(stat));
-    if (const auto *d = dynamic_cast<const Distribution *>(&stat)) {
-        w.key("count").value(d->count());
-        w.key("mean").value(d->mean());
-        w.key("stddev").value(d->stddev());
-        if (d->count() > 0) {
-            w.key("min").value(d->min());
-            w.key("max").value(d->max());
-        } else {
-            w.key("min").null();
-            w.key("max").null();
-        }
-    } else if (const auto *c = dynamic_cast<const Counter *>(&stat)) {
+    if (const auto *c = dynamic_cast<const Counter *>(&stat)) {
         w.key("value").value(c->count());
     } else {
         w.key("value").value(stat.value());
@@ -313,22 +292,7 @@ exportCsvRec(const StatGroup &group, std::ostream &os,
     for (const auto &stat : group.statChildren()) {
         const std::string path = base + "." + stat->name();
         const char *kind = kindOf(*stat);
-        if (const auto *d =
-                dynamic_cast<const Distribution *>(stat.get())) {
-            csvRow(os, path + ".count", kind,
-                   std::to_string(d->count()), stat->desc());
-            csvRow(os, path + ".mean", kind, formatDouble(d->mean()),
-                   stat->desc());
-            csvRow(os, path + ".stddev", kind, formatDouble(d->stddev()),
-                   stat->desc());
-            if (d->count() > 0) {
-                csvRow(os, path + ".min", kind, formatDouble(d->min()),
-                       stat->desc());
-                csvRow(os, path + ".max", kind, formatDouble(d->max()),
-                       stat->desc());
-            }
-        } else if (const auto *c =
-                       dynamic_cast<const Counter *>(stat.get())) {
+        if (const auto *c = dynamic_cast<const Counter *>(stat.get())) {
             csvRow(os, path, kind, std::to_string(c->count()),
                    stat->desc());
         } else {

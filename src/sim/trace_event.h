@@ -2,8 +2,8 @@
  * @file
  * Cycle-level event tracing in Chrome trace-event format.
  *
- * A TraceSink collects timestamped events — duration spans, counter
- * samples, instants — from any component handed a pointer to it, and
+ * A TraceSink collects timestamped events — duration spans and
+ * counter samples — from any component handed a pointer to it, and
  * serializes them as the Chrome trace-event JSON object format, so a
  * trace loads directly in chrome://tracing or Perfetto. One
  * simulated cycle maps to one microsecond of trace time.
@@ -59,7 +59,7 @@ struct TraceArg
 /** One Chrome trace-event record ("traceEvents" array element). */
 struct TraceEvent
 {
-    /** Chrome phase code: 'X' complete, 'C' counter, 'i' instant. */
+    /** Chrome phase code: 'X' complete, 'C' counter. */
     char phase = 'X';
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
@@ -77,7 +77,7 @@ struct TraceEvent
  * Bounded collector of trace events plus track-naming metadata.
  *
  * Components record through the typed helpers (complete(),
- * counter(), instant()); the driver serializes once at the end via
+ * counter()); the driver serializes once at the end via
  * writeJson(). Recording past the event cap drops the event and
  * increments droppedEvents() — a warning is logged on the first
  * drop, and the count lands in the JSON metadata.
@@ -108,11 +108,6 @@ class TraceSink
     /** Record a single-series counter ('C') sample. */
     void counter(std::uint32_t pid, std::uint32_t tid, std::string name,
                  Cycle ts, double value);
-
-    /** Record an instant ('i') event. */
-    void instant(std::uint32_t pid, std::uint32_t tid, std::string name,
-                 std::string cat, Cycle ts,
-                 std::vector<TraceArg> args = {});
 
     /** Events admitted so far (metadata excluded), in record order. */
     const std::vector<TraceEvent> &events() const { return events_; }

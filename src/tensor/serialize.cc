@@ -16,6 +16,8 @@ namespace cnv::tensor {
 namespace {
 
 constexpr std::uint32_t kVersion = 1;
+/** The `.cnvt` magic (no terminating NUL). */
+constexpr char kMagic[4] = {'C', 'N', 'V', 'T'};
 
 void
 writeU32(std::ostream &os, std::uint32_t v)
@@ -36,19 +38,13 @@ readU32(std::istream &is)
 }
 
 void
-writeMagic(std::ostream &os, const char magic[4])
+expectMagic(std::istream &is)
 {
-    os.write(magic, 4);
-}
-
-void
-expectMagic(std::istream &is, const char magic[4])
-{
-    char buf[4] = {};
-    is.read(buf, 4);
-    if (!is || std::memcmp(buf, magic, 4) != 0)
+    char buf[sizeof(kMagic)] = {};
+    is.read(buf, sizeof(buf));
+    if (!is || std::memcmp(buf, kMagic, sizeof(kMagic)) != 0)
         CNV_FATAL("bad magic in tensor stream (expected {})",
-                  std::string(magic, 4));
+                  std::string(kMagic, sizeof(kMagic)));
     const std::uint32_t version = readU32(is);
     if (version != kVersion)
         CNV_FATAL("unsupported tensor stream version {}", version);
@@ -136,7 +132,7 @@ readPayload(std::istream &is, std::uint64_t count)
 void
 save(std::ostream &os, const NeuronTensor &t)
 {
-    writeMagic(os, "CNVT");
+    os.write(kMagic, sizeof(kMagic));
     writeU32(os, kVersion);
     writeU32(os, static_cast<std::uint32_t>(t.shape().x));
     writeU32(os, static_cast<std::uint32_t>(t.shape().y));
@@ -147,7 +143,7 @@ save(std::ostream &os, const NeuronTensor &t)
 NeuronTensor
 loadTensor(std::istream &is)
 {
-    expectMagic(is, "CNVT");
+    expectMagic(is);
     const int x = static_cast<int>(readU32(is));
     const int y = static_cast<int>(readU32(is));
     const int z = static_cast<int>(readU32(is));
@@ -160,49 +156,12 @@ loadTensor(std::istream &is)
 }
 
 void
-save(std::ostream &os, const FilterBank &f)
-{
-    writeMagic(os, "CNVF");
-    writeU32(os, kVersion);
-    writeU32(os, static_cast<std::uint32_t>(f.shape().n));
-    writeU32(os, static_cast<std::uint32_t>(f.shape().x));
-    writeU32(os, static_cast<std::uint32_t>(f.shape().y));
-    writeU32(os, static_cast<std::uint32_t>(f.shape().z));
-    writeRaw(os, f.data(), f.size());
-}
-
-FilterBank
-loadFilterBank(std::istream &is)
-{
-    expectMagic(is, "CNVF");
-    const int n = static_cast<int>(readU32(is));
-    const int x = static_cast<int>(readU32(is));
-    const int y = static_cast<int>(readU32(is));
-    const int z = static_cast<int>(readU32(is));
-    if (n < 0 || x < 0 || y < 0 || z < 0 ||
-        static_cast<std::uint64_t>(n) * x * y * z > (1ULL << 32))
-        CNV_FATAL("implausible filter dimensions");
-    return FilterBank(
-        Shape4{n, x, y, z},
-        readPayload(is, static_cast<std::uint64_t>(n) * x * y * z));
-}
-
-void
 saveTensorFile(const std::string &path, const NeuronTensor &t)
 {
     std::ofstream os(path, std::ios::binary);
     if (!os)
         CNV_FATAL("cannot open '{}' for writing", path);
     save(os, t);
-}
-
-NeuronTensor
-loadTensorFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        CNV_FATAL("cannot open '{}' for reading", path);
-    return loadTensor(is);
 }
 
 } // namespace cnv::tensor

@@ -1,12 +1,12 @@
 /**
  * @file
- * Binary serialisation of neuron tensors and filter banks, so
- * traces and synthetic weights can be exported, archived, and
- * re-loaded across runs (e.g., to feed the same activation trace to
- * external tooling, or to freeze a calibrated network's weights).
+ * Binary serialisation of neuron tensors (`.cnvt`), so activation
+ * traces can be exported, archived, and re-loaded across runs (e.g.,
+ * to feed the same trace to external tooling, or to replay a real
+ * framework's activations through timing::DirectoryTraceProvider).
  *
  * Format (little-endian, as on every supported host):
- *   magic "CNVT"/"CNVF" | u32 version | dims | i16 raw values
+ *   magic "CNVT" | u32 version | x | y | z | i16 raw values
  */
 
 #ifndef CNV_TENSOR_SERIALIZE_H
@@ -25,15 +25,8 @@ void save(std::ostream &os, const NeuronTensor &t);
 /** Read a neuron tensor written by save(); fatal on bad data. */
 NeuronTensor loadTensor(std::istream &is);
 
-/** Write a filter bank to a binary stream. */
-void save(std::ostream &os, const FilterBank &f);
-
-/** Read a filter bank written by save(); fatal on bad data. */
-FilterBank loadFilterBank(std::istream &is);
-
-/** Convenience file wrappers (fatal on I/O errors). */
+/** Write a neuron tensor to a file (fatal on I/O errors). */
 void saveTensorFile(const std::string &path, const NeuronTensor &t);
-NeuronTensor loadTensorFile(const std::string &path);
 
 } // namespace cnv::tensor
 

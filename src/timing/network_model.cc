@@ -7,12 +7,10 @@
 #include <utility>
 
 #include "dadiannao/other_layers.h"
-#include "nn/trace.h"
 #include "sim/logging.h"
 #include "tensor/serialize.h"
 #include "timing/conv_model.h"
 #include "timing/trace_cache.h"
-#include "zfnaf/format.h"
 
 namespace cnv::timing {
 
@@ -215,6 +213,13 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
             result.layers.back().mem += memModel->drainLayer();
     };
 
+    // Every run reads its count maps through a TraceCache; a call
+    // without one uses its own for the duration of the run.
+    std::optional<TraceCache> localCache;
+    if (!opts.cache)
+        localCache.emplace();
+    TraceCache &cache = opts.cache ? *opts.cache : *localCache;
+
     OverlapTracker overlap;
 
     for (int id = 0; id < net.nodeCount(); ++id) {
@@ -255,31 +260,11 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
             // always sees unpruned values.
             const nn::PruneConfig *prune =
                 arch != Arch::Baseline ? opts.prune : nullptr;
-            std::shared_ptr<const CountMap> cached;
-            CountMap local;
-            if (opts.cache) {
-                cached = opts.cache->countMap(net, id, opts.imageSeed,
-                                              opts.traces, prune,
-                                              cfg.brickSize);
-            } else {
-                tensor::NeuronTensor in;
-                std::optional<tensor::NeuronTensor> external;
-                if (opts.traces)
-                    external =
-                        opts.traces->convInput(net, id, opts.imageSeed);
-                if (external) {
-                    in = std::move(*external);
-                    if (prune)
-                        nn::applyPruneToConvInput(net, id, in, *prune);
-                } else {
-                    in = nn::synthesizeConvInput(net, id, opts.imageSeed,
-                                                 prune);
-                }
-                local = zfnaf::nonZeroCountMap(in, cfg.brickSize);
-            }
-            const CountMap &counts = cached ? *cached : local;
+            const std::shared_ptr<const CountMap> counts =
+                cache.countMap(net, id, opts.imageSeed, opts.traces, prune,
+                               cfg.brickSize);
 
-            LayerResult conv = convLayerTiming(cfg, arch, n, counts,
+            LayerResult conv = convLayerTiming(cfg, arch, n, *counts,
                                                opts.weightSparsity,
                                                memModel ? &*memModel
                                                         : nullptr);

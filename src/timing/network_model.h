@@ -103,10 +103,11 @@ struct RunOptions
     /** Optional external activation traces. */
     const TraceProvider *traces = nullptr;
     /**
-     * Optional shared trace cache (timing/trace_cache.h). When set,
-     * conv-layer inputs and count maps are fetched through it —
-     * bit-identical to the inline path, but computed once per
-     * (image, layer) across architectures and threads.
+     * Optional shared trace cache (timing/trace_cache.h). Every run
+     * reads its conv-layer count maps through a TraceCache; a call
+     * without one uses its own, so sharing one only lets runs
+     * compute each (image, layer) once across architectures and
+     * threads.
      */
     TraceCache *cache = nullptr;
     /**

@@ -1,18 +1,20 @@
 /**
  * @file
- * Shared, thread-safe cache of per-image conv-layer traces. Every
- * simulateNetwork() call needs the layer's input tensor and its
- * per-brick non-zero count map; without a cache a six-architecture
- * registry sweep synthesizes (or loads) the identical tensor six
- * times per image. The cache stores one *unpruned* trace per conv
- * layer and image — synthesis with pruning is exactly
- * synthesis-unpruned followed by nn::applyPruneToConvInput, so one
- * trace serves baseline, CNV and every pruned variant — and the
- * derived count maps keyed additionally by the thresholds they read
- * and the brick size. A trace key covers everything synthesis reads:
- * network name, node, image seed, the layer's input shape, its
- * producer segments and its calibrated input zero fraction, so two
- * builds of one network at different scales never share a trace.
+ * Shared, thread-safe cache of per-image conv-layer traces, and the
+ * one home of the per-brick non-zero count maps the timing models
+ * read: every simulateNetwork() call fetches them through a cache (a
+ * call without one uses its own), so sharing one across a
+ * six-architecture registry sweep synthesizes (or loads) each tensor
+ * once per image instead of six times. The cache stores one
+ * *unpruned* trace per conv layer and image — synthesis with pruning
+ * is exactly synthesis-unpruned with each producer segment's values
+ * below its threshold zeroed, so one trace serves baseline, CNV and
+ * every pruned variant — and the derived count maps keyed
+ * additionally by the thresholds they read and the brick size. A
+ * trace key covers everything synthesis reads: network name, node,
+ * image seed, the layer's input shape, its producer segments and its
+ * calibrated input zero fraction, so two builds of one network at
+ * different scales never share a trace.
  *
  * A pruned count map reads only its producer segments' thresholds,
  * one per nn::inputSegments() entry, so those key it rather than the

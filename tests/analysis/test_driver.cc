@@ -83,29 +83,4 @@ TEST(Driver, EvaluateAggregatesImages)
     EXPECT_EQ(report.findArch("cnv-b8"), nullptr);
 }
 
-TEST(Driver, SpeedupAverages)
-{
-    auto synthetic = [](std::uint64_t baseCycles,
-                        std::uint64_t cnvCycles) {
-        // Field by field: GCC 12's -Wmissing-field-initializers
-        // flags any brace or designated initializer that leaves out
-        // a member without a default member initializer.
-        const auto aggregate = [](const char *id, std::uint64_t cycles) {
-            driver::ArchAggregate a;
-            a.model = &arch::builtin().get(id);
-            a.cycles = cycles;
-            return a;
-        };
-        driver::NetworkReport r;
-        r.archs.push_back(aggregate("dadiannao", baseCycles));
-        r.archs.push_back(aggregate("cnv", cnvCycles));
-        return r;
-    };
-    const std::vector<driver::NetworkReport> reports{
-        synthetic(150, 100), synthetic(120, 100)};
-    EXPECT_NEAR(driver::meanSpeedup(reports), 1.35, 1e-12);
-    EXPECT_NEAR(driver::geomeanSpeedup(reports), std::sqrt(1.5 * 1.2),
-                1e-12);
-}
-
 } // namespace

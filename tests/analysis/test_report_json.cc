@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "arch/registry.h"
 #include "driver/stats_report.h"
+#include "mem/memory_model.h"
 #include "nn/network.h"
 #include "sim/metrics.h"
 #include "support/json_parser.h"
@@ -224,6 +227,62 @@ TEST(ReportCsv, RowsCoverManifestStatsAndSummary)
     EXPECT_TRUE(sawBaseline);
     EXPECT_TRUE(sawCnv);
     EXPECT_TRUE(sawSummary);
+}
+
+/** Append every numeric leaf under `v` as (dotted path, value). */
+void
+numericLeaves(const Json &v, const std::string &path,
+              std::map<std::string, double> &out)
+{
+    if (v.kind == Json::Kind::Number)
+        out[path] = v.number;
+    for (const auto &[key, child] : v.object)
+        numericLeaves(child, path + "." + key, out);
+}
+
+TEST(ReportCsv, SummaryRowsMatchEveryJsonSummaryLeaf)
+{
+    driver::ExperimentConfig cfg;
+    cfg.images = 2;
+    cfg.seed = 7;
+    cfg.memKind = mem::Kind::Banked;
+    nn::Network net = makeNetwork();
+    const driver::RunReport report = driver::buildRunReport(cfg, net);
+
+    std::ostringstream json, csv;
+    driver::writeReportJson(report, json);
+    driver::writeReportCsv(report, csv);
+    const Json doc = Parser(json.str()).parse();
+    ASSERT_TRUE(doc.at("summary").has("memory"));
+    std::map<std::string, double> leaves;
+    numericLeaves(doc.at("summary"), "summary", leaves);
+
+    // path,kind,value,... rows; summary paths and values hold no
+    // commas, so the first three fields split plainly.
+    std::map<std::string, std::string> rows;
+    std::istringstream is(csv.str());
+    std::string line;
+    while (std::getline(is, line)) {
+        const std::size_t a = line.find(',');
+        const std::size_t b = line.find(',', a + 1);
+        const std::size_t c = line.find(',', b + 1);
+        if (line.rfind("summary.", 0) == 0 && c != std::string::npos)
+            rows[line.substr(0, a)] = line.substr(b + 1, c - b - 1);
+    }
+
+    EXPECT_TRUE(leaves.count("summary.memory.cnv.memoryBoundLayers"));
+    EXPECT_TRUE(leaves.count("summary.memory.cnv.computeBoundLayers"));
+    for (const auto &[path, value] : leaves) {
+        const auto it = rows.find(path);
+        ASSERT_NE(it, rows.end()) << "no CSV row for " << path;
+        const double csvValue = std::stod(it->second);
+        // Counters match exactly; the CSV prints the speedup at
+        // stream precision (six significant digits).
+        if (value == std::floor(value))
+            EXPECT_EQ(csvValue, value) << path;
+        else
+            EXPECT_NEAR(csvValue, value, std::abs(value) * 1e-5) << path;
+    }
 }
 
 } // namespace

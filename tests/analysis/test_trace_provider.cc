@@ -145,7 +145,7 @@ TEST_F(TraceProviderTest, ShapeMismatchIsFatal)
     sim::setVerbosity(sim::Verbosity::Info);
 }
 
-TEST(ApplyPrune, SegmentsUseProducerThresholds)
+TEST(SynthesizeConvInput, PruneUsesProducerThresholds)
 {
     // In a concat-fed layer, each depth segment is pruned with the
     // threshold of the conv that produced it.
@@ -166,9 +166,8 @@ TEST(ApplyPrune, SegmentsUseProducerThresholds)
     // Prune only the first segment's producer, aggressively.
     prune.thresholds[segments[0].producerConvIndex] = 30000;
 
-    auto input = nn::synthesizeConvInput(*net, target, 9);
-    const auto before = input;
-    nn::applyPruneToConvInput(*net, target, input, prune);
+    const auto before = nn::synthesizeConvInput(*net, target, 9);
+    const auto input = nn::synthesizeConvInput(*net, target, 9, &prune);
 
     // First segment largely zeroed; later segments untouched.
     int z0 = segments[0].depth;

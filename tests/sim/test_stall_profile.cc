@@ -2,8 +2,8 @@
  * @file
  * Tests for stall attribution: the reason-name vocabulary, direct
  * accumulation, the trace-event fold (laneCycles/layer argument
- * semantics, pid filtering, unknown-reason accounting), the CSV
- * export and the stats-tree embedding.
+ * semantics, pid filtering, unknown-reason accounting) and the CSV
+ * export.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,7 @@
 
 #include "sim/logging.h"
 #include "sim/stall_profile.h"
-#include "sim/stats.h"
-#include "sim/stats_export.h"
 #include "sim/trace_event.h"
-#include "support/json_parser.h"
 
 namespace {
 
@@ -148,29 +145,6 @@ TEST(StallProfile, WritesSparseCsvWithOptionalScope)
     EXPECT_EQ(more.str(),
               "dadiannao,L0_c1,window_barrier,10\n"
               "dadiannao,L1_c2,synapse_wait,5\n");
-}
-
-TEST(StallProfile, AttachesStatsGroupWithPerReasonTotals)
-{
-    StallProfile p;
-    p.add("L0_c1", StallReason::WindowBarrier, 10);
-    p.add("L1_c2", StallReason::WindowBarrier, 4);
-    p.add("L1_c2", StallReason::SliceDrained, 6);
-
-    sim::StatGroup root("run");
-    p.attachStats(root);
-
-    std::ostringstream os;
-    sim::JsonWriter w(os);
-    sim::exportJson(root, w);
-    testsupport::Json doc = testsupport::Parser(os.str()).parse();
-
-    const testsupport::Json &stalls =
-        doc.at("groups").at("stalls").at("stats");
-    EXPECT_EQ(stalls.at("window_barrier").at("value").number, 14.0);
-    EXPECT_EQ(stalls.at("slice_drained").at("value").number, 6.0);
-    EXPECT_EQ(stalls.at("brick_buffer_empty").at("value").number, 0.0);
-    EXPECT_EQ(stalls.at("totalIdle").at("value").number, 20.0);
 }
 
 } // namespace

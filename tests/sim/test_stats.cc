@@ -44,19 +44,6 @@ TEST(Stats, FormulaComputesFromOtherStats)
     EXPECT_DOUBLE_EQ(g.get("ipc"), 2.5);
 }
 
-TEST(Stats, DistributionTracksMoments)
-{
-    StatGroup g("top");
-    Distribution &d = g.addDistribution("lat", "latency");
-    for (double x : {1.0, 2.0, 3.0, 4.0})
-        d.sample(x);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.stddev(), 1.29099, 1e-4);
-}
-
 TEST(Stats, NestedGroupsAndPathLookup)
 {
     StatGroup root("node");

@@ -67,9 +67,6 @@ buildTree(StatGroup &root)
     root.addFormula("ipc", "fixed formula", [] { return 2.0; });
     StatGroup &child = root.addGroup("unit0");
     child.addCounter("reads", "SB reads") += 7;
-    Distribution &d = child.addDistribution("lat", "latency");
-    d.sample(1.0);
-    d.sample(3.0);
     return child;
 }
 
@@ -87,21 +84,9 @@ TEST(ExportJson, SerializesNestedGroupsWithKinds)
     EXPECT_EQ(text.find("\"value\": 42.0"), std::string::npos);
     EXPECT_NE(text.find("\"kind\": \"scalar\""), std::string::npos);
     EXPECT_NE(text.find("\"kind\": \"formula\""), std::string::npos);
-    EXPECT_NE(text.find("\"kind\": \"distribution\""), std::string::npos);
-    EXPECT_NE(text.find("\"mean\": 2"), std::string::npos);
     // Nested group appears under "groups".
     EXPECT_NE(text.find("\"unit0\""), std::string::npos);
     EXPECT_NE(text.find("\"name\": \"top\""), std::string::npos);
-}
-
-TEST(ExportJson, EmptyDistributionHasNullBounds)
-{
-    StatGroup root("top");
-    root.addDistribution("empty", "never sampled");
-    std::ostringstream os;
-    exportJson(root, os);
-    EXPECT_NE(os.str().find("\"min\": null"), std::string::npos);
-    EXPECT_NE(os.str().find("\"max\": null"), std::string::npos);
 }
 
 TEST(ExportJson, EscapesNamesAndDescriptions)
@@ -126,15 +111,6 @@ TEST(ExportCsv, OneRowPerStatWithDottedPaths)
     EXPECT_NE(text.find("top.cycles,counter,42,total cycles"),
               std::string::npos);
     EXPECT_NE(text.find("top.unit0.reads,counter,7,SB reads"),
-              std::string::npos);
-    // Distributions flatten into one row per moment.
-    EXPECT_NE(text.find("top.unit0.lat.count,distribution,2,"),
-              std::string::npos);
-    EXPECT_NE(text.find("top.unit0.lat.mean,distribution,2,"),
-              std::string::npos);
-    EXPECT_NE(text.find("top.unit0.lat.min,distribution,1,"),
-              std::string::npos);
-    EXPECT_NE(text.find("top.unit0.lat.max,distribution,3,"),
               std::string::npos);
 }
 

@@ -30,9 +30,8 @@ TEST(TraceSink, RecordsEventsInOrderWithTypedFields)
     sink.complete(1, 2, "busy", "lane", 10, 5,
                   {TraceArg("laneCycles", std::uint64_t{5})});
     sink.counter(1, 0, "bbOccupancy", 12, 3.0);
-    sink.instant(1, 2, "drain", "pipeline", 15);
 
-    ASSERT_EQ(sink.events().size(), 3u);
+    ASSERT_EQ(sink.events().size(), 2u);
     const auto &span = sink.events()[0];
     EXPECT_EQ(span.phase, 'X');
     EXPECT_EQ(span.pid, 1u);
@@ -46,7 +45,6 @@ TEST(TraceSink, RecordsEventsInOrderWithTypedFields)
     EXPECT_EQ(span.args[0].number, 5.0);
 
     EXPECT_EQ(sink.events()[1].phase, 'C');
-    EXPECT_EQ(sink.events()[2].phase, 'i');
     EXPECT_EQ(sink.droppedEvents(), 0u);
 }
 
@@ -108,7 +106,6 @@ TEST(TraceSink, WriteJsonEmitsDocumentedSchema)
                   {TraceArg("layer", "L0_c1"),
                    TraceArg("laneCycles", std::uint64_t{5})});
     sink.counter(1, 0, "bbOccupancy", 12, 3.5);
-    sink.instant(1, 2, "drain", "pipeline", 15);
 
     std::ostringstream os;
     sink.writeJson(os, {TraceArg("network", "tiny2"),
@@ -123,7 +120,7 @@ TEST(TraceSink, WriteJsonEmitsDocumentedSchema)
     EXPECT_EQ(meta.at("seed").number, 7.0);
 
     const Json &events = doc.at("traceEvents");
-    ASSERT_EQ(events.array.size(), 4u); // 1 'M' + 3 recorded
+    ASSERT_EQ(events.array.size(), 3u); // 1 'M' + 2 recorded
 
     const Json &span = events.array[1];
     EXPECT_EQ(span.at("ph").text, "X");
@@ -140,10 +137,6 @@ TEST(TraceSink, WriteJsonEmitsDocumentedSchema)
     EXPECT_EQ(counter.at("ph").text, "C");
     EXPECT_FALSE(counter.has("dur"));
     EXPECT_EQ(counter.at("args").at("value").number, 3.5);
-
-    const Json &instant = events.array[3];
-    EXPECT_EQ(instant.at("ph").text, "i");
-    EXPECT_EQ(instant.at("cat").text, "pipeline");
 }
 
 } // namespace

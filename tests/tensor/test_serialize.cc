@@ -21,7 +21,6 @@
 namespace {
 
 using namespace cnv;
-using tensor::FilterBank;
 using tensor::Fixed16;
 using tensor::NeuronTensor;
 
@@ -50,22 +49,6 @@ TEST(Serialize, EmptyTensorRoundTrip)
     std::stringstream ss;
     tensor::save(ss, t);
     EXPECT_EQ(tensor::loadTensor(ss), t);
-}
-
-TEST(Serialize, FilterBankRoundTrip)
-{
-    FilterBank f(3, 2, 2, 9);
-    sim::Rng rng(3);
-    for (std::size_t i = 0; i < f.size(); ++i)
-        f.data()[i] = Fixed16::fromRaw(
-            static_cast<std::int16_t>(rng.uniformInt(std::int64_t{-100},
-                                                     std::int64_t{100})));
-    std::stringstream ss;
-    tensor::save(ss, f);
-    const FilterBank g = tensor::loadFilterBank(ss);
-    ASSERT_EQ(g.shape(), f.shape());
-    for (std::size_t i = 0; i < f.size(); ++i)
-        EXPECT_EQ(g.data()[i], f.data()[i]);
 }
 
 TEST(Serialize, BackToBackStreams)
@@ -100,22 +83,12 @@ TEST(Serialize, TruncatedStreamIsFatal)
     sim::setVerbosity(sim::Verbosity::Info);
 }
 
-TEST(Serialize, WrongKindIsFatal)
-{
-    sim::setVerbosity(sim::Verbosity::Silent);
-    const NeuronTensor t = randomTensor(2, 2, 2, 11);
-    std::stringstream ss;
-    tensor::save(ss, t);
-    EXPECT_THROW(tensor::loadFilterBank(ss), sim::FatalError);
-    sim::setVerbosity(sim::Verbosity::Info);
-}
-
 /** A header declaring `dims` (2^31 elements in all) followed by a
  *  10-byte payload: loading must fail before allocating 4 GiB. */
 std::string
-hostileStream(const char magic[4], std::vector<std::uint32_t> dims)
+hostileStream(std::vector<std::uint32_t> dims)
 {
-    std::string bytes(magic, 4);
+    std::string bytes("CNVT");
     auto put = [&bytes](std::uint32_t v) {
         char buf[sizeof(v)];
         tensor::storeScalar(buf, v);
@@ -147,25 +120,24 @@ TEST(Serialize, HostileElementCountIsFatalBeforeAllocating)
 {
     sim::setVerbosity(sim::Verbosity::Silent);
     const std::string tensorBytes =
-        hostileStream("CNVT", {1u << 15, 1u << 8, 1u << 8});
+        hostileStream({1u << 15, 1u << 8, 1u << 8});
     expectPayloadCheckFatal([&] {
         std::stringstream ss(tensorBytes);
         tensor::loadTensor(ss);
     });
-    expectPayloadCheckFatal([] {
-        std::stringstream ss(
-            hostileStream("CNVF", {1u << 7, 1u << 8, 1u << 8, 1u << 8}));
-        tensor::loadFilterBank(ss);
-    });
 
-    // The same bytes on disk: loadTensorFile reads a seekable file.
+    // The same bytes on disk, opened the way DirectoryTraceProvider
+    // opens a trace: a seekable file.
     const std::string path = ::testing::TempDir() + "cnv_hostile.cnvt";
     {
         std::ofstream os(path, std::ios::binary);
         os.write(tensorBytes.data(),
                  static_cast<std::streamsize>(tensorBytes.size()));
     }
-    expectPayloadCheckFatal([&] { tensor::loadTensorFile(path); });
+    expectPayloadCheckFatal([&] {
+        std::ifstream is(path, std::ios::binary);
+        tensor::loadTensor(is);
+    });
     std::remove(path.c_str());
     sim::setVerbosity(sim::Verbosity::Info);
 }
@@ -190,19 +162,11 @@ TEST(Serialize, HostileCountOnNonSeekableStreamIsFatal)
     // stream that cannot report its length: the load must fail on
     // the short read, having allocated only what it read.
     sim::setVerbosity(sim::Verbosity::Silent);
-    {
-        PipeBuf buf(hostileStream("CNVT", {1u << 15, 1u << 8, 1u << 8}));
-        std::istream is(&buf);
-        ASSERT_LT(is.tellg(), 0);
-        is.clear();
-        EXPECT_THROW(tensor::loadTensor(is), sim::FatalError);
-    }
-    {
-        PipeBuf buf(
-            hostileStream("CNVF", {1u << 7, 1u << 8, 1u << 8, 1u << 8}));
-        std::istream is(&buf);
-        EXPECT_THROW(tensor::loadFilterBank(is), sim::FatalError);
-    }
+    PipeBuf buf(hostileStream({1u << 15, 1u << 8, 1u << 8}));
+    std::istream is(&buf);
+    ASSERT_LT(is.tellg(), 0);
+    is.clear();
+    EXPECT_THROW(tensor::loadTensor(is), sim::FatalError);
     sim::setVerbosity(sim::Verbosity::Info);
 }
 
@@ -222,16 +186,11 @@ TEST(Serialize, FileRoundTrip)
     const NeuronTensor t = randomTensor(6, 3, 12, 13);
     const std::string path = ::testing::TempDir() + "cnv_tensor_test.bin";
     tensor::saveTensorFile(path, t);
-    EXPECT_EQ(tensor::loadTensorFile(path), t);
+    {
+        std::ifstream is(path, std::ios::binary);
+        EXPECT_EQ(tensor::loadTensor(is), t);
+    }
     std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileIsFatal)
-{
-    sim::setVerbosity(sim::Verbosity::Silent);
-    EXPECT_THROW(tensor::loadTensorFile("/nonexistent/nope.bin"),
-                 sim::FatalError);
-    sim::setVerbosity(sim::Verbosity::Info);
 }
 
 TEST(Serialize, ScalarHelpersRoundTripUnaligned)
