@@ -50,27 +50,6 @@ enum class LaneAssignment
     WindowEven,
 };
 
-/**
- * How software sets each layer's encoded/conventional flag
- * (Section IV-B: "A single configuration flag set by software for
- * each layer controls whether the unit will use the neuron offset
- * fields").
- */
-enum class LayerModePolicy
-{
-    /** The paper's setting: conventional for the first conv layer
-     *  (raw image input), encoded everywhere else. */
-    PaperDefault,
-    /**
-     * Pick per layer whichever mode the timing model says is
-     * cheaper — software can estimate this from the previous
-     * layer's non-zero counts (the encoder sees them). Falls back
-     * to conventional on layers where serialising bricks through
-     * the lanes would lose to the lock-step broadcast.
-     */
-    Profitable,
-};
-
 /** Architecture parameters for one accelerator node. */
 struct NodeConfig
 {
@@ -94,9 +73,6 @@ struct NodeConfig
 
     /** CNV brick-to-lane mapping policy. */
     LaneAssignment laneAssignment = LaneAssignment::WindowEven;
-
-    /** Per-layer encoded/conventional selection policy. */
-    LayerModePolicy layerModePolicy = LayerModePolicy::PaperDefault;
 
     /**
      * Cost of a brick whose neurons are all zero: 1 cycle (the NM

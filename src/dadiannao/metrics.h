@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mem/memory_model.h"
+#include "sim/stall_profile.h"
 
 namespace cnv::dadiannao {
 
@@ -85,54 +86,6 @@ struct EnergyCounters
 };
 
 /**
- * Reason-attributed idle lane-cycles. Every idle lane-cycle a model
- * reports in MicroTrace::laneIdleCycles is assigned to exactly one
- * field here, so total() == laneIdleCycles wherever both are filled
- * (enforced by tests/analysis/test_trace_pipeline.cc). The reason
- * vocabulary matches sim::StallReason (sim/stall_profile.h).
- */
-struct StallBreakdown
-{
-    /** Waiting on an NM brick fetch (or NBin fill, baseline). */
-    std::uint64_t brickBufferEmpty = 0;
-    /** Waiting at a window-group synchronisation barrier. */
-    std::uint64_t windowBarrier = 0;
-    /** Waiting on the exposed off-chip synapse stream. */
-    std::uint64_t synapseWait = 0;
-    /** Lane slice drained while other lanes still worked. */
-    std::uint64_t sliceDrained = 0;
-    /** Slice fetch pointers serialised on an NM bank conflict
-     *  (`--mem banked` runs only; zero under the ideal model). */
-    std::uint64_t nmBankConflict = 0;
-    /** Global-buffer miss fills not hidden behind compute
-     *  (`--mem banked` runs only). */
-    std::uint64_t gbMiss = 0;
-    /** Off-chip activation spill past the NM capacity
-     *  (`--mem banked` runs only). */
-    std::uint64_t dramWait = 0;
-
-    std::uint64_t
-    total() const
-    {
-        return brickBufferEmpty + windowBarrier + synapseWait +
-               sliceDrained + nmBankConflict + gbMiss + dramWait;
-    }
-
-    StallBreakdown &
-    operator+=(const StallBreakdown &o)
-    {
-        brickBufferEmpty += o.brickBufferEmpty;
-        windowBarrier += o.windowBarrier;
-        synapseWait += o.synapseWait;
-        sliceDrained += o.sliceDrained;
-        nmBankConflict += o.nmBankConflict;
-        gbMiss += o.gbMiss;
-        dramWait += o.dramWait;
-        return *this;
-    }
-};
-
-/**
  * Per-layer microarchitecture occupancy detail (observability).
  *
  * Lane counts are per unit (multiply by the unit count for node
@@ -148,8 +101,10 @@ struct MicroTrace
     std::uint64_t laneBusyCycles = 0;
     /** Lane-cycles idle at window-group synchronisation points. */
     std::uint64_t laneIdleCycles = 0;
-    /** The same idle lane-cycles, attributed to stall reasons. */
-    StallBreakdown stalls;
+    /** The same idle lane-cycles, attributed to stall reasons:
+     *  stalls.total() == laneIdleCycles wherever both are filled
+     *  (enforced by tests/analysis/test_trace_pipeline.cc). */
+    sim::StallCycles stalls;
     /** Cycles the encoder spent converting output bricks (serial). */
     std::uint64_t encoderBusyCycles = 0;
     /** ZFNAf output bricks produced by the encoder. */

@@ -121,7 +121,8 @@ otherLayerTiming(const NodeConfig &cfg, const nn::Node &node,
         busyCycles * static_cast<std::uint64_t>(cfg.lanes);
     result.micro.laneIdleCycles =
         (cycles - busyCycles) * static_cast<std::uint64_t>(cfg.lanes);
-    result.micro.stalls.synapseWait = result.micro.laneIdleCycles;
+    result.micro.stalls[sim::StallReason::SynapseWait] =
+        result.micro.laneIdleCycles;
     if (node.kind != nn::NodeKind::Concat &&
         node.kind != nn::NodeKind::Input) {
         result.energy.nmReads += inputReads / cfg.lanes;

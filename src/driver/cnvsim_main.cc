@@ -407,13 +407,14 @@ cmdTrace(const CliOptions &opts)
 
     // The attribution must account for every idle lane-cycle the
     // models reported — a gap means a producer forgot its reason.
+    std::vector<sim::StallCycles> stalls;
     for (const driver::ArchTimeline &tl : timelines) {
-        const auto profile = driver::buildStallProfile(tl.result);
         const auto micro = tl.result.totalMicro();
-        CNV_ASSERT(profile.totalIdle() == micro.laneIdleCycles,
+        CNV_ASSERT(micro.stalls.total() == micro.laneIdleCycles,
                    "{} stall breakdown ({}) != idle lane-cycles ({})",
-                   tl.result.architecture, profile.totalIdle(),
+                   tl.result.architecture, micro.stalls.total(),
                    micro.laneIdleCycles);
+        stalls.push_back(micro.stalls);
     }
 
     if (!opts.traceOut.empty()) {
@@ -441,23 +442,20 @@ cmdTrace(const CliOptions &opts)
     }
 
     // Per-reason summary, all selected architectures side by side.
-    std::vector<sim::StallProfile> profiles;
     std::vector<std::string> header{"stall reason"};
-    for (const driver::ArchTimeline &tl : timelines) {
-        profiles.push_back(driver::buildStallProfile(tl.result));
+    for (const driver::ArchTimeline &tl : timelines)
         header.push_back(tl.model->id() + " lane-cycles");
-    }
     sim::Table t(header);
     for (int i = 0; i < sim::kStallReasonCount; ++i) {
         const auto r = static_cast<sim::StallReason>(i);
         std::vector<std::string> row{sim::stallReasonName(r)};
-        for (const sim::StallProfile &p : profiles)
-            row.push_back(sim::Table::intNum(p.total(r)));
+        for (const sim::StallCycles &s : stalls)
+            row.push_back(sim::Table::intNum(s[r]));
         t.addRow(row);
     }
     std::vector<std::string> totals{"total idle"};
-    for (const sim::StallProfile &p : profiles)
-        totals.push_back(sim::Table::intNum(p.totalIdle()));
+    for (const sim::StallCycles &s : stalls)
+        totals.push_back(sim::Table::intNum(s.total()));
     t.addRow(totals);
     t.print(std::cout);
 

@@ -13,23 +13,31 @@
 
 namespace cnv::driver {
 
+std::vector<sim::Field>
+RunManifest::fields() const
+{
+    std::vector<sim::Field> f = {
+        {"tool", tool, "binary that produced the report"},
+        {"gitSha", gitSha, "configure-time git commit"},
+        {"version", version, "project version"},
+        {"network", network, "network evaluated"},
+        {"nodeConfig", nodeConfig, "node configuration"},
+        {"images", static_cast<std::uint64_t>(images), "images evaluated"},
+        {"seed", seed, "root seed"},
+        {"jobs", static_cast<std::uint64_t>(jobs), "worker-pool job count"},
+        {"weightSparsity", weightSparsity, "Cnv2 weight-sparsity knob"},
+    };
+    if (mem != "ideal")
+        f.push_back({"mem", mem, "memory-hierarchy model"});
+    f.push_back(
+        {"wallSeconds", wallSeconds, "wall-clock duration of the run"});
+    return f;
+}
+
 void
 RunManifest::writeJson(sim::JsonWriter &w) const
 {
-    w.beginObject();
-    w.key("tool").value(tool);
-    w.key("gitSha").value(gitSha);
-    w.key("version").value(version);
-    w.key("network").value(network);
-    w.key("nodeConfig").value(nodeConfig);
-    w.key("images").value(images);
-    w.key("seed").value(static_cast<std::uint64_t>(seed));
-    w.key("jobs").value(jobs);
-    w.key("weightSparsity").value(weightSparsity);
-    if (mem != "ideal")
-        w.key("mem").value(mem);
-    w.key("wallSeconds").value(wallSeconds);
-    w.endObject();
+    sim::writeJsonFields(fields(), w);
 }
 
 std::string

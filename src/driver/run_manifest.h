@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/stats_export.h"
 
@@ -54,6 +55,10 @@ struct RunManifest
     std::string mem = "ideal";
     /** Wall-clock duration of the measured portion, in seconds. */
     double wallSeconds = 0.0;
+
+    /** Every emitted field in report order, with descriptions: the
+     *  one list the JSON object and the CSV manifest rows share. */
+    std::vector<sim::Field> fields() const;
 
     /** Write this manifest as one JSON object into `w`. */
     void writeJson(sim::JsonWriter &w) const;

@@ -52,37 +52,15 @@ fillMicro(sim::StatGroup &g, const dadiannao::MicroTrace &m,
                  "per-unit lane-cycles idle (sync or memory)") +=
         m.laneIdleCycles;
     sim::StatGroup &stalls = g.addGroup("stalls");
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::BrickBufferEmpty),
-        "lane-cycles idle waiting on NM brick fetches") +=
-        m.stalls.brickBufferEmpty;
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::WindowBarrier),
-        "lane-cycles idle at window-group sync barriers") +=
-        m.stalls.windowBarrier;
-    stalls.addCounter(sim::stallReasonName(sim::StallReason::SynapseWait),
-                      "lane-cycles idle on the off-chip synapse stream") +=
-        m.stalls.synapseWait;
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::SliceDrained),
-        "lane-cycles idle with the lane's slice drained") +=
-        m.stalls.sliceDrained;
-    // The memory stall reasons exist only on `--mem banked` runs;
-    // omitting them otherwise keeps ideal reports byte-identical
-    // to pre-mem builds.
-    if (memModelled) {
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::NmBankConflict),
-            "lane-cycles idle serialising on NM bank conflicts") +=
-            m.stalls.nmBankConflict;
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::GbMiss),
-            "lane-cycles idle on exposed global-buffer miss fills") +=
-            m.stalls.gbMiss;
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::DramWait),
-            "lane-cycles idle on off-chip activation spills") +=
-            m.stalls.dramWait;
+    for (int i = 0; i < sim::kStallReasonCount; ++i) {
+        const auto r = static_cast<sim::StallReason>(i);
+        // The memory stall reasons exist only on `--mem banked` runs;
+        // omitting them otherwise keeps ideal reports byte-identical
+        // to pre-mem builds.
+        if (memModelled || !sim::isMemoryStallReason(r))
+            stalls.addCounter(sim::stallReasonName(r),
+                              sim::stallReasonDescription(r)) +=
+                m.stalls[r];
     }
     g.addCounter("encoderBusyCycles",
                  "cycles the serial encoder spent converting") +=
@@ -96,9 +74,15 @@ fillMicro(sim::StatGroup &g, const dadiannao::MicroTrace &m,
 
 /** Idle lane-cycles attributed to the memory hierarchy. */
 std::uint64_t
-memStallCycles(const dadiannao::StallBreakdown &s)
+memStallCycles(const sim::StallCycles &s)
 {
-    return s.nmBankConflict + s.gbMiss + s.dramWait;
+    std::uint64_t sum = 0;
+    for (int i = 0; i < sim::kStallReasonCount; ++i) {
+        const auto r = static_cast<sim::StallReason>(i);
+        if (sim::isMemoryStallReason(r))
+            sum += s[r];
+    }
+    return sum;
 }
 
 /** Memory-bound: over half the layer's lane-cycles wait on memory. */
@@ -109,23 +93,34 @@ isMemoryBound(const dadiannao::MicroTrace &m)
     return total > 0 && memStallCycles(m.stalls) * 2 > total;
 }
 
+/** The mem::Counters fields every memory block reports, in order:
+ *  the stat tree's "memory" group and summary.memory.<arch id>. */
+struct MemField
+{
+    const char *name;
+    const char *desc;
+    std::uint64_t mem::Counters::*member;
+};
+
+constexpr MemField kMemFields[] = {
+    {"nmAccesses", "brick-granular NM reads issued",
+     &mem::Counters::nmAccesses},
+    {"nmConflictCycles", "extra cycles serialising on NM bank conflicts",
+     &mem::Counters::nmConflictCycles},
+    {"gbHits", "global-buffer hits", &mem::Counters::gbHits},
+    {"gbMisses", "global-buffer misses", &mem::Counters::gbMisses},
+    {"gbEvictions", "global-buffer capacity evictions",
+     &mem::Counters::gbEvictions},
+    {"dramBytes", "off-chip bytes transferred", &mem::Counters::dramBytes},
+    {"dramCycles", "DRAM channel busy cycles", &mem::Counters::dramCycles},
+};
+
 void
 fillMemory(sim::StatGroup &g, const mem::Counters &mem,
            const dadiannao::MicroTrace &micro)
 {
-    g.addCounter("nmAccesses", "brick-granular NM reads issued") +=
-        mem.nmAccesses;
-    g.addCounter("nmConflictCycles",
-                 "extra cycles serialising on NM bank conflicts") +=
-        mem.nmConflictCycles;
-    g.addCounter("gbHits", "global-buffer hits") += mem.gbHits;
-    g.addCounter("gbMisses", "global-buffer misses") += mem.gbMisses;
-    g.addCounter("gbEvictions", "global-buffer capacity evictions") +=
-        mem.gbEvictions;
-    g.addCounter("dramBytes", "off-chip bytes transferred") +=
-        mem.dramBytes;
-    g.addCounter("dramCycles", "DRAM channel busy cycles") +=
-        mem.dramCycles;
+    for (const MemField &f : kMemFields)
+        g.addCounter(f.name, f.desc) += mem.*f.member;
     const std::uint64_t memStall = memStallCycles(micro.stalls);
     const std::uint64_t total =
         micro.laneBusyCycles + micro.laneIdleCycles;
@@ -151,6 +146,57 @@ boundLayers(const RunReport &report, const ArchAggregate &a)
             (isMemoryBound(l.micro) ? memoryBound : computeBound)++;
     }
     return {memoryBound, computeBound};
+}
+
+/** Every field of the report's summary, in report order: the one
+ *  list the JSON "summary" object and the CSV summary rows share. */
+std::vector<sim::Field>
+summaryFields(const RunReport &report)
+{
+    const NetworkReport &agg = report.aggregate;
+    std::vector<sim::Field> f;
+    f.push_back({"images", static_cast<std::uint64_t>(agg.images),
+                 "images aggregated"});
+    for (const ArchAggregate &a : agg.archs)
+        f.push_back({"archs." + a.id() + ".cycles", a.cycles,
+                     a.id() + " cycles summed over images"});
+    const timing::TraceCache::Stats &cs = report.cacheStats;
+    f.push_back({"cache.tensorHits", cs.tensorHits,
+                 "trace-cache tensor lookups served from cache"});
+    f.push_back({"cache.tensorMisses", cs.tensorMisses,
+                 "trace-cache tensors synthesized or loaded"});
+    f.push_back({"cache.countMapHits", cs.countMapHits,
+                 "trace-cache count-map lookups served from cache"});
+    f.push_back({"cache.countMapMisses", cs.countMapMisses,
+                 "trace-cache count maps computed"});
+    // Memory-hierarchy summary: aggregate counters over all images
+    // plus the single-image timeline's memory-bound vs compute-bound
+    // layer split. Only present on `--mem banked` runs.
+    for (const ArchAggregate &a : agg.archs) {
+        if (!a.memModelled)
+            continue;
+        const std::string p = "memory." + a.id() + ".";
+        for (const MemField &m : kMemFields)
+            f.push_back({p + m.name, a.mem.*m.member, m.desc});
+        const auto [memoryBound, computeBound] = boundLayers(report, a);
+        f.push_back(
+            {p + "memoryBoundLayers", memoryBound,
+             "image-0 layers idle on memory over half their lane-cycles"});
+        f.push_back({p + "computeBoundLayers", computeBound,
+                     "image-0 layers that are not memory-bound"});
+    }
+    // Legacy two-architecture trio: kept whenever the canonical pair
+    // is part of the selection so existing consumers keep parsing.
+    const ArchAggregate *base = agg.findArch("dadiannao");
+    const ArchAggregate *cnvAgg = agg.findArch("cnv");
+    if (base != nullptr && cnvAgg != nullptr) {
+        f.push_back({"baselineCycles", base->cycles,
+                     "baseline cycles summed over images"});
+        f.push_back({"cnvCycles", cnvAgg->cycles,
+                     "CNV cycles summed over images"});
+        f.push_back({"speedup", agg.speedup(), "baseline/CNV cycle ratio"});
+    }
+    return f;
 }
 
 } // namespace
@@ -273,55 +319,8 @@ writeReportJson(const RunReport &report, std::ostream &os)
     }
     w.endObject();
 
-    w.key("summary").beginObject();
-    w.key("images").value(report.aggregate.images);
-    w.key("archs").beginObject();
-    for (const ArchAggregate &a : report.aggregate.archs) {
-        w.key(a.id()).beginObject();
-        w.key("cycles").value(a.cycles);
-        w.endObject();
-    }
-    w.endObject();
-    w.key("cache").beginObject();
-    w.key("tensorHits").value(report.cacheStats.tensorHits);
-    w.key("tensorMisses").value(report.cacheStats.tensorMisses);
-    w.key("countMapHits").value(report.cacheStats.countMapHits);
-    w.key("countMapMisses").value(report.cacheStats.countMapMisses);
-    w.endObject();
-    // Memory-hierarchy summary: aggregate counters over all images
-    // plus the single-image timeline's memory-bound vs compute-bound
-    // layer split. Only present on `--mem banked` runs.
-    bool anyMem = false;
-    for (const ArchAggregate &a : report.aggregate.archs)
-        anyMem = anyMem || a.memModelled;
-    if (anyMem) {
-        w.key("memory").beginObject();
-        for (const ArchAggregate &a : report.aggregate.archs) {
-            w.key(a.id()).beginObject();
-            w.key("nmAccesses").value(a.mem.nmAccesses);
-            w.key("nmConflictCycles").value(a.mem.nmConflictCycles);
-            w.key("gbHits").value(a.mem.gbHits);
-            w.key("gbMisses").value(a.mem.gbMisses);
-            w.key("gbEvictions").value(a.mem.gbEvictions);
-            w.key("dramBytes").value(a.mem.dramBytes);
-            w.key("dramCycles").value(a.mem.dramCycles);
-            const auto [memoryBound, computeBound] = boundLayers(report, a);
-            w.key("memoryBoundLayers").value(memoryBound);
-            w.key("computeBoundLayers").value(computeBound);
-            w.endObject();
-        }
-        w.endObject();
-    }
-    // Legacy two-architecture trio: kept whenever the canonical pair
-    // is part of the selection so existing consumers keep parsing.
-    const ArchAggregate *base = report.aggregate.findArch("dadiannao");
-    const ArchAggregate *cnvAgg = report.aggregate.findArch("cnv");
-    if (base != nullptr && cnvAgg != nullptr) {
-        w.key("baselineCycles").value(base->cycles);
-        w.key("cnvCycles").value(cnvAgg->cycles);
-        w.key("speedup").value(report.aggregate.speedup());
-    }
-    w.endObject();
+    w.key("summary");
+    sim::writeJsonFields(summaryFields(report), w);
 
     // Host-side telemetry (wall-clock only, simulated results are
     // unaffected); determinism checks strip this block before
@@ -338,81 +337,11 @@ void
 writeReportCsv(const RunReport &report, std::ostream &os)
 {
     os << "path,kind,value,description\n";
-    auto manifestRow = [&os](const char *field, const std::string &v,
-                             const char *desc) {
-        os << "manifest." << field << ",manifest," << sim::csvQuote(v)
-           << ',' << sim::csvQuote(desc) << '\n';
-    };
-    const RunManifest &m = report.manifest;
-    manifestRow("tool", m.tool, "binary that produced the report");
-    manifestRow("gitSha", m.gitSha, "configure-time git commit");
-    manifestRow("version", m.version, "project version");
-    manifestRow("network", m.network, "network evaluated");
-    manifestRow("nodeConfig", m.nodeConfig, "node configuration");
-    manifestRow("images", std::to_string(m.images), "images evaluated");
-    manifestRow("seed", std::to_string(m.seed), "root seed");
-    manifestRow("jobs", std::to_string(m.jobs), "worker-pool job count");
-    manifestRow("weightSparsity", sim::strfmt("{}", m.weightSparsity),
-                "Cnv2 weight-sparsity knob");
-    if (m.mem != "ideal")
-        manifestRow("mem", m.mem, "memory-hierarchy model");
-    manifestRow("wallSeconds", sim::strfmt("{}", m.wallSeconds),
-                "wall-clock duration of the run");
-
+    sim::writeCsvFields(report.manifest.fields(), "manifest", os);
     for (const ArchTimeline &t : report.timelines)
         sim::exportCsv(*buildStats(t.result, *t.model), os, "",
                        /*header=*/false);
-
-    os << "summary.images,summary," << report.aggregate.images
-       << ",images aggregated\n";
-    for (const ArchAggregate &a : report.aggregate.archs)
-        os << "summary.archs." << a.id() << ".cycles,summary," << a.cycles
-           << ',' << sim::csvQuote(a.id() + " cycles summed over images")
-           << '\n';
-    const timing::TraceCache::Stats &cs = report.cacheStats;
-    os << "summary.cache.tensorHits,summary," << cs.tensorHits
-       << ",trace-cache tensor lookups served from cache\n";
-    os << "summary.cache.tensorMisses,summary," << cs.tensorMisses
-       << ",trace-cache tensors synthesized or loaded\n";
-    os << "summary.cache.countMapHits,summary," << cs.countMapHits
-       << ",trace-cache count-map lookups served from cache\n";
-    os << "summary.cache.countMapMisses,summary," << cs.countMapMisses
-       << ",trace-cache count maps computed\n";
-    for (const ArchAggregate &a : report.aggregate.archs) {
-        if (!a.memModelled)
-            continue;
-        const std::string p = "summary.memory." + a.id();
-        os << p << ".nmAccesses,summary," << a.mem.nmAccesses
-           << ",brick-granular NM reads issued\n";
-        os << p << ".nmConflictCycles,summary," << a.mem.nmConflictCycles
-           << ",extra cycles serialising on NM bank conflicts\n";
-        os << p << ".gbHits,summary," << a.mem.gbHits
-           << ",global-buffer hits\n";
-        os << p << ".gbMisses,summary," << a.mem.gbMisses
-           << ",global-buffer misses\n";
-        os << p << ".gbEvictions,summary," << a.mem.gbEvictions
-           << ",global-buffer capacity evictions\n";
-        os << p << ".dramBytes,summary," << a.mem.dramBytes
-           << ",off-chip bytes transferred\n";
-        os << p << ".dramCycles,summary," << a.mem.dramCycles
-           << ",DRAM channel busy cycles\n";
-        const auto [memoryBound, computeBound] = boundLayers(report, a);
-        os << p << ".memoryBoundLayers,summary," << memoryBound
-           << ",image-0 layers idle on memory over half their lane-cycles\n";
-        os << p << ".computeBoundLayers,summary," << computeBound
-           << ",image-0 layers that are not memory-bound\n";
-    }
-    const ArchAggregate *base = report.aggregate.findArch("dadiannao");
-    const ArchAggregate *cnvAgg = report.aggregate.findArch("cnv");
-    if (base != nullptr && cnvAgg != nullptr) {
-        os << "summary.baselineCycles,summary," << base->cycles
-           << ",baseline cycles summed over images\n";
-        os << "summary.cnvCycles,summary," << cnvAgg->cycles
-           << ",CNV cycles summed over images\n";
-        os << "summary.speedup,summary,"
-           << sim::strfmt("{}", report.aggregate.speedup())
-           << ",baseline/CNV cycle ratio\n";
-    }
+    sim::writeCsvFields(summaryFields(report), "summary", os);
 }
 
 } // namespace cnv::driver

@@ -28,7 +28,7 @@ namespace cnv::driver {
  *
  *   <arch>.cycles, <arch>.activity.{other,conv1,zero,nonZero,stall},
  *   <arch>.energy.{sbReads,nmReads,...}, <arch>.power.{sb,nm,...},
- *   <arch>.micro.{laneBusyCycles,...,stalls.{brick_buffer_empty,...}},
+ *   <arch>.micro.{laneBusyCycles,...,stalls.<reason name>},
  *   <arch>.layers.L<N>_<name>.{cycles,startCycle,activity,energy,micro}
  *
  * plus derived formulas (utilisation, zero share, joules, EDP). The
@@ -104,7 +104,9 @@ void writeReportJson(const RunReport &report, std::ostream &os);
  * Write a report as CSV: `path,kind,value,description` rows —
  * manifest fields first (kind "manifest"), then every statistic of
  * each architecture tree (paths rooted at the architecture id),
- * then the summary (kind "summary").
+ * then the summary (kind "summary"). The manifest and summary rows
+ * come from the same field lists as writeReportJson(), so each
+ * carries its JSON leaf's value digit for digit.
  */
 void writeReportCsv(const RunReport &report, std::ostream &os);
 

@@ -14,26 +14,6 @@ layerStatKey(int index, const std::string &name)
     return sim::strfmt("L{}_{}", index, out);
 }
 
-namespace {
-
-/** Reason's idle lane-cycles in one layer's breakdown. */
-std::uint64_t
-reasonCycles(const dadiannao::StallBreakdown &s, sim::StallReason r)
-{
-    switch (r) {
-      case sim::StallReason::BrickBufferEmpty: return s.brickBufferEmpty;
-      case sim::StallReason::WindowBarrier: return s.windowBarrier;
-      case sim::StallReason::SynapseWait: return s.synapseWait;
-      case sim::StallReason::SliceDrained: return s.sliceDrained;
-      case sim::StallReason::NmBankConflict: return s.nmBankConflict;
-      case sim::StallReason::GbMiss: return s.gbMiss;
-      case sim::StallReason::DramWait: return s.dramWait;
-    }
-    return 0;
-}
-
-} // namespace
-
 void
 appendNetworkTrace(sim::TraceSink &sink,
                    const dadiannao::NetworkResult &result,
@@ -73,8 +53,7 @@ appendNetworkTrace(sim::TraceSink &sink,
                            layer.micro.laneIdleCycles)});
         for (int i = 0; i < sim::kStallReasonCount; ++i) {
             const auto r = static_cast<sim::StallReason>(i);
-            const std::uint64_t cycles =
-                reasonCycles(layer.micro.stalls, r);
+            const std::uint64_t cycles = layer.micro.stalls[r];
             if (cycles == 0)
                 continue;
             sink.complete(pid,
@@ -125,8 +104,7 @@ buildStallProfile(const dadiannao::NetworkResult &result)
         const std::string key = layerStatKey(index++, layer.name);
         for (int i = 0; i < sim::kStallReasonCount; ++i) {
             const auto r = static_cast<sim::StallReason>(i);
-            const std::uint64_t cycles =
-                reasonCycles(layer.micro.stalls, r);
+            const std::uint64_t cycles = layer.micro.stalls[r];
             if (cycles > 0)
                 profile.add(key, r, cycles);
         }

@@ -64,7 +64,7 @@ void appendNetworkTrace(sim::TraceSink &sink,
 
 /**
  * Per-layer, per-reason stall profile of one run, keyed by
- * layerStatKey. Its totalIdle() equals the run's
+ * layerStatKey. Its totals().total() equals the run's
  * totalMicro().laneIdleCycles as long as every model attributed its
  * idle cycles (enforced by tests/analysis/test_trace_pipeline.cc).
  */

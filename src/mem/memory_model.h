@@ -20,8 +20,8 @@
  * Accounting units: conflict and fill costs are *cycles* added to a
  * window group's runtime; the timing models convert them to idle
  * lane-cycles (every lane waits) and attribute them to the
- * `nm_bank_conflict` / `gb_miss` / `dram_wait` stall reasons, so
- * the stalls.total() == laneIdleCycles invariant keeps holding
+ * NmBankConflict / GbMiss / DramWait sim::StallReason, so the
+ * stalls.total() == laneIdleCycles invariant keeps holding
  * (docs/observability.md, "Stall attribution").
  */
 

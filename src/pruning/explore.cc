@@ -187,9 +187,7 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
         refs[i] = referenceOf(accNet.forward(inputs[i]));
     });
 
-    std::vector<std::vector<int>> groups = opts.layerGroups;
-    if (groups.empty())
-        groups = thresholdGroups(fullNet);
+    const std::vector<std::vector<int>> groups = thresholdGroups(fullNet);
 
     PruneConfig current;
     current.thresholds.assign(convs, opts.levels.front());

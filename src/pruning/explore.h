@@ -55,12 +55,6 @@ struct SearchOptions
     double distortionTolerance = 0.05;
     /** Seed for evaluation inputs. */
     std::uint64_t seed = 99;
-    /**
-     * Conv layers sharing one threshold during the search. Empty =
-     * one group per conv layer. The paper specifies google's
-     * thresholds per inception module (Section V-E).
-     */
-    std::vector<std::vector<int>> layerGroups;
 };
 
 /**

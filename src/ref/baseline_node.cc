@@ -45,7 +45,7 @@ BaselineNodeModel::run(const nn::Network &net, const NeuronTensor &input) const
                                        cfg_.nodeLanes());
             loadStall.micro.laneIdleCycles =
                 loadStall.cycles * static_cast<std::uint64_t>(cfg_.lanes);
-            loadStall.micro.stalls.synapseWait =
+            loadStall.micro.stalls[sim::StallReason::SynapseWait] =
                 loadStall.micro.laneIdleCycles;
             if (loadStall.cycles > 0)
                 result.timing.layers.push_back(loadStall);

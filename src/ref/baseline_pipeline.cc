@@ -283,7 +283,8 @@ runConvPipelineBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
         units.busyCycles() * static_cast<std::uint64_t>(lanes);
     result.micro.laneIdleCycles =
         units.idleCycles() * static_cast<std::uint64_t>(lanes);
-    result.micro.stalls.brickBufferEmpty = result.micro.laneIdleCycles;
+    result.micro.stalls[sim::StallReason::BrickBufferEmpty] =
+        result.micro.laneIdleCycles;
     if (mem)
         result.mem = mem->drainLayer();
 

@@ -209,9 +209,10 @@ runConvPipeline(const NodeConfig &cfg, const DispatcherConfig &dispatchCfg,
             result.micro.laneIdleCycles += dispatcher.stallCycles(lane) +
                                            dispatcher.drainedCycles(lane);
         }
-        result.micro.stalls.brickBufferEmpty +=
+        result.micro.stalls[sim::StallReason::BrickBufferEmpty] +=
             dispatcher.idleBrickBufferEmpty();
-        result.micro.stalls.sliceDrained += dispatcher.idleSliceDrained();
+        result.micro.stalls[sim::StallReason::SliceDrained] +=
+            dispatcher.idleSliceDrained();
 
         // Drain NBout through the encoder, 16 output neurons at a
         // time (serial, overlapped with the next group in hardware).

@@ -178,7 +178,8 @@ simulateConvCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                     groupCycles * static_cast<std::uint64_t>(lanes) -
                     laneSum;
                 result.timing.micro.laneIdleCycles += barrier;
-                result.timing.micro.stalls.windowBarrier += barrier;
+                result.timing.micro.stalls[sim::StallReason::WindowBarrier] +=
+                    barrier;
             }
         }
 

@@ -5,19 +5,53 @@
 
 namespace cnv::sim {
 
+namespace {
+
+/** Name and report description of each reason, in enum order: the
+ *  one definition the reports, traces and stall CSVs all read. */
+struct ReasonInfo
+{
+    const char *name;
+    const char *desc;
+};
+
+constexpr std::array<ReasonInfo, kStallReasonCount> kReasons = {{
+    {"brick_buffer_empty", "lane-cycles idle waiting on NM brick fetches"},
+    {"window_barrier", "lane-cycles idle at window-group sync barriers"},
+    {"synapse_wait", "lane-cycles idle on the off-chip synapse stream"},
+    {"slice_drained", "lane-cycles idle with the lane's slice drained"},
+    {"nm_bank_conflict",
+     "lane-cycles idle serialising on NM bank conflicts"},
+    {"gb_miss", "lane-cycles idle on exposed global-buffer miss fills"},
+    {"dram_wait", "lane-cycles idle on off-chip activation spills"},
+}};
+
+const ReasonInfo &
+infoOf(StallReason r)
+{
+    const auto i = static_cast<std::size_t>(r);
+    CNV_ASSERT(i < kReasons.size(), "invalid stall reason {}", i);
+    return kReasons[i];
+}
+
+} // namespace
+
 const char *
 stallReasonName(StallReason r)
 {
-    switch (r) {
-      case StallReason::BrickBufferEmpty: return "brick_buffer_empty";
-      case StallReason::WindowBarrier: return "window_barrier";
-      case StallReason::SynapseWait: return "synapse_wait";
-      case StallReason::SliceDrained: return "slice_drained";
-      case StallReason::NmBankConflict: return "nm_bank_conflict";
-      case StallReason::GbMiss: return "gb_miss";
-      case StallReason::DramWait: return "dram_wait";
-    }
-    CNV_PANIC("invalid stall reason {}", static_cast<int>(r));
+    return infoOf(r).name;
+}
+
+const char *
+stallReasonDescription(StallReason r)
+{
+    return infoOf(r).desc;
+}
+
+bool
+isMemoryStallReason(StallReason r)
+{
+    return r >= StallReason::NmBankConflict;
 }
 
 std::optional<StallReason>
@@ -32,12 +66,20 @@ stallReasonFromName(std::string_view name)
 }
 
 std::uint64_t
-StallProfile::Row::total() const
+StallCycles::total() const
 {
     std::uint64_t sum = 0;
-    for (std::uint64_t v : idle)
+    for (std::uint64_t v : cycles)
         sum += v;
     return sum;
+}
+
+StallCycles &
+StallCycles::operator+=(const StallCycles &o)
+{
+    for (std::size_t i = 0; i < cycles.size(); ++i)
+        cycles[i] += o.cycles[i];
+    return *this;
 }
 
 StallProfile::Row &
@@ -55,7 +97,7 @@ void
 StallProfile::add(const std::string &layer, StallReason r,
                   std::uint64_t laneCycles)
 {
-    rowFor(layer).idle[static_cast<std::size_t>(r)] += laneCycles;
+    rowFor(layer).idle[r] += laneCycles;
 }
 
 std::size_t
@@ -88,21 +130,12 @@ StallProfile::addFromTrace(const TraceSink &sink, std::uint32_t pid,
     return unknown;
 }
 
-std::uint64_t
-StallProfile::total(StallReason r) const
+StallCycles
+StallProfile::totals() const
 {
-    std::uint64_t sum = 0;
+    StallCycles sum;
     for (const Row &row : rows_)
-        sum += row.idle[static_cast<std::size_t>(r)];
-    return sum;
-}
-
-std::uint64_t
-StallProfile::totalIdle() const
-{
-    std::uint64_t sum = 0;
-    for (const Row &row : rows_)
-        sum += row.total();
+        sum += row.idle;
     return sum;
 }
 
@@ -117,13 +150,13 @@ StallProfile::writeCsv(std::ostream &os, const std::string &prefix,
     }
     for (const Row &row : rows_) {
         for (int i = 0; i < kStallReasonCount; ++i) {
-            if (row.idle[static_cast<std::size_t>(i)] == 0)
+            const auto r = static_cast<StallReason>(i);
+            if (row.idle[r] == 0)
                 continue;
             if (!prefix.empty())
                 os << csvQuote(prefix) << ',';
-            os << csvQuote(row.layer) << ','
-               << stallReasonName(static_cast<StallReason>(i)) << ','
-               << row.idle[static_cast<std::size_t>(i)] << '\n';
+            os << csvQuote(row.layer) << ',' << stallReasonName(r) << ','
+               << row.idle[r] << '\n';
         }
     }
 }

@@ -60,11 +60,48 @@ enum class StallReason {
 /** Number of distinct stall reasons. */
 inline constexpr int kStallReasonCount = 7;
 
-/** Stable snake_case name ("brick_buffer_empty", ...). */
+/** Stable snake_case name, as every report and trace prints it. */
 const char *stallReasonName(StallReason r);
+
+/** One-line report description of the reason's idle lane-cycles. */
+const char *stallReasonDescription(StallReason r);
+
+/** True for the reasons only a `--mem banked` run models
+ *  (NmBankConflict, GbMiss, DramWait); they follow the others. */
+bool isMemoryStallReason(StallReason r);
 
 /** Inverse of stallReasonName; nullopt for unknown names. */
 std::optional<StallReason> stallReasonFromName(std::string_view name);
+
+/**
+ * Idle lane-cycles split by stall reason: one cell per StallReason,
+ * indexed by the reason. Every model that reports idle lane-cycles
+ * attributes each one to exactly one cell, so total() equals the
+ * idle count wherever both are filled.
+ */
+struct StallCycles
+{
+    std::array<std::uint64_t, kStallReasonCount> cycles{};
+
+    std::uint64_t &
+    operator[](StallReason r)
+    {
+        return cycles[static_cast<std::size_t>(r)];
+    }
+
+    std::uint64_t
+    operator[](StallReason r) const
+    {
+        return cycles[static_cast<std::size_t>(r)];
+    }
+
+    /** Idle lane-cycles summed over every reason. */
+    std::uint64_t total() const;
+
+    StallCycles &operator+=(const StallCycles &o);
+
+    bool operator==(const StallCycles &) const = default;
+};
 
 /**
  * Per-layer, per-reason idle lane-cycle breakdown.
@@ -80,10 +117,7 @@ class StallProfile
     struct Row
     {
         std::string layer;
-        std::array<std::uint64_t, kStallReasonCount> idle{};
-
-        /** Idle lane-cycles of this layer, summed over reasons. */
-        std::uint64_t total() const;
+        StallCycles idle;
     };
 
     /** Attribute `laneCycles` idle lane-cycles to (layer, reason). */
@@ -108,11 +142,8 @@ class StallProfile
     /** Rows in first-seen order. */
     const std::vector<Row> &rows() const { return rows_; }
 
-    /** Idle lane-cycles for one reason, summed over layers. */
-    std::uint64_t total(StallReason r) const;
-
-    /** Idle lane-cycles summed over every layer and reason. */
-    std::uint64_t totalIdle() const;
+    /** Idle lane-cycles per reason, summed over layers. */
+    StallCycles totals() const;
 
     /**
      * Write `layer,reason,idleLaneCycles` CSV rows (RFC 4180

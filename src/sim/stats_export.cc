@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <set>
+#include <type_traits>
 
 #include "sim/logging.h"
 
@@ -313,6 +315,63 @@ exportCsv(const StatGroup &group, std::ostream &os,
     if (header)
         os << "path,kind,value,description\n";
     exportCsvRec(group, os, prefix);
+}
+
+void
+writeJsonFields(const std::vector<Field> &fields, JsonWriter &w)
+{
+    // Objects open below the root, outermost first, by full dotted
+    // path. A closed object must not reopen: its key would repeat.
+    std::vector<std::string_view> opened;
+    std::set<std::string_view> closed;
+    const auto closeTo = [&](std::size_t depth) {
+        for (; opened.size() > depth; opened.pop_back()) {
+            closed.insert(opened.back());
+            w.endObject();
+        }
+    };
+    w.beginObject();
+    for (const Field &f : fields) {
+        const std::string_view path = f.path;
+        std::size_t depth = 0, start = 0;
+        for (std::size_t dot; (dot = path.find('.', start)) != path.npos;
+             start = dot + 1, ++depth) {
+            const std::string_view group = path.substr(0, dot);
+            if (depth < opened.size() && opened[depth] == group)
+                continue;
+            closeTo(depth);
+            CNV_ASSERT(!closed.count(group), "field {} reopens object {}",
+                       path, group);
+            w.key(path.substr(start, dot - start)).beginObject();
+            opened.push_back(group);
+        }
+        closeTo(depth);
+        w.key(path.substr(start));
+        std::visit([&w](const auto &v) { w.value(v); }, f.value);
+    }
+    closeTo(0);
+    w.endObject();
+}
+
+void
+writeCsvFields(const std::vector<Field> &fields, std::string_view scope,
+               std::ostream &os)
+{
+    const std::string kind(scope);
+    for (const Field &f : fields) {
+        const std::string value = std::visit(
+            [](const auto &v) {
+                using T = std::decay_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, std::string>)
+                    return csvQuote(v);
+                else if constexpr (std::is_same_v<T, double>)
+                    return formatDouble(v);
+                else
+                    return std::to_string(v);
+            },
+            f.value);
+        csvRow(os, kind + "." + f.path, kind.c_str(), value, f.desc);
+    }
 }
 
 } // namespace cnv::sim

@@ -12,6 +12,10 @@
  *  - CSV with one row per statistic, dot-joined paths, and RFC
  *    4180 quoting.
  *
+ * Report sections outside the stat trees (a run's manifest and
+ * summary) are flat Field lists that writeJsonFields() and
+ * writeCsvFields() serialize in the same two formats.
+ *
  * The emitted schema is documented field-for-field in
  * docs/observability.md; tests/sim/test_stats_export.cc pins it.
  */
@@ -23,6 +27,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "sim/stats.h"
@@ -116,6 +121,36 @@ void exportCsv(const StatGroup &group, std::ostream &os,
 
 /** CSV-quote one field (adds quotes only when required). */
 std::string csvQuote(std::string_view field);
+
+/**
+ * One report field outside the stat trees (a manifest entry, a
+ * summary value): a dot-joined path, a value and a description. A
+ * list of them is the single definition that both writeJsonFields()
+ * and writeCsvFields() serialize.
+ */
+struct Field
+{
+    std::string path;
+    std::variant<std::uint64_t, double, std::string> value;
+    std::string desc;
+};
+
+/**
+ * Write `fields` into `w` as one JSON object, nesting dotted paths:
+ * "a.b.x" and "a.b.y" become members of one "a": {"b": {...}}
+ * object, in list order. Fields sharing a prefix must be adjacent.
+ * Values print as JsonWriter::value() prints them; descriptions are
+ * not written.
+ */
+void writeJsonFields(const std::vector<Field> &fields, JsonWriter &w);
+
+/**
+ * Write `fields` as `path,kind,value,description` CSV rows
+ * `<scope>.<path>,<scope>,<value>,<desc>` — doubles in the same
+ * shortest round-trip form as the JSON, strings RFC 4180 quoted.
+ */
+void writeCsvFields(const std::vector<Field> &fields, std::string_view scope,
+                    std::ostream &os);
 
 } // namespace cnv::sim
 

@@ -360,7 +360,8 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                 const std::uint64_t barrier =
                     lp.cycles * static_cast<std::uint64_t>(lanes) - lp.busy;
                 r.micro.laneIdleCycles += barrier;
-                r.micro.stalls.windowBarrier += barrier;
+                r.micro.stalls[sim::StallReason::WindowBarrier] +=
+                    barrier;
 
                 if (mem) {
                     // Each pass re-fetches the group's bricks (the
@@ -374,9 +375,10 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     r.cycles += extra;
                     r.activity.stall += extra * lanes * units;
                     r.micro.laneIdleCycles += extra * lanes;
-                    r.micro.stalls.nmBankConflict +=
+                    r.micro.stalls[sim::StallReason::NmBankConflict] +=
                         gc.conflictCycles * lanes;
-                    r.micro.stalls.gbMiss += gc.gbFillCycles * lanes;
+                    r.micro.stalls[sim::StallReason::GbMiss] +=
+                        gc.gbFillCycles * lanes;
                 }
             }
         }

@@ -119,7 +119,8 @@ fcCnvTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
     r.micro.laneIdleCycles =
         (r.cycles - std::min(compute, r.cycles)) *
         static_cast<std::uint64_t>(cfg.lanes);
-    r.micro.stalls.synapseWait = r.micro.laneIdleCycles;
+    r.micro.stalls[sim::StallReason::SynapseWait] =
+        r.micro.laneIdleCycles;
     r.energy.sbReads += bytes / 32; // 16-synapse (32-byte) fetches
     r.energy.multOps += static_cast<std::uint64_t>(
         static_cast<double>(node.fc.macs(node.inShape)) * nzFrac);
@@ -136,37 +137,18 @@ convLayerTiming(const NodeConfig &cfg, Arch arch, const nn::Node &node,
                 const CountMap &counts, double weightSparsity,
                 mem::MemoryModel *mem)
 {
-    const auto encodedTiming = [&](mem::MemoryModel *m) {
-        return arch == Arch::Cnv2
-            ? convCnv2(cfg, node.conv, node.inShape, counts,
-                       node.convIndex, weightSparsity, m)
-            : convCnv(cfg, node.conv, node.inShape, counts, m);
-    };
+    // Section IV-B's software-set encoded/conventional flag: the
+    // first conv layer (raw image input) runs conventional, every
+    // later one encoded.
     LayerResult conv;
-    if (arch == Arch::Baseline || node.convIndex == 0) {
+    if (arch == Arch::Baseline || node.convIndex == 0)
         conv = convBaseline(cfg, node.conv, node.inShape, counts,
                             node.convIndex == 0, mem);
-    } else if (cfg.layerModePolicy ==
-               dadiannao::LayerModePolicy::Profitable) {
-        // Software sets the per-layer encoded/conventional flag;
-        // with the profitable policy it picks the cheaper of the
-        // two (estimable from the encoder's non-zero counts of the
-        // previous layer). Both estimates stay side-effect-free
-        // (no memory model); only the winning mode replays its
-        // accesses against the real model, so its state advances
-        // exactly once per layer.
-        LayerResult encoded = encodedTiming(nullptr);
-        LayerResult conventional =
-            convBaseline(cfg, node.conv, node.inShape, counts, false);
-        if (encoded.cycles <= conventional.cycles)
-            conv = mem ? encodedTiming(mem) : std::move(encoded);
-        else
-            conv = mem ? convBaseline(cfg, node.conv, node.inShape,
-                                      counts, false, mem)
-                       : std::move(conventional);
-    } else {
-        conv = encodedTiming(mem);
-    }
+    else if (arch == Arch::Cnv2)
+        conv = convCnv2(cfg, node.conv, node.inShape, counts,
+                        node.convIndex, weightSparsity, mem);
+    else
+        conv = convCnv(cfg, node.conv, node.inShape, counts, mem);
     conv.name = node.name;
     return conv;
 }
@@ -238,7 +220,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
             // Exposed load time: every lane waits on the stream.
             loadStall.micro.laneIdleCycles =
                 loadStall.cycles * static_cast<std::uint64_t>(cfg.lanes);
-            loadStall.micro.stalls.synapseWait =
+            loadStall.micro.stalls[sim::StallReason::SynapseWait] =
                 loadStall.micro.laneIdleCycles;
             // Synapse traffic goes through the DRAM channel; its
             // wait time is already modelled by the OverlapTracker,
@@ -292,7 +274,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
                     spill.micro.laneIdleCycles =
                         spill.cycles *
                         static_cast<std::uint64_t>(cfg.lanes);
-                    spill.micro.stalls.dramWait =
+                    spill.micro.stalls[sim::StallReason::DramWait] =
                         spill.micro.laneIdleCycles;
                     if (spill.cycles > 0) {
                         result.layers.push_back(spill);

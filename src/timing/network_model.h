@@ -134,17 +134,16 @@ struct RunOptions
 
 /**
  * Conv layer timing on one architecture: applies the per-layer
- * encoded/conventional selection (conv1 always conventional, the
- * LayerModePolicy otherwise) and dispatches to the closed-form
+ * encoded/conventional selection (conv1 conventional, every later
+ * layer encoded) and dispatches to the closed-form
  * convBaseline/convCnv/convCnv2 models. The returned LayerResult
  * carries the node's name.
  *
  * @param counts Per-brick non-zero counts of the layer's input.
  * @param weightSparsity Cnv2 ineffectual-weight-brick fraction
  *        (ignored by the other architectures).
- * @param mem Optional memory model the chosen mode's NM accesses
- *        are issued against (the profitable-policy estimates stay
- *        side-effect-free; only the winner touches the model).
+ * @param mem Optional memory model the layer's NM accesses are
+ *        issued against.
  */
 dadiannao::LayerResult convLayerTiming(
     const dadiannao::NodeConfig &cfg, Arch arch, const nn::Node &node,

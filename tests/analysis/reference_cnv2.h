@@ -173,7 +173,8 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
                     groupCycles * static_cast<std::uint64_t>(lanes) -
                     laneSum;
                 r.micro.laneIdleCycles += barrier;
-                r.micro.stalls.windowBarrier += barrier;
+                r.micro.stalls[sim::StallReason::WindowBarrier] +=
+                    barrier;
 
                 if (mem) {
                     const mem::GroupCost gc =
@@ -183,9 +184,10 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
                     r.cycles += extra;
                     r.activity.stall += extra * lanes * units;
                     r.micro.laneIdleCycles += extra * lanes;
-                    r.micro.stalls.nmBankConflict +=
+                    r.micro.stalls[sim::StallReason::NmBankConflict] +=
                         gc.conflictCycles * lanes;
-                    r.micro.stalls.gbMiss += gc.gbFillCycles * lanes;
+                    r.micro.stalls[sim::StallReason::GbMiss] +=
+                        gc.gbFillCycles * lanes;
                 }
             }
         }

@@ -66,13 +66,7 @@ expectSameResult(const LayerResult &got, const LayerResult &want)
     const dadiannao::MicroTrace &wm = want.micro;
     EXPECT_EQ(gm.laneBusyCycles, wm.laneBusyCycles);
     EXPECT_EQ(gm.laneIdleCycles, wm.laneIdleCycles);
-    EXPECT_EQ(gm.stalls.brickBufferEmpty, wm.stalls.brickBufferEmpty);
-    EXPECT_EQ(gm.stalls.windowBarrier, wm.stalls.windowBarrier);
-    EXPECT_EQ(gm.stalls.synapseWait, wm.stalls.synapseWait);
-    EXPECT_EQ(gm.stalls.sliceDrained, wm.stalls.sliceDrained);
-    EXPECT_EQ(gm.stalls.nmBankConflict, wm.stalls.nmBankConflict);
-    EXPECT_EQ(gm.stalls.gbMiss, wm.stalls.gbMiss);
-    EXPECT_EQ(gm.stalls.dramWait, wm.stalls.dramWait);
+    EXPECT_EQ(gm.stalls, wm.stalls);
     EXPECT_EQ(gm.encoderBusyCycles, wm.encoderBusyCycles);
     EXPECT_EQ(gm.encoderBricks, wm.encoderBricks);
     EXPECT_EQ(gm.bbOccupancySum, wm.bbOccupancySum);

@@ -66,11 +66,15 @@ TEST(MemoryModelPins, BankedKeepsStallAttributionInvariant)
                 << archId << " " << layer.name;
         if (std::string(archId) == "dadiannao") {
             // One unit-wide fetch pointer never conflicts...
-            EXPECT_EQ(run.totalMicro().stalls.nmBankConflict, 0u);
+            EXPECT_EQ(
+                run.totalMicro().stalls[sim::StallReason::NmBankConflict],
+                0u);
             EXPECT_GT(run.totalMem().nmAccesses, 0u);
         } else {
             // ...while CNV's sixteen independent slice pointers do.
-            EXPECT_GT(run.totalMicro().stalls.nmBankConflict, 0u)
+            EXPECT_GT(
+                run.totalMicro().stalls[sim::StallReason::NmBankConflict],
+                0u)
                 << archId;
         }
     }

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "arch/registry.h"
 #include "driver/stats_report.h"
@@ -229,59 +229,84 @@ TEST(ReportCsv, RowsCoverManifestStatsAndSummary)
     EXPECT_TRUE(sawSummary);
 }
 
-/** Append every numeric leaf under `v` as (dotted path, value). */
+/** Append every scalar leaf under `v` as (dotted path, leaf). */
 void
-numericLeaves(const Json &v, const std::string &path,
-              std::map<std::string, double> &out)
+scalarLeaves(const Json &v, const std::string &path,
+             std::map<std::string, const Json *> &out)
 {
-    if (v.kind == Json::Kind::Number)
-        out[path] = v.number;
+    if (v.kind == Json::Kind::Number || v.kind == Json::Kind::String)
+        out[path] = &v;
     for (const auto &[key, child] : v.object)
-        numericLeaves(child, path + "." + key, out);
+        scalarLeaves(child, path + "." + key, out);
 }
 
-TEST(ReportCsv, SummaryRowsMatchEveryJsonSummaryLeaf)
+/** Split one CSV line into its fields, undoing RFC 4180 quoting. */
+std::vector<std::string>
+csvFields(const std::string &line)
+{
+    std::vector<std::string> fields(1);
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char c = line[i];
+        if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"')
+            fields.back() += line[++i];
+        else if (c == '"')
+            quoted = !quoted;
+        else if (c == ',' && !quoted)
+            fields.emplace_back();
+        else
+            fields.back() += c;
+    }
+    return fields;
+}
+
+TEST(ReportCsv, SummaryAndManifestRowsMatchEveryJsonLeafExactly)
 {
     driver::ExperimentConfig cfg;
     cfg.images = 2;
     cfg.seed = 7;
+    cfg.weightSparsity = 0.123456789;
     cfg.memKind = mem::Kind::Banked;
     nn::Network net = makeNetwork();
-    const driver::RunReport report = driver::buildRunReport(cfg, net);
+    driver::RunReport report = driver::buildRunReport(cfg, net);
+    report.manifest.wallSeconds = 1.0 / 3.0;
 
     std::ostringstream json, csv;
     driver::writeReportJson(report, json);
     driver::writeReportCsv(report, csv);
     const Json doc = Parser(json.str()).parse();
     ASSERT_TRUE(doc.at("summary").has("memory"));
-    std::map<std::string, double> leaves;
-    numericLeaves(doc.at("summary"), "summary", leaves);
+    std::map<std::string, const Json *> leaves;
+    scalarLeaves(doc.at("summary"), "summary", leaves);
+    scalarLeaves(doc.at("manifest"), "manifest", leaves);
 
-    // path,kind,value,... rows; summary paths and values hold no
-    // commas, so the first three fields split plainly.
+    // Rows of kind summary/manifest, keyed by path; their kind is the
+    // path's first component.
     std::map<std::string, std::string> rows;
     std::istringstream is(csv.str());
     std::string line;
     while (std::getline(is, line)) {
-        const std::size_t a = line.find(',');
-        const std::size_t b = line.find(',', a + 1);
-        const std::size_t c = line.find(',', b + 1);
-        if (line.rfind("summary.", 0) == 0 && c != std::string::npos)
-            rows[line.substr(0, a)] = line.substr(b + 1, c - b - 1);
+        const std::vector<std::string> f = csvFields(line);
+        ASSERT_EQ(f.size(), 4u) << line;
+        if (f[1] != "summary" && f[1] != "manifest")
+            continue;
+        EXPECT_EQ(f[0].rfind(f[1] + ".", 0), 0u) << line;
+        EXPECT_TRUE(rows.emplace(f[0], f[2]).second) << "repeated " << f[0];
     }
 
     EXPECT_TRUE(leaves.count("summary.memory.cnv.memoryBoundLayers"));
     EXPECT_TRUE(leaves.count("summary.memory.cnv.computeBoundLayers"));
-    for (const auto &[path, value] : leaves) {
+    EXPECT_TRUE(leaves.count("summary.speedup"));
+    EXPECT_EQ(rows.size(), leaves.size());
+    for (const auto &[path, leaf] : leaves) {
         const auto it = rows.find(path);
         ASSERT_NE(it, rows.end()) << "no CSV row for " << path;
-        const double csvValue = std::stod(it->second);
-        // Counters match exactly; the CSV prints the speedup at
-        // stream precision (six significant digits).
-        if (value == std::floor(value))
-            EXPECT_EQ(csvValue, value) << path;
+        // Doubles print in the JSON's shortest round-trip form, so
+        // every value parses back exactly.
+        if (leaf->kind == Json::Kind::Number)
+            EXPECT_EQ(std::stod(it->second), leaf->number) << path;
         else
-            EXPECT_NEAR(csvValue, value, std::abs(value) * 1e-5) << path;
+            EXPECT_EQ(it->second, leaf->text) << path;
     }
 }
 

@@ -43,15 +43,7 @@ expectSameLayer(const dadiannao::LayerResult &a,
     EXPECT_EQ(a.micro.laneIdleCycles, b.micro.laneIdleCycles);
     EXPECT_EQ(a.micro.encoderBusyCycles, b.micro.encoderBusyCycles);
     EXPECT_EQ(a.micro.encoderBricks, b.micro.encoderBricks);
-    const dadiannao::StallBreakdown &sa = a.micro.stalls;
-    const dadiannao::StallBreakdown &sb = b.micro.stalls;
-    EXPECT_EQ(sa.brickBufferEmpty, sb.brickBufferEmpty);
-    EXPECT_EQ(sa.windowBarrier, sb.windowBarrier);
-    EXPECT_EQ(sa.synapseWait, sb.synapseWait);
-    EXPECT_EQ(sa.sliceDrained, sb.sliceDrained);
-    EXPECT_EQ(sa.nmBankConflict, sb.nmBankConflict);
-    EXPECT_EQ(sa.gbMiss, sb.gbMiss);
-    EXPECT_EQ(sa.dramWait, sb.dramWait);
+    EXPECT_EQ(a.micro.stalls, b.micro.stalls);
     EXPECT_EQ(a.mem.nmAccesses, b.mem.nmAccesses);
     EXPECT_EQ(a.mem.nmConflictCycles, b.mem.nmConflictCycles);
     EXPECT_EQ(a.mem.gbHits, b.mem.gbHits);

@@ -223,51 +223,4 @@ TEST(TimingNetwork, GoogleFirstLayerShareIsModest)
     EXPECT_LT(conv1, 0.35);
 }
 
-TEST(TimingNetwork, ProfitablePolicyNeverLosesToPaperDefault)
-{
-    dadiannao::NodeConfig byDefault, profitable;
-    profitable.layerModePolicy = dadiannao::LayerModePolicy::Profitable;
-    for (auto id : {nn::zoo::NetId::Alex, nn::zoo::NetId::Google}) {
-        const auto net = nn::zoo::build(id, 3);
-        timing::RunOptions opts;
-        EXPECT_LE(timing::simulateNetwork(profitable, *net,
-                                          timing::Arch::Cnv, opts)
-                      .totalCycles(),
-                  timing::simulateNetwork(byDefault, *net,
-                                          timing::Arch::Cnv, opts)
-                      .totalCycles())
-            << nn::zoo::netName(id);
-    }
-}
-
-TEST(TimingNetwork, ProfitablePolicyRescuesDenseLayers)
-{
-    // A network whose second conv sees a fully dense, shallow input:
-    // encoded mode serialises bricks through single lanes and loses;
-    // the profitable flag falls back to conventional.
-    nn::Network net("dense", 5);
-    int x = net.addInput({12, 12, 16});
-    nn::ConvParams c;
-    c.filters = 16;
-    c.fx = c.fy = 1;
-    c.stride = 1;
-    c.inputZeroFraction = 0.0;
-    x = net.addConv("c1", x, c);
-    net.addConv("c2", x, c);
-    net.deriveOutputTargets();
-
-    dadiannao::NodeConfig byDefault, profitable;
-    profitable.layerModePolicy = dadiannao::LayerModePolicy::Profitable;
-    timing::RunOptions opts;
-    const auto slow = timing::simulateNetwork(byDefault, net,
-                                              timing::Arch::Cnv, opts);
-    const auto fast = timing::simulateNetwork(profitable, net,
-                                              timing::Arch::Cnv, opts);
-    EXPECT_LT(fast.totalCycles(), slow.totalCycles());
-    // Conventional fallback equals the baseline on that layer.
-    const auto base = timing::simulateNetwork(
-        byDefault, net, timing::Arch::Baseline, opts);
-    EXPECT_LE(fast.totalCycles(), base.totalCycles());
-}
-
 } // namespace

@@ -64,7 +64,7 @@ TEST(TracePipeline, StallProfileTotalsMatchIdleCyclesOnBothArchs)
     for (timing::Arch arch : {timing::Arch::Cnv, timing::Arch::Baseline}) {
         const auto result = runArch(arch);
         const sim::StallProfile profile = driver::buildStallProfile(result);
-        EXPECT_EQ(profile.totalIdle(),
+        EXPECT_EQ(profile.totals().total(),
                   result.totalMicro().laneIdleCycles)
             << timing::archName(arch);
 
@@ -93,12 +93,15 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
     sim::StallProfile cnvFold, baseFold;
     EXPECT_EQ(cnvFold.addFromTrace(sink, 1), 0u);
     EXPECT_EQ(baseFold.addFromTrace(sink, 2), 0u);
-    EXPECT_EQ(cnvFold.totalIdle(), cnv.totalMicro().laneIdleCycles);
-    EXPECT_EQ(baseFold.totalIdle(), base.totalMicro().laneIdleCycles);
+    EXPECT_EQ(cnvFold.totals().total(), cnv.totalMicro().laneIdleCycles);
+    EXPECT_EQ(baseFold.totals().total(), base.totalMicro().laneIdleCycles);
+    // ...and each reason's share of it.
+    EXPECT_EQ(cnvFold.totals(), cnv.totalMicro().stalls);
+    EXPECT_EQ(baseFold.totals(), base.totalMicro().stalls);
 
     // A CNV run on a half-zero input must actually report stalls
     // (the invariant would also hold trivially at zero).
-    EXPECT_GT(cnvFold.totalIdle(), 0u);
+    EXPECT_GT(cnvFold.totals().total(), 0u);
 
     // The document is valid trace JSON with one process per arch,
     // layer spans on tid 0 and stall spans keyed by layer.
@@ -119,7 +122,7 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
     EXPECT_TRUE(sawKeyedStall);
 }
 
-TEST(TracePipeline, ReportJsonCarriesPerLayerStallBreakdown)
+TEST(TracePipeline, ReportJsonCarriesPerLayerStallCycles)
 {
     driver::ExperimentConfig cfg;
     cfg.images = 1;

@@ -97,7 +97,7 @@ TEST(PipelineTrace, StallSpansFoldToReportedIdleCycles)
     EXPECT_EQ(r.cnv.micro.stalls.total(), r.cnv.micro.laneIdleCycles);
     EXPECT_EQ(r.base.micro.stalls.total(), r.base.micro.laneIdleCycles);
     // The lock-step baseline only ever waits on the NBin fill.
-    EXPECT_EQ(r.base.micro.stalls.brickBufferEmpty,
+    EXPECT_EQ(r.base.micro.stalls[sim::StallReason::BrickBufferEmpty],
               r.base.micro.laneIdleCycles);
 
     // Lane occupancy partitions the sampled cycles.
@@ -109,11 +109,13 @@ TEST(PipelineTrace, StallSpansFoldToReportedIdleCycles)
     // Folding each process's stall spans recovers its idle total.
     sim::StallProfile cnvProfile;
     EXPECT_EQ(cnvProfile.addFromTrace(r.trace, 1), 0u);
-    EXPECT_EQ(cnvProfile.totalIdle(), r.cnv.micro.laneIdleCycles);
+    EXPECT_EQ(cnvProfile.totals().total(), r.cnv.micro.laneIdleCycles);
+    EXPECT_EQ(cnvProfile.totals(), r.cnv.micro.stalls);
 
     sim::StallProfile baseProfile;
     EXPECT_EQ(baseProfile.addFromTrace(r.trace, 2), 0u);
-    EXPECT_EQ(baseProfile.totalIdle(), r.base.micro.laneIdleCycles);
+    EXPECT_EQ(baseProfile.totals().total(), r.base.micro.laneIdleCycles);
+    EXPECT_EQ(baseProfile.totals(), r.base.micro.stalls);
 }
 
 TEST(PipelineTrace, EmitsWellFormedOrderedNonOverlappingSpans)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for stall attribution: the reason-name vocabulary, direct
+ * Tests for stall attribution: the reason-name vocabulary and its
+ * report order, the per-reason StallCycles record, direct
  * accumulation, the trace-event fold (laneCycles/layer argument
  * semantics, pid filtering, unknown-reason accounting) and the CSV
  * export.
@@ -19,6 +20,7 @@
 namespace {
 
 using namespace cnv;
+using sim::StallCycles;
 using sim::StallProfile;
 using sim::StallReason;
 using sim::TraceArg;
@@ -53,6 +55,50 @@ TEST(StallReasonNames, RoundTripAndRejectUnknown)
     EXPECT_FALSE(sim::stallReasonFromName("coffee_break").has_value());
 }
 
+TEST(StallReasonNames, ReportOrderPutsTheFourNonMemoryReasonsFirst)
+{
+    // Ideal-memory reports emit the first four reasons only, so the
+    // three memory reasons must follow them in enum order.
+    const char *order[] = {"brick_buffer_empty", "window_barrier",
+                           "synapse_wait",       "slice_drained",
+                           "nm_bank_conflict",   "gb_miss",
+                           "dram_wait"};
+    static_assert(std::size(order) == sim::kStallReasonCount);
+    for (int i = 0; i < sim::kStallReasonCount; ++i) {
+        const auto r = static_cast<StallReason>(i);
+        EXPECT_STREQ(sim::stallReasonName(r), order[i]);
+        EXPECT_EQ(sim::isMemoryStallReason(r), i >= 4) << order[i];
+        EXPECT_NE(std::string(sim::stallReasonDescription(r)), "");
+    }
+}
+
+TEST(StallCycles, AddsTotalsAndComparesPerReason)
+{
+    StallCycles a;
+    EXPECT_EQ(a.total(), 0u);
+    a[StallReason::WindowBarrier] = 10;
+    a[StallReason::DramWait] = 3;
+    StallCycles b;
+    b[StallReason::WindowBarrier] = 5;
+    b[StallReason::GbMiss] = 2;
+
+    a += b;
+    EXPECT_EQ(a[StallReason::WindowBarrier], 15u);
+    EXPECT_EQ(a[StallReason::GbMiss], 2u);
+    EXPECT_EQ(a[StallReason::DramWait], 3u);
+    EXPECT_EQ(a[StallReason::BrickBufferEmpty], 0u);
+    EXPECT_EQ(a.total(), 20u);
+    EXPECT_EQ(b.total(), 7u); // the right-hand side is unchanged
+
+    // Equality compares every reason, not just the totals.
+    StallCycles c = a;
+    EXPECT_TRUE(c == a);
+    c[StallReason::GbMiss] -= 1;
+    c[StallReason::SliceDrained] += 1;
+    EXPECT_EQ(c.total(), a.total());
+    EXPECT_FALSE(c == a);
+}
+
 TEST(StallProfile, AccumulatesPerLayerPerReason)
 {
     StallProfile p;
@@ -63,12 +109,12 @@ TEST(StallProfile, AccumulatesPerLayerPerReason)
 
     ASSERT_EQ(p.rows().size(), 2u); // first-seen order
     EXPECT_EQ(p.rows()[0].layer, "L0_c1");
-    EXPECT_EQ(p.rows()[0].total(), 15u);
+    EXPECT_EQ(p.rows()[0].idle.total(), 15u);
     EXPECT_EQ(p.rows()[1].layer, "L1_c2");
-    EXPECT_EQ(p.total(StallReason::WindowBarrier), 13u);
-    EXPECT_EQ(p.total(StallReason::SynapseWait), 5u);
-    EXPECT_EQ(p.total(StallReason::BrickBufferEmpty), 0u);
-    EXPECT_EQ(p.totalIdle(), 20u);
+    EXPECT_EQ(p.totals()[StallReason::WindowBarrier], 13u);
+    EXPECT_EQ(p.totals()[StallReason::SynapseWait], 5u);
+    EXPECT_EQ(p.totals()[StallReason::BrickBufferEmpty], 0u);
+    EXPECT_EQ(p.totals().total(), 20u);
 }
 
 TEST(StallProfile, FoldsTraceEventsWithArgumentOverrides)
@@ -91,9 +137,9 @@ TEST(StallProfile, FoldsTraceEventsWithArgumentOverrides)
 
     StallProfile p;
     EXPECT_EQ(p.addFromTrace(sink, 1, "(run)"), 0u);
-    EXPECT_EQ(p.total(StallReason::BrickBufferEmpty), 71u);
-    EXPECT_EQ(p.total(StallReason::WindowBarrier), 5u);
-    EXPECT_EQ(p.total(StallReason::SynapseWait), 0u);
+    EXPECT_EQ(p.totals()[StallReason::BrickBufferEmpty], 71u);
+    EXPECT_EQ(p.totals()[StallReason::WindowBarrier], 5u);
+    EXPECT_EQ(p.totals()[StallReason::SynapseWait], 0u);
     ASSERT_EQ(p.rows().size(), 2u);
     EXPECT_EQ(p.rows()[0].layer, "(run)");
     EXPECT_EQ(p.rows()[1].layer, "L1_c2");
@@ -101,7 +147,7 @@ TEST(StallProfile, FoldsTraceEventsWithArgumentOverrides)
     // pid 0 folds every process.
     StallProfile all;
     EXPECT_EQ(all.addFromTrace(sink), 0u);
-    EXPECT_EQ(all.totalIdle(), 85u);
+    EXPECT_EQ(all.totals().total(), 85u);
 }
 
 TEST(StallProfile, CountsUnknownReasonNames)
@@ -115,8 +161,8 @@ TEST(StallProfile, CountsUnknownReasonNames)
     const std::size_t unknown = p.addFromTrace(sink);
     sim::setVerbosity(sim::Verbosity::Info);
     EXPECT_EQ(unknown, 1u);
-    EXPECT_EQ(p.totalIdle(), 2u);
-    EXPECT_EQ(p.total(StallReason::SliceDrained), 2u);
+    EXPECT_EQ(p.totals().total(), 2u);
+    EXPECT_EQ(p.totals()[StallReason::SliceDrained], 2u);
 }
 
 TEST(StallProfile, WritesSparseCsvWithOptionalScope)

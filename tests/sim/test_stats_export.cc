@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "sim/error.h"
 #include "sim/stats.h"
 #include "sim/stats_export.h"
 
@@ -56,6 +59,59 @@ TEST(JsonWriter, DoublesRoundTripAndStayCompact)
     EXPECT_EQ(std::stod(render(awkward)), awkward);
     EXPECT_EQ(render(std::nan("")), "null");
     EXPECT_EQ(render(INFINITY), "null");
+}
+
+/** Flat fields sharing dotted prefixes, one of each value kind. */
+std::vector<Field>
+sampleFields()
+{
+    return {
+        {"a.b.x", std::uint64_t{18446744073709551615u}, "max counter"},
+        {"a.b.y", 0.1 + 0.2, "awkward double"},
+        {"a.z", std::string("say \"hi\", twice"), "quoted, string"},
+        {"w", 2.0, "whole double"},
+    };
+}
+
+TEST(Fields, JsonNestsSharedPrefixesAndPrintsEachKindLikeJsonWriter)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    writeJsonFields(sampleFields(), w);
+    EXPECT_TRUE(w.complete());
+    EXPECT_EQ(os.str(), R"({
+  "a": {
+    "b": {
+      "x": 18446744073709551615,
+      "y": 0.30000000000000004
+    },
+    "z": "say \"hi\", twice"
+  },
+  "w": 2
+})");
+}
+
+TEST(Fields, JsonRejectsAPrefixSplitAcrossTheList)
+{
+    // "a" would be written twice: once around a.x, again around a.y.
+    std::ostringstream os;
+    JsonWriter w(os);
+    EXPECT_THROW(writeJsonFields({{"a.x", 1.0, ""},
+                                  {"b", 2.0, ""},
+                                  {"a.y", 3.0, ""}},
+                                 w),
+                 PanicError);
+}
+
+TEST(Fields, CsvPrintsTheJsonDoublesAndQuotesPerRfc4180)
+{
+    std::ostringstream os;
+    writeCsvFields(sampleFields(), "scope", os);
+    EXPECT_EQ(os.str(),
+              "scope.a.b.x,scope,18446744073709551615,max counter\n"
+              "scope.a.b.y,scope,0.30000000000000004,awkward double\n"
+              "scope.a.z,scope,\"say \"\"hi\"\", twice\",\"quoted, string\"\n"
+              "scope.w,scope,2,whole double\n");
 }
 
 /** A small tree exercising every stat kind. */

@@ -19,6 +19,10 @@ builds a clean mini-tree and asserts zero findings, exercising:
                         allowlist, and suppression;
   * arch-dispatch       timing::Arch outside src/timing and src/arch,
                         both allowlisted modules, and suppression;
+  * schema-docs         a report field-list path whose last component
+                        the schema doc never mentions, next to
+                        documented paths, path pieces and a
+                        //-comment that must NOT be flagged;
   * cast-ban            a legacy rule, as an engine regression canary.
 
 Usage: check_cnvlint_rules.py [REPO_ROOT]
@@ -147,7 +151,19 @@ def seed_violating_tree(root: Path) -> dict[tuple[str, int], str]:
         "#include \"timing/network_model.h\"",
         "cnv::timing::Arch datapath() { return cnv::timing::Arch::Cnv; }",
     ]) + "\n")
-    write(root, "docs/observability.md", "# Schema fixture\n")
+    # schema-docs: the field list's undocumented leaf at line 4; the
+    # documented path, the path pieces and the comment pass.
+    write(root, "docs/observability.md",
+          "# Schema fixture: summary, cache, tensorHits, archs, cycles\n")
+    write(root, "src/driver/run_manifest.cc", "\n".join([
+        "std::vector<Field> fields(const std::string &id) {",
+        "    return {{\"summary.cache.tensorHits\", 1u, \"known path\"},",
+        "            {\"archs.\" + id + \".cycles\", 2u, \"path pieces\"},",
+        "            {\"summary.cache.coffeeBreaks\", 3u, \"a new leaf\"},",
+        "            // {\"summary.commentedOut\", 4u, \"not emitted\"},",
+        "    };",
+        "}",
+    ]) + "\n")
     return {
         ("src/nn/bad_rng.cc", 2): "rng-source",
         ("src/nn/bad_rng.cc", 3): "rng-source",
@@ -159,6 +175,7 @@ def seed_violating_tree(root: Path) -> dict[tuple[str, int], str]:
         ("src/timing/bad_simd.cc", 3): "raw-simd",
         ("src/timing/bad_simd.cc", 4): "raw-simd",
         ("src/driver/bad_dispatch.cc", 2): "arch-dispatch",
+        ("src/driver/run_manifest.cc", 4): "schema-docs",
     }
 
 

@@ -26,11 +26,18 @@ root, or pass the root as the first argument. Eleven rules over
   cast-ban      ``reinterpret_cast`` and ``const_cast`` are banned —
                 use the memcpy helpers in ``tensor/bytes.h`` for byte
                 I/O. No current allowlist entries.
-  schema-docs   Every JSON field emitted by the exporters
-                (``w.key("...")`` literals in src/sim/stats_export.cc
-                and src/sim/trace_event.cc) must be documented in
-                docs/observability.md, so the wire schema and its
-                documentation cannot drift apart.
+  schema-docs   Every field emitted by the exporters must be
+                documented in docs/observability.md, so the wire
+                schema and its documentation cannot drift apart. Two
+                kinds of source are read: the ``w.key("...")``
+                literals of src/sim/{stats_export,trace_event,
+                metrics}.cc, and, in the files holding the report's
+                field lists and the stall-reason table
+                (src/sim/stall_profile.cc, src/driver/run_manifest.cc,
+                src/driver/stats_report.cc), every string literal
+                shaped like a dotted field path, split into its
+                components (``"cache.tensorHits"`` checks ``cache``
+                and ``tensorHits``).
   arch-dispatch Architecture variants are selected through the
                 ``arch::ArchModel`` registry (src/arch/), never by
                 dispatching on the ``timing::Arch`` datapath enum
@@ -103,6 +110,12 @@ SCHEMA_SOURCES = (
     "src/sim/trace_event.cc",
     "src/sim/metrics.cc",
 )
+# Where the report's field lists and the stall-reason table live.
+SCHEMA_FIELD_SOURCES = (
+    "src/sim/stall_profile.cc",
+    "src/driver/run_manifest.cc",
+    "src/driver/stats_report.cc",
+)
 SCHEMA_DOC = "docs/observability.md"
 
 # Directories where the timing::Arch datapath enum is legitimately
@@ -170,6 +183,13 @@ BARE_16 = re.compile(r"(?<![\w.])16(?![\w.])")
 ERROR_CALLS = re.compile(r"(?<![\w:.])(assert|abort|exit)\s*\(")
 BANNED_CASTS = re.compile(r"\b(reinterpret_cast|const_cast)\b")
 KEY_LITERAL = re.compile(r'\bkey\("([^"]+)"\)')
+# A whole string literal that is a dotted field path or a piece of
+# one ("archs." + id + ".cycles" yields "archs." and ".cycles").
+PATH_LITERAL = re.compile(
+    r'"(\.?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\.?)"'
+)
+# A line up to its first //-comment outside string literals.
+BEFORE_COMMENT = re.compile(r'(?:[^"/]|"(?:[^"\\]|\\.)*"|/(?!/))*')
 
 
 def strip_comments(text: str) -> str:
@@ -417,20 +437,24 @@ class Linter:
             return
         doc_words = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
                                    doc_path.read_text()))
-        for rel in SCHEMA_SOURCES:
+        for rel in SCHEMA_SOURCES + SCHEMA_FIELD_SOURCES:
             src = self.root / rel
             if not src.is_file():
                 continue  # partial trees (rule self-test fixtures)
+            pattern = (KEY_LITERAL if rel in SCHEMA_SOURCES
+                       else PATH_LITERAL)
             text = strip_comments(src.read_text())
             for idx, line in enumerate(text.splitlines()):
-                for m in KEY_LITERAL.finditer(line):
-                    field = m.group(1)
-                    if field not in doc_words:
-                        self.report(
-                            src, idx + 1, "schema-docs",
-                            f'emitted field "{field}" is not mentioned '
-                            f"in {SCHEMA_DOC}",
-                        )
+                code = BEFORE_COMMENT.match(line).group(0)
+                for m in pattern.finditer(code):
+                    for field in m.group(1).split("."):
+                        if field and field not in doc_words:
+                            self.report(
+                                src, idx + 1, "schema-docs",
+                                f'emitted field "{field}" (of '
+                                f'"{m.group(1)}") is not mentioned '
+                                f"in {SCHEMA_DOC}",
+                            )
 
     # --- driver --------------------------------------------------------
 
