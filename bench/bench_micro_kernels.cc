@@ -366,6 +366,30 @@ BM_ConvTimingCnvBanked(benchmark::State &state)
 }
 BENCHMARK(BM_ConvTimingCnvBanked);
 
+// CNV and Cnvlutin2 at 35% in one banked walk: the window groups are
+// gathered and replayed once for both, so this costs less than
+// BM_ConvTimingCnvBanked plus a banked Cnvlutin2 run.
+void
+BM_ConvTimingSharedWalk(benchmark::State &state)
+{
+    const ConvTimingLayer l = convTimingLayer();
+    const dadiannao::NodeConfig cfg;
+    mem::Geometry geo;
+    geo.banks = cfg.nmBanks;
+    geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
+    mem::MemoryModel cnvModel(geo);
+    mem::MemoryModel cnv2Model(geo);
+    const timing::EncodedSink sinks[] = {{0.0, &cnvModel},
+                                         {0.35, &cnv2Model}};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(timing::convEncoded(
+            cfg, l.params, l.shape, l.counts, /*convIndex=*/1, sinks));
+        cnvModel.drainLayer();
+        cnv2Model.drainLayer();
+    }
+}
+BENCHMARK(BM_ConvTimingSharedWalk);
+
 // Scaling of sim::parallelFor over the count-map kernel with a
 // local pool of Arg() workers. On multi-core CI hardware the Arg(4)
 // case should approach 4x the Arg(1) items/second; on a single-core

@@ -1,5 +1,6 @@
 #include "arch/arch_model.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "arch/registry.h"
@@ -47,18 +48,66 @@ ArchModel::simulateNetwork(const dadiannao::NodeConfig &base,
                            const nn::Network &net,
                            const timing::RunOptions &opts) const
 {
+    const ArchModel *self = this;
+    return std::move(simulateGroup({&self, 1}, base, net, opts)[0]);
+}
+
+bool
+ArchModel::sharesWalk(const ArchModel &other,
+                      const dadiannao::NodeConfig &base) const
+{
+    return datapath_ != timing::Arch::Baseline &&
+           other.datapath_ != timing::Arch::Baseline &&
+           defaultPrune_ == other.defaultPrune_ &&
+           nodeConfig(base) == other.nodeConfig(base);
+}
+
+std::vector<dadiannao::NetworkResult>
+ArchModel::simulateGroup(std::span<const ArchModel *const> models,
+                         const dadiannao::NodeConfig &base,
+                         const nn::Network &net,
+                         const timing::RunOptions &opts)
+{
+    CNV_ASSERT(!models.empty(), "a walk group needs a model");
+    const ArchModel &lead = *models.front();
+    std::vector<timing::Arch> datapaths;
+    for (const ArchModel *m : models) {
+        if (m != &lead && !lead.sharesWalk(*m, base))
+            CNV_FATAL("'{}' cannot share a walk with '{}'", m->id(),
+                      lead.id());
+        datapaths.push_back(m->datapath_);
+    }
     timing::RunOptions run = opts;
     nn::PruneConfig defaults;
-    if (defaultPrune_ && run.prune == nullptr) {
+    if (lead.defaultPrune_ && run.prune == nullptr) {
         defaults.thresholds.assign(
             static_cast<std::size_t>(net.convLayerCount()),
             kDefaultPruneThreshold);
         run.prune = &defaults;
     }
-    dadiannao::NetworkResult result =
-        timing::simulateNetwork(nodeConfig(base), net, datapath_, run);
-    result.architecture = id_;
-    return result;
+    std::vector<dadiannao::NetworkResult> results = timing::simulateNetworks(
+        lead.nodeConfig(base), net, datapaths, run);
+    for (std::size_t i = 0; i < models.size(); ++i)
+        results[i].architecture = models[i]->id();
+    return results;
+}
+
+std::vector<std::vector<std::size_t>>
+walkGroups(const std::vector<const ArchModel *> &models,
+           const dadiannao::NodeConfig &base)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        auto joins = [&](const std::vector<std::size_t> &g) {
+            return models[g.front()]->sharesWalk(*models[i], base);
+        };
+        const auto it = std::find_if(groups.begin(), groups.end(), joins);
+        if (it != groups.end())
+            it->push_back(i);
+        else
+            groups.push_back({i});
+    }
+    return groups;
 }
 
 power::AreaBreakdown

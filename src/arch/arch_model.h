@@ -15,7 +15,10 @@
 #ifndef CNV_ARCH_ARCH_MODEL_H
 #define CNV_ARCH_ARCH_MODEL_H
 
+#include <cstddef>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
@@ -69,6 +72,27 @@ class ArchModel
     simulateNetwork(const dadiannao::NodeConfig &base, const nn::Network &net,
                     const timing::RunOptions &opts) const;
 
+    /**
+     * Whether this model and `other` can run one encoded walk
+     * together under `base`: both run the encoded (CNV-family)
+     * datapath on the same nodeConfig(base) with the same
+     * default-prune flag, so they read the same count maps, gather
+     * the same window groups and issue the same NM fetch lists.
+     */
+    bool sharesWalk(const ArchModel &other,
+                    const dadiannao::NodeConfig &base) const;
+
+    /**
+     * Run one image through a walk group in one lock-step pass
+     * (timing::simulateNetworks): result i equals
+     * models[i]->simulateNetwork(base, net, opts). Every model must
+     * share a walk with the first; fatal otherwise.
+     */
+    static std::vector<dadiannao::NetworkResult>
+    simulateGroup(std::span<const ArchModel *const> models,
+                  const dadiannao::NodeConfig &base, const nn::Network &net,
+                  const timing::RunOptions &opts);
+
     /** Component area breakdown for this architecture (Figure 11). */
     power::AreaBreakdown area(const power::PowerParams &p = {}) const;
 
@@ -90,6 +114,17 @@ class ArchModel
     int brickSize_;
     bool defaultPrune_;
 };
+
+/**
+ * Partition a selection into walk groups (ArchModel::sharesWalk): the
+ * models that share a walk with a group's first member join it, and
+ * every other model starts a group of its own, so the baseline is
+ * always alone. Groups are in order of their first member, and each
+ * lists its members' selection indices in selection order.
+ */
+std::vector<std::vector<std::size_t>>
+walkGroups(const std::vector<const ArchModel *> &models,
+           const dadiannao::NodeConfig &base);
 
 } // namespace cnv::arch
 

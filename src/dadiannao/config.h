@@ -116,6 +116,8 @@ struct NodeConfig
         return std::max(1, nboutEntries / filtersPerUnit);
     }
 
+    bool operator==(const NodeConfig &) const = default;
+
     /** Check structural constraints; fatal with a reason if broken. */
     void validate() const;
 

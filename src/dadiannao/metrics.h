@@ -35,6 +35,8 @@ struct Activity
         return other + conv1 + zero + nonZero + stall;
     }
 
+    bool operator==(const Activity &) const = default;
+
     Activity &
     operator+=(const Activity &o)
     {
@@ -68,6 +70,8 @@ struct EnergyCounters
     std::uint64_t encoderOps = 0;
     /** Bytes streamed from off-chip memory. */
     std::uint64_t offchipBytes = 0;
+
+    bool operator==(const EnergyCounters &) const = default;
 
     EnergyCounters &
     operator+=(const EnergyCounters &o)
@@ -133,6 +137,8 @@ struct MicroTrace
                               : 0.0;
     }
 
+    bool operator==(const MicroTrace &) const = default;
+
     MicroTrace &
     operator+=(const MicroTrace &o)
     {
@@ -164,6 +170,8 @@ struct LayerResult
     MicroTrace micro;
     /** Memory-hierarchy counters (all zero unless `--mem banked`). */
     mem::Counters mem;
+
+    bool operator==(const LayerResult &) const = default;
 };
 
 /** Whole-network result. */

@@ -167,7 +167,7 @@ cmdRun(const CliOptions &opts)
     }
     const auto &ref = *archs.front();
 
-    // One pass over the (arch x image) grid yields the aggregate and
+    // One pass over the (walk group x image) grid yields the aggregate and
     // the image-0 timelines that --layers, --stats and the reports read.
     driver::RunReport run;
     {

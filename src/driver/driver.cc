@@ -58,36 +58,47 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
     timing::TraceCache localCache;
     timing::TraceCache *shared = cache != nullptr ? cache : &localCache;
 
-    // Flattened (arch x image) grid; the ordered commit makes the
-    // per-arch accumulation order identical to the old serial loop.
+    // Flattened (walk group x image) grid: the CNV-family archs
+    // that share a walk run one image in lock-step as one task, the
+    // baseline one task per image. The ordered commit reduces each
+    // arch's runs in image order, as the old serial loop did.
+    const std::vector<std::vector<std::size_t>> groups =
+        arch::walkGroups(archs, cfg.node);
     const auto images = static_cast<std::size_t>(cfg.images);
     sim::metrics().beginProgress(net.name(), archs.size() * images);
     sim::parallelMapReduce(
-        archs.size() * images,
-        [&](std::size_t g) {
-            const arch::ArchModel *model = archs[g / images];
+        groups.size() * images,
+        [&](std::size_t t) {
+            std::vector<const arch::ArchModel *> models;
+            for (const std::size_t a : groups[t / images])
+                models.push_back(archs[a]);
             timing::RunOptions opts;
             opts.imageSeed =
-                cfg.seed + static_cast<std::uint64_t>(g % images);
+                cfg.seed + static_cast<std::uint64_t>(t % images);
             opts.prune = prune;
             opts.cache = shared;
             opts.weightSparsity = cfg.weightSparsity;
             opts.memKind = cfg.memKind;
-            auto run = model->simulateNetwork(cfg.node, net, opts);
-            sim::metrics().tickProgress();
-            return run;
+            auto runs = arch::ArchModel::simulateGroup(models, cfg.node,
+                                                       net, opts);
+            sim::metrics().tickProgress(models.size());
+            return runs;
         },
-        [&](std::size_t g, dadiannao::NetworkResult &&run) {
-            ArchAggregate &agg = report.archs[g / images];
-            agg.cycles += run.totalCycles();
-            agg.activity += run.totalActivity();
-            agg.energy += run.totalEnergy();
-            if (run.memModelled) {
-                agg.mem += run.totalMem();
-                agg.memModelled = true;
+        [&](std::size_t t, std::vector<dadiannao::NetworkResult> &&runs) {
+            const std::vector<std::size_t> &group = groups[t / images];
+            for (std::size_t k = 0; k < group.size(); ++k) {
+                dadiannao::NetworkResult &run = runs[k];
+                ArchAggregate &agg = report.archs[group[k]];
+                agg.cycles += run.totalCycles();
+                agg.activity += run.totalActivity();
+                agg.energy += run.totalEnergy();
+                if (run.memModelled) {
+                    agg.mem += run.totalMem();
+                    agg.memModelled = true;
+                }
+                if (timelines != nullptr && t % images == 0)
+                    (*timelines)[group[k]] = {agg.model, std::move(run)};
             }
-            if (timelines != nullptr && g % images == 0)
-                (*timelines)[g / images] = {agg.model, std::move(run)};
         });
     sim::metrics().endProgress();
     return report;

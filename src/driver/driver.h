@@ -103,9 +103,11 @@ struct ArchTimeline
 /**
  * Run `cfg.images` traces of a network through every selected
  * architecture model (optionally with dynamic pruning; the models
- * decide whether to honour it). The (arch x image) grid fans out
- * over sim::globalPool() and aggregates commit in selection order,
- * so the report is bit-identical for every job count. Runs share
+ * decide whether to honour it). The (walk group x image) grid fans
+ * out over sim::globalPool(): the archs of one walk group
+ * (arch::walkGroups) run each image as one lock-step task, and
+ * aggregates commit per arch in image order, so the report is
+ * bit-identical for every job count and every grouping. Runs share
  * `cache` when given (one synthesized trace per image across all
  * architectures); a local cache is used otherwise. When `timelines`
  * is given it receives each architecture's image-0 run (seed =

@@ -64,9 +64,18 @@ MemoryModel::MemoryModel(const Geometry &g)
     gbTag_.assign(static_cast<std::size_t>(g.gbLines), kEmpty);
 }
 
-GroupCost
-MemoryModel::fetchGroup(std::span<const Access> group,
-                        std::uint64_t computeCycles)
+Geometry
+MemoryModel::geometry() const
+{
+    Geometry g;
+    g.banks = static_cast<int>(banks_);
+    g.gbLines = gbTag_.size();
+    g.dramBytesPerCycle = dramBytesPerCycle_;
+    return g;
+}
+
+GroupReplay
+MemoryModel::replayGroup(std::span<const Access> group)
 {
     const std::uint64_t lines = gbTag_.size();
     // Local tallies: a member counter would be reloaded after every
@@ -115,15 +124,22 @@ MemoryModel::fetchGroup(std::span<const Access> group,
     std::fill_n(roundBusiest_.begin(), rounds, 0);
     std::fill_n(roundBankHeads_.begin(), rounds * banks_, 0);
 
-    layer_.gbHits += hits;
-    layer_.gbEvictions += evictions;
-    layer_.gbMisses += missed;
-    layer_.nmAccesses += missed;
-    layer_.nmConflictCycles += conflict;
+    return {hits, evictions, missed, conflict};
+}
+
+GroupCost
+MemoryModel::chargeGroup(const GroupReplay &replay,
+                         std::uint64_t computeCycles)
+{
+    layer_.gbHits += replay.gbHits;
+    layer_.gbEvictions += replay.gbEvictions;
+    layer_.gbMisses += replay.gbMisses;
+    layer_.nmAccesses += replay.gbMisses;
+    layer_.nmConflictCycles += replay.conflictCycles;
     GroupCost cost;
-    cost.conflictCycles = conflict;
-    if (missed > computeCycles)
-        cost.gbFillCycles = missed - computeCycles;
+    cost.conflictCycles = replay.conflictCycles;
+    if (replay.gbMisses > computeCycles)
+        cost.gbFillCycles = replay.gbMisses - computeCycles;
     return cost;
 }
 

@@ -12,10 +12,13 @@
  * The datapath picks the fetch pattern by the call it makes. CNV's
  * sixteen independent per-slice fetch pointers (paper Section 4's
  * contention risk area) issue fetchGroup(): brick fetches that miss
- * the GB contend for NM banks. DaDianNao's single unit-wide pointer
- * issues fetchSequential(), which walks banks in order and never
- * conflicts. Activation footprints past the NM capacity spill to
- * DRAM through dramTransfer().
+ * the GB contend for NM banks. fetchGroup is a replay (GB tags and
+ * bank rounds) charged to the model's counters; a walk serving
+ * several architectures replays once and charges each model.
+ * DaDianNao's single unit-wide pointer issues fetchSequential(),
+ * which walks banks in order and never conflicts. Activation
+ * footprints past the NM capacity spill to DRAM through
+ * dramTransfer().
  *
  * Accounting units: conflict and fill costs are *cycles* added to a
  * window group's runtime; the timing models convert them to idle
@@ -69,6 +72,8 @@ struct Geometry
     std::uint64_t gbLines = kDefaultGbLines;
     /** Off-chip channel bandwidth in bytes per cycle. */
     std::uint64_t dramBytesPerCycle = 0;
+
+    bool operator==(const Geometry &) const = default;
 };
 
 /** One brick fetch: the issuing lane and the NM brick address. */
@@ -76,6 +81,21 @@ struct Access
 {
     int lane = 0;
     std::uint64_t address = 0;
+};
+
+/**
+ * What serving one fetch group did in the GB and the NM banks: the
+ * outcome of MemoryModel::replayGroup, charged to a model's counters
+ * by MemoryModel::chargeGroup.
+ */
+struct GroupReplay
+{
+    std::uint64_t gbHits = 0;
+    std::uint64_t gbEvictions = 0;
+    /** GB misses, each one NM read. */
+    std::uint64_t gbMisses = 0;
+    /** Cycles serialised on NM bank conflicts. */
+    std::uint64_t conflictCycles = 0;
 };
 
 /** Extra cycles one fetch group adds to its window group's runtime. */
@@ -106,6 +126,8 @@ struct Counters
     std::uint64_t dramBytes = 0;
     std::uint64_t dramCycles = 0;
 
+    bool operator==(const Counters &) const = default;
+
     Counters &
     operator+=(const Counters &o)
     {
@@ -121,11 +143,11 @@ struct Counters
 };
 
 /**
- * Per-run memory hierarchy. `timing::simulateNetwork` builds one per
- * call (i.e. per (architecture, image) task) and passes it down by
- * pointer, so a model has a single owner, is never shared across
- * threads, and its accounting is deterministic at any --jobs count.
- * It takes no locks.
+ * Per-run memory hierarchy. `timing::simulateNetworks` builds one per
+ * architecture of each call (one call per (walk group, image) task)
+ * and passes it down by pointer, so a model has a single owner, is
+ * never shared across threads, and its accounting is deterministic
+ * at any --jobs count. It takes no locks.
  */
 class MemoryModel
 {
@@ -136,19 +158,43 @@ class MemoryModel
     MemoryModel(const MemoryModel &) = delete;
     MemoryModel &operator=(const MemoryModel &) = delete;
 
+    /** The geometry this model was built with. */
+    Geometry geometry() const;
+
     /**
      * Serve one window group's synchronised brick fetches, issued
-     * through per-lane slice pointers. Each fetch is looked up in the
-     * GB: a hit is absorbed; a miss is installed (evicting any line
+     * through per-lane slice pointers: chargeGroup(replayGroup()).
+     */
+    GroupCost
+    fetchGroup(std::span<const Access> group, std::uint64_t computeCycles)
+    {
+        return chargeGroup(replayGroup(group), computeCycles);
+    }
+
+    /**
+     * Replay one window group's fetches through the GB and the NM
+     * banks, charging no counter. Each fetch is looked up in the GB:
+     * a hit is absorbed; a miss is installed (evicting any line
      * resident in its slot) and read from NM. A lane's misses form
      * an in-order stream, so its k-th miss presents in round k; a
      * bank serving n of a round's heads takes n cycles, and the
      * round's conflict cost is its busiest bank's count minus one.
-     * The GB fill port installs one line per cycle, hidden behind
-     * the group's `computeCycles`; only the excess is exposed.
+     *
+     * The outcome depends only on the geometry, the GB tags and the
+     * fetch list, so it may be charged to any model of the same
+     * geometry whose GB holds the same lines, e.g. one drained at
+     * the same layer boundary and fed the same fetch lists since.
      */
-    GroupCost fetchGroup(std::span<const Access> group,
-                         std::uint64_t computeCycles);
+    GroupReplay replayGroup(std::span<const Access> group);
+
+    /**
+     * Add one replay's hits, misses, evictions and conflicts to this
+     * model's counters. The GB fill port installs one line per
+     * cycle, hidden behind the group's `computeCycles`; only the
+     * excess is exposed.
+     */
+    GroupCost chargeGroup(const GroupReplay &replay,
+                          std::uint64_t computeCycles);
 
     /**
      * Account `reads` NM fetches issued by a single unit-wide
@@ -189,7 +235,7 @@ class MemoryModel
     Counters layer_;
     Counters drained_;
     /**
-     * fetchGroup scratch, all zero between calls: each lane's miss
+     * replayGroup scratch, all zero between calls: each lane's miss
      * count so far, the heads per (round, bank), and each round's
      * busiest bank.
      */

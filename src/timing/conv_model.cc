@@ -1,7 +1,7 @@
 #include "timing/conv_model.h"
 
 #include <algorithm>
-#include <array>
+#include <numeric>
 #include <vector>
 
 #include "dadiannao/assignment.h"
@@ -35,6 +35,52 @@ coverage1d(int inDim, int outDim, int f, int stride, int pad)
     return w;
 }
 
+/**
+ * Whether the weight brick a filter group applies at one (kernel
+ * position, depth brick, pass) is ineffectual. A pure function of
+ * the static schedule coordinates — the same answer on every call,
+ * every thread and every job count — standing in for the offline
+ * weight-pruning schedule Cnvlutin2 compiles per layer.
+ */
+bool
+weightBrickIneffectual(int convIndex, int ky, int kx, int brick, int pass,
+                       double sparsity)
+{
+    std::uint64_t h = sim::mix64(static_cast<std::uint64_t>(convIndex) + 1);
+    h = sim::mix64(h ^ static_cast<std::uint64_t>(ky));
+    h = sim::mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
+    h = sim::mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
+    h = sim::mix64(h ^ static_cast<std::uint64_t>(pass));
+    // Top 53 bits as a uniform deviate in [0, 1).
+    return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
+}
+
+/** One valid (window, filter-cell) pair of a window group. */
+struct Cell
+{
+    const std::uint8_t *counts; ///< its bricks' non-zero counts
+    int tap;                    ///< ky * fx + kx: its weight-skip row
+    int rot;                    ///< lane of brick 0; brick b: rot + b
+};
+
+/** One filter pass's lane profile over a window group. */
+struct LaneProfile
+{
+    std::uint64_t cycles = 0;  ///< busiest lane: the group's runtime
+    std::uint64_t busy = 0;    ///< lane-cycles summed over lanes
+    std::uint64_t nonZero = 0; ///< effectual (neuron, weight) pairs
+};
+
+/** One sink's state over convEncoded's walk. */
+struct SinkWalk
+{
+    int profiles = 1;               ///< lane profiles per window group
+    std::vector<std::uint8_t> skip; ///< layer group's weight-skip table
+    LaneProfile lp, sum;            ///< this pass's; summed over passes
+    std::uint64_t sbReads = 0, macs = 0;  ///< nonZero x units, x filters
+    std::uint64_t conflict = 0, fill = 0; ///< bank-conflict, GB-fill cycles
+};
+
 } // namespace
 
 LayerResult
@@ -55,11 +101,8 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     const auto wy = coverage1d(inShape.y, outShape.y, p.fy, p.stride, p.pad);
 
     // Valid cells per window, summed over all windows (separable).
-    std::uint64_t ax = 0, ay = 0;
-    for (auto v : wx)
-        ax += v;
-    for (auto v : wy)
-        ay += v;
+    const std::uint64_t ax = std::accumulate(wx.begin(), wx.end(), 0ull);
+    const std::uint64_t ay = std::accumulate(wy.begin(), wy.end(), 0ull);
     const std::uint64_t validCells = ax * ay;
     const std::uint64_t units = cfg.units;
 
@@ -115,26 +158,25 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
                 std::min(parallel, filtersPerGroup - pass * parallel);
             const int activeUnits =
                 (fCount + cfg.filtersPerUnit - 1) / cfg.filtersPerUnit;
-            const std::uint64_t passCycles = groupCycles;
 
             // One unit-wide NM row per cycle behind a single fetch
             // pointer: a strictly sequential stream that can never
             // conflict with itself, whatever the banking.
             if (mem)
-                mem->fetchSequential(passCycles);
-            r.cycles += passCycles;
+                mem->fetchSequential(groupCycles);
+            r.cycles += groupCycles;
             if (isConv1) {
                 r.activity.conv1 += coveredSlots * units;
             } else {
                 r.activity.zero += coveredZero * units;
                 r.activity.nonZero += coveredNz * units;
             }
-            r.energy.nmReads += passCycles;
-            r.energy.nbinWrites += passCycles * lanes * units;
-            r.energy.nbinReads += passCycles * lanes * units;
-            r.energy.sbReads += passCycles * lanes * activeUnits;
-            r.energy.multOps += passCycles * lanes * fCount;
-            r.energy.addOps += passCycles * lanes * fCount;
+            r.energy.nmReads += groupCycles;
+            r.energy.nbinWrites += groupCycles * lanes * units;
+            r.energy.nbinReads += groupCycles * lanes * units;
+            r.energy.sbReads += groupCycles * lanes * activeUnits;
+            r.energy.multOps += groupCycles * lanes * fCount;
+            r.energy.addOps += groupCycles * lanes * fCount;
         }
     }
 
@@ -146,66 +188,15 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     return r;
 }
 
-namespace {
-
-/**
- * Whether the weight brick a filter group applies at one (kernel
- * position, depth brick, pass) is ineffectual. A pure function of
- * the static schedule coordinates — the same answer on every call,
- * every thread and every job count — standing in for the offline
- * weight-pruning schedule Cnvlutin2 compiles per layer.
- */
-bool
-weightBrickIneffectual(int convIndex, int ky, int kx, int brick, int pass,
-                       double sparsity)
-{
-    std::uint64_t h = sim::mix64(static_cast<std::uint64_t>(convIndex) + 1);
-    h = sim::mix64(h ^ static_cast<std::uint64_t>(ky));
-    h = sim::mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
-    h = sim::mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
-    h = sim::mix64(h ^ static_cast<std::uint64_t>(pass));
-    // Top 53 bits as a uniform deviate in [0, 1).
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
-}
-
-/** One valid (window, filter-cell) pair of a window group. */
-struct Cell
-{
-    /** Non-zero counts of the cell's bricks in the layer group. */
-    const std::uint8_t *counts;
-    /** Filter-cell index ky * fx + kx (the weight-skip table row). */
-    int tap;
-    /** Lane of the cell's first brick; brick b goes to rot + b. */
-    int rot;
-};
-
-/** One filter pass's lane profile over a window group. */
-struct LaneProfile
-{
-    std::uint64_t cycles = 0;  ///< busiest lane: the group's runtime
-    std::uint64_t busy = 0;    ///< lane-cycles summed over lanes
-    std::uint64_t nonZero = 0; ///< effectual (neuron, weight) pairs
-};
-
-/**
- * The encoded (zero-skipping) walk shared by CNV and Cnvlutin2; CNV
- * is the walk with weightSparsity 0. Windows run in row-major groups
- * of windowsInFlight(), lanes synchronising at group boundaries.
- * Each group's cells and fetch list are gathered once and replayed
- * for every filter pass; a pass only changes which weight bricks
- * the filter group prunes, read from a per-layer-group skip table.
- */
-LayerResult
+std::vector<LayerResult>
 convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
             const Shape3 &inShape, const CountMap &counts, int convIndex,
-            double weightSparsity, mem::MemoryModel *mem)
+            std::span<const EncodedSink> sinks)
 {
     const Shape3 outShape = p.outputShape(inShape);
     const int lanes = cfg.lanes;
     CNV_ASSERT(lanes == cfg.brickSize, "CNV needs one lane per brick slot");
     CNV_ASSERT(lanes <= 64, "lane count above model limit");
-    CNV_ASSERT(weightSparsity >= 0.0 && weightSparsity <= 1.0,
-               "weight sparsity {} outside [0, 1]", weightSparsity);
     const int depthPerGroup = inShape.z / p.groups;
     const int filtersPerGroup = p.filters / p.groups;
     const int parallel = cfg.parallelFilters();
@@ -216,23 +207,39 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
     // filter group prunes, costs one dispatcher slot to step past
     // (the NM fetch still happens) and no multiply-cycles.
     const std::uint8_t emptyCost = cfg.emptyBrickCostsCycle ? 1 : 0;
-    // Without weight skipping every pass has the same lane profile.
-    const int profiles = weightSparsity > 0.0 ? passes : 1;
     // Brick addresses are linear over (cell, depth brick) so the
     // banked NM's modulo interleave sees the real access pattern.
     const std::uint64_t bricksTotal = static_cast<std::uint64_t>(
         (inShape.z + cfg.brickSize - 1) / cfg.brickSize);
+    const auto wideLanes = static_cast<std::uint64_t>(lanes);
     const int inFlight = cfg.windowsInFlight();
     const std::int64_t totalWindows =
         static_cast<std::int64_t>(outShape.x) * outShape.y;
 
-    LayerResult r;
+    // The first banked sink replays each group's fetches through its
+    // GB and banks; every banked sink is charged from that replay.
+    mem::MemoryModel *replayer = nullptr;
+    std::vector<SinkWalk> walks(sinks.size());
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+        const EncodedSink &s = sinks[i];
+        CNV_ASSERT(s.weightSparsity >= 0.0 && s.weightSparsity <= 1.0,
+                   "weight sparsity {} outside [0, 1]", s.weightSparsity);
+        replayer = replayer ? replayer : s.mem;
+        CNV_ASSERT(!s.mem || s.mem->geometry() == replayer->geometry(),
+                   "the sinks of one walk need one memory geometry");
+        // Without weight skipping every pass has the same profile.
+        walks[i].profiles = s.weightSparsity > 0.0 ? passes : 1;
+    }
+
+    std::uint64_t nmReads = 0;
     std::vector<Cell> cells;
     std::vector<mem::Access> fetches;
-    std::vector<std::uint8_t> skip;
     // Lane time unrolled past the lane count: brick b of a cell adds
-    // to slot rot + b, and slot k folds into lane k % lanes.
-    std::vector<std::uint64_t> slots;
+    // to slot rot + b, and slot k folds into lane k % lanes. A group
+    // adds at most 255 per cell to a slot, so 32 bits hold it.
+    CNV_ASSERT(std::min<std::int64_t>(inFlight, totalWindows) * taps <
+                   (1 << 24), "window group above the model limit");
+    std::vector<std::uint32_t> slots;
 
     for (int g = 0; g < p.groups; ++g) {
         if (p.groups > 1 && (g * depthPerGroup) % cfg.brickSize != 0)
@@ -241,33 +248,32 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
         const int bricksPerCell =
             (depthPerGroup + cfg.brickSize - 1) / cfg.brickSize;
         const std::size_t bpc = static_cast<std::size_t>(bricksPerCell);
+        const std::size_t passTable = static_cast<std::size_t>(taps) * bpc;
         slots.assign(static_cast<std::size_t>(lanes) + bpc, 0);
 
-        // Weight-skip table [pass][ky][kx][brick]: 0xff where the
+        // Weight-skip tables [pass][tap][brick]: 0xff where the
         // pass's filter group prunes the weight brick, so a brick's
         // effectual count is a branch-free `nz & ~skip`.
-        skip.assign(static_cast<std::size_t>(profiles) * taps * bpc, 0);
-        if (weightSparsity > 0.0) {
+        for (std::size_t i = 0; i < sinks.size(); ++i) {
+            std::vector<std::uint8_t> &skip = walks[i].skip;
+            skip.resize(walks[i].profiles * passTable);
             std::uint8_t *s = skip.data();
-            for (int pass = 0; pass < profiles; ++pass)
-                for (int ky = 0; ky < p.fy; ++ky)
-                    for (int kx = 0; kx < p.fx; ++kx)
-                        for (int b = 0; b < bricksPerCell; ++b) {
-                            const bool pruned = weightBrickIneffectual(
-                                convIndex, ky, kx, brickBase + b, pass,
-                                weightSparsity);
-                            *s++ = pruned ? 0xff : 0;
-                        }
+            for (int pass = 0; pass < walks[i].profiles; ++pass)
+                for (int tap = 0; tap < taps; ++tap)
+                    for (int b = 0; b < bricksPerCell; ++b)
+                        *s++ = weightBrickIneffectual(
+                                   convIndex, tap / p.fx, tap % p.fx,
+                                   brickBase + b, pass,
+                                   sinks[i].weightSparsity)
+                            ? 0xff : 0;
         }
 
-        const auto laneProfile = [&](int pass) {
-            const std::uint8_t *passSkip =
-                skip.data() + static_cast<std::size_t>(pass) * taps * bpc;
+        const auto laneProfile = [&](const std::uint8_t *passSkip) {
             std::fill(slots.begin(), slots.end(), 0);
             LaneProfile lp;
             for (const Cell &c : cells) {
                 const std::uint8_t *sk = passSkip + c.tap * bpc;
-                std::uint64_t *slot = slots.data() + c.rot;
+                std::uint32_t *slot = slots.data() + c.rot;
                 for (std::size_t b = 0; b < bpc; ++b) {
                     const auto live =
                         static_cast<std::uint8_t>(c.counts[b] & ~sk[b]);
@@ -275,16 +281,12 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     lp.nonZero += live;
                 }
             }
-            std::array<std::uint64_t, 64> laneTime{};
-            int lane = 0;
-            for (const std::uint64_t t : slots) {
-                laneTime[lane] += t;
-                if (++lane == lanes)
-                    lane = 0;
-            }
-            for (int l = 0; l < lanes; ++l) {
-                lp.cycles = std::max(lp.cycles, laneTime[l]);
-                lp.busy += laneTime[l];
+            for (std::size_t l = 0; l < wideLanes; ++l) {
+                std::uint64_t t = 0;
+                for (std::size_t k = l; k < slots.size(); k += lanes)
+                    t += slots[k];
+                lp.cycles = std::max(lp.cycles, t);
+                lp.busy += t;
             }
             return lp;
         };
@@ -318,7 +320,7 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                         windowSeq += bricksPerCell;
                         cells.push_back({counts.column(ix, iy) + brickBase,
                                          ky * p.fx + kx, rot});
-                        if (!mem)
+                        if (!replayer)
                             continue;
                         const std::uint64_t base =
                             (static_cast<std::uint64_t>(iy) * inShape.x +
@@ -333,77 +335,74 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     }
                 }
             }
-            const std::uint64_t nmReads = cells.size() * bpc;
-
-            LaneProfile lp;
             for (int pass = 0; pass < passes; ++pass) {
-                if (pass < profiles)
-                    lp = laneProfile(pass);
                 const int fCount = std::min(
                     parallel, filtersPerGroup - pass * parallel);
                 const int activeUnits =
-                    (fCount + cfg.filtersPerUnit - 1) /
-                    cfg.filtersPerUnit;
-
-                r.cycles += lp.cycles;
-                r.activity.nonZero += lp.nonZero * units;
-                r.activity.stall += (lp.cycles * lanes - lp.nonZero) * units;
-                r.energy.nmReads += nmReads;
-                r.energy.nbinWrites += lp.nonZero * units;
-                r.energy.nbinReads += lp.nonZero * units;
-                r.energy.sbReads += lp.nonZero * activeUnits;
-                r.energy.multOps += lp.nonZero * fCount;
-                r.energy.addOps += lp.nonZero * fCount;
-                // Mirror the cycle-level model's per-pass lane
-                // accounting (lane time includes empty-brick cycles).
-                r.micro.laneBusyCycles += lp.busy;
-                const std::uint64_t barrier =
-                    lp.cycles * static_cast<std::uint64_t>(lanes) - lp.busy;
-                r.micro.laneIdleCycles += barrier;
-                r.micro.stalls[sim::StallReason::WindowBarrier] +=
-                    barrier;
-
-                if (mem) {
-                    // Each pass re-fetches the group's bricks (the
-                    // per-pass NM reads above); bank conflicts and
-                    // exposed global-buffer fills stretch the group
-                    // with every lane of every unit idle.
+                    (fCount + cfg.filtersPerUnit - 1) / cfg.filtersPerUnit;
+                // Each pass re-fetches the group's bricks. The fetch
+                // list reads no weight, so one replay serves all.
+                nmReads += cells.size() * bpc;
+                const mem::GroupReplay replay = replayer
+                    ? replayer->replayGroup(fetches) : mem::GroupReplay{};
+                for (std::size_t i = 0; i < sinks.size(); ++i) {
+                    SinkWalk &sw = walks[i];
+                    if (pass < sw.profiles)
+                        sw.lp = laneProfile(sw.skip.data() + pass * passTable);
+                    sw.sum.cycles += sw.lp.cycles;
+                    sw.sum.busy += sw.lp.busy;
+                    sw.sum.nonZero += sw.lp.nonZero;
+                    sw.sbReads += sw.lp.nonZero * activeUnits;
+                    sw.macs += sw.lp.nonZero * fCount;
+                    if (!sinks[i].mem)
+                        continue;
                     const mem::GroupCost gc =
-                        mem->fetchGroup(fetches, lp.cycles);
-                    const std::uint64_t extra =
-                        gc.conflictCycles + gc.gbFillCycles;
-                    r.cycles += extra;
-                    r.activity.stall += extra * lanes * units;
-                    r.micro.laneIdleCycles += extra * lanes;
-                    r.micro.stalls[sim::StallReason::NmBankConflict] +=
-                        gc.conflictCycles * lanes;
-                    r.micro.stalls[sim::StallReason::GbMiss] +=
-                        gc.gbFillCycles * lanes;
+                        sinks[i].mem->chargeGroup(replay, sw.lp.cycles);
+                    sw.conflict += gc.conflictCycles;
+                    sw.fill += gc.gbFillCycles;
                 }
             }
         }
     }
 
+    // Fold each sink's pass totals into its result. Bank conflicts
+    // and exposed GB fills stretch their group with every lane idle;
+    // the rest of the idle lane time waits at window barriers.
     const std::uint64_t windows =
         static_cast<std::uint64_t>(outShape.x) * outShape.y;
-    r.energy.nmWrites += windows * ((p.filters + lanes - 1) / lanes);
-    r.energy.encoderOps += windows * static_cast<std::uint64_t>(p.filters);
-    r.micro.encoderBusyCycles =
-        windows * static_cast<std::uint64_t>(p.filters);
-    r.micro.encoderBricks =
-        windows * static_cast<std::uint64_t>(
-                      (p.filters + cfg.brickSize - 1) / cfg.brickSize);
-    return r;
+    std::vector<LayerResult> results(sinks.size());
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+        const SinkWalk &sw = walks[i];
+        LayerResult &r = results[i];
+        r.cycles = sw.sum.cycles + sw.conflict + sw.fill;
+        r.activity.nonZero = sw.sum.nonZero * units;
+        r.activity.stall = (r.cycles * wideLanes - sw.sum.nonZero) * units;
+        r.energy.nmReads = nmReads;
+        r.energy.nbinWrites = r.energy.nbinReads = sw.sum.nonZero * units;
+        r.energy.sbReads = sw.sbReads;
+        r.energy.multOps = r.energy.addOps = sw.macs;
+        // One output brick per lanes (= brick size) filters.
+        r.energy.nmWrites = r.micro.encoderBricks =
+            windows * ((p.filters + lanes - 1) / lanes);
+        r.energy.encoderOps = r.micro.encoderBusyCycles =
+            windows * static_cast<std::uint64_t>(p.filters);
+        r.micro.laneBusyCycles = sw.sum.busy;
+        r.micro.laneIdleCycles = r.cycles * wideLanes - sw.sum.busy;
+        r.micro.stalls[sim::StallReason::WindowBarrier] =
+            sw.sum.cycles * wideLanes - sw.sum.busy;
+        r.micro.stalls[sim::StallReason::NmBankConflict] =
+            sw.conflict * wideLanes;
+        r.micro.stalls[sim::StallReason::GbMiss] = sw.fill * wideLanes;
+    }
+    return results;
 }
-
-} // namespace
 
 LayerResult
 convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
         const Shape3 &inShape, const CountMap &counts,
         mem::MemoryModel *mem)
 {
-    LayerResult r = convEncoded(cfg, p, inShape, counts, 0, 0.0, mem);
+    LayerResult r = convCnv2(cfg, p, inShape, counts, 0, 0.0, mem);
     r.name = "conv(cnv)";
     return r;
 }
@@ -413,8 +412,9 @@ convCnv2(const NodeConfig &cfg, const nn::ConvParams &p,
          const Shape3 &inShape, const CountMap &counts, int convIndex,
          double weightSparsity, mem::MemoryModel *mem)
 {
-    LayerResult r = convEncoded(cfg, p, inShape, counts, convIndex,
-                                weightSparsity, mem);
+    const EncodedSink sink{weightSparsity, mem};
+    LayerResult r =
+        convEncoded(cfg, p, inShape, counts, convIndex, {&sink, 1})[0];
     r.name = "conv(cnv2)";
     return r;
 }

@@ -12,23 +12,27 @@
  * instead of hours; every experiment can be spot-checked against
  * the detailed models.
  *
- * convCnv and convCnv2 are thin wrappers over one encoded walk (CNV
- * is Cnvlutin2 with no weight brick pruned). It gathers each window
- * group's valid cells and NM fetch list once and replays them for
- * every filter pass; a pass reads which weight bricks its filter
- * group prunes from a per-layer table. It rests on one lane
+ * convCnv and convCnv2 are one-sink calls of one encoded walk,
+ * convEncoded (CNV is Cnvlutin2 with no weight brick pruned). It
+ * gathers each window group's valid cells and NM fetch list once and
+ * replays them for every filter pass and every sink; a pass reads
+ * which weight bricks its filter group prunes from a per-sink table,
+ * and the banked GB/bank replay of a (group, pass) runs once and is
+ * charged to every sink's memory model. It rests on one lane
  * identity: under every LaneAssignment, brick b of a cell runs on
  * lane (rot + b) % lanes, where rot is dadiannao::laneOf of the
  * cell's first brick, so laneOf runs once per cell rather than per
  * brick.
  * tests/analysis/reference_cnv2.h keeps the per-brick, per-pass walk
- * as the oracle both are tested against.
+ * as the oracle all three are tested against.
  */
 
 #ifndef CNV_TIMING_CONV_MODEL_H
 #define CNV_TIMING_CONV_MODEL_H
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
@@ -90,6 +94,35 @@ dadiannao::LayerResult convCnv2(const dadiannao::NodeConfig &cfg,
                                 const CountMap &counts, int convIndex,
                                 double weightSparsity,
                                 mem::MemoryModel *mem = nullptr);
+
+/**
+ * One consumer of a shared encoded walk: a Cnvlutin2 weight sparsity
+ * (0 is CNV) and the memory model its NM fetches are charged to
+ * (nullptr: the ideal hierarchy).
+ */
+struct EncodedSink
+{
+    double weightSparsity = 0.0;
+    mem::MemoryModel *mem = nullptr;
+};
+
+/**
+ * The encoded walk behind convCnv and convCnv2, run once for several
+ * sinks: each window group is gathered once, and each sink folds its
+ * own lane profiles from it. Result i equals convCnv2(cfg, p,
+ * inShape, counts, convIndex, sinks[i].weightSparsity, sinks[i].mem)
+ * but for the name, which is left empty.
+ *
+ * The fetch list depends only on positions, bricks and window order,
+ * never on weights, so each (group, pass) is replayed once through
+ * the first banked sink's model and charged to every banked sink.
+ * Their models must share one geometry and enter holding the same
+ * GB lines, e.g. all drained at the same layer boundary.
+ */
+std::vector<dadiannao::LayerResult>
+convEncoded(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
+            const tensor::Shape3 &inShape, const CountMap &counts,
+            int convIndex, std::span<const EncodedSink> sinks);
 
 } // namespace cnv::timing
 

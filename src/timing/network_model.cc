@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "dadiannao/other_layers.h"
 #include "sim/logging.h"
@@ -130,6 +131,94 @@ fcCnvTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
     return r;
 }
 
+/**
+ * Section IV-B's software-set encoded/conventional flag: the first
+ * conv layer (raw image input) runs conventional on every
+ * architecture, every later one encoded on the CNV family.
+ */
+bool
+runsEncoded(Arch arch, const nn::Node &node)
+{
+    return arch != Arch::Baseline && node.convIndex != 0;
+}
+
+/** One architecture's run state in simulateNetworks. */
+struct ArchRun
+{
+    Arch arch = Arch::Baseline;
+    NetworkResult result;
+    /** Its own memory model (banked runs), never shared. */
+    std::optional<mem::MemoryModel> mem;
+    OverlapTracker overlap;
+
+    mem::MemoryModel *memory() { return mem ? &*mem : nullptr; }
+
+    /** Fold the model's per-layer counter delta into the layer just
+     *  pushed (also resets the global buffer at the boundary). */
+    void
+    drain()
+    {
+        if (mem && !result.layers.empty())
+            result.layers.back().mem += mem->drainLayer();
+    }
+};
+
+/** A conv node's exposed synapse load, as its own pseudo-layer. */
+void
+synapseLoad(const NodeConfig &cfg, const nn::Node &n, ArchRun &run)
+{
+    LayerResult loadStall;
+    loadStall.name = n.name + ":synapse-load";
+    loadStall.cycles = dadiannao::convSynapseLoadCycles(
+        cfg, n, run.overlap, loadStall.energy);
+    loadStall.activity.other =
+        loadStall.cycles * static_cast<std::uint64_t>(cfg.nodeLanes());
+    // Exposed load time: every lane waits on the stream.
+    loadStall.micro.laneIdleCycles =
+        loadStall.cycles * static_cast<std::uint64_t>(cfg.lanes);
+    loadStall.micro.stalls[sim::StallReason::SynapseWait] =
+        loadStall.micro.laneIdleCycles;
+    // Synapse traffic goes through the DRAM channel; its wait time is
+    // already modelled by the OverlapTracker, so only the traffic
+    // counters are kept. When the load is fully hidden (no layer
+    // pushed) the traffic drains into the conv layer instead.
+    if (run.mem && loadStall.energy.offchipBytes > 0)
+        run.mem->dramTransfer(loadStall.energy.offchipBytes);
+    if (loadStall.cycles > 0) {
+        run.result.layers.push_back(loadStall);
+        run.drain();
+    }
+}
+
+/**
+ * Activations past the NM capacity spill off-chip: a whole-node wait
+ * on the DRAM channel, reported as its own pseudo-layer like the
+ * synapse loads.
+ */
+void
+dramSpill(const NodeConfig &cfg, const nn::Node &n, ArchRun &run)
+{
+    const std::uint64_t actBytes =
+        (n.inShape.volume() + n.conv.outputShape(n.inShape).volume()) * 2;
+    if (!run.mem || actBytes <= cfg.nmBytes)
+        return;
+    const std::uint64_t spillBytes = actBytes - cfg.nmBytes;
+    LayerResult spill;
+    spill.name = n.name + ":dram-spill";
+    spill.cycles = run.mem->dramTransfer(spillBytes);
+    spill.energy.offchipBytes += spillBytes;
+    spill.activity.other =
+        spill.cycles * static_cast<std::uint64_t>(cfg.nodeLanes());
+    spill.micro.laneIdleCycles =
+        spill.cycles * static_cast<std::uint64_t>(cfg.lanes);
+    spill.micro.stalls[sim::StallReason::DramWait] =
+        spill.micro.laneIdleCycles;
+    if (spill.cycles > 0) {
+        run.result.layers.push_back(spill);
+        run.drain();
+    }
+}
+
 } // namespace
 
 LayerResult
@@ -137,11 +226,8 @@ convLayerTiming(const NodeConfig &cfg, Arch arch, const nn::Node &node,
                 const CountMap &counts, double weightSparsity,
                 mem::MemoryModel *mem)
 {
-    // Section IV-B's software-set encoded/conventional flag: the
-    // first conv layer (raw image input) runs conventional, every
-    // later one encoded.
     LayerResult conv;
-    if (arch == Arch::Baseline || node.convIndex == 0)
+    if (!runsEncoded(arch, node))
         conv = convBaseline(cfg, node.conv, node.inShape, counts,
                             node.convIndex == 0, mem);
     else if (arch == Arch::Cnv2)
@@ -168,32 +254,35 @@ NetworkResult
 simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
                 const RunOptions &opts)
 {
+    return std::move(simulateNetworks(cfg, net, {&arch, 1}, opts)[0]);
+}
+
+std::vector<NetworkResult>
+simulateNetworks(const NodeConfig &cfg, const nn::Network &net,
+                 std::span<const Arch> archs, const RunOptions &opts)
+{
     cfg.validate();
 
-    NetworkResult result;
-    result.network = net.name();
-    result.architecture = archName(arch);
-
-    // One model per simulateNetwork call (per arch x image task):
-    // a single owner, so it takes no locks and runs stay
-    // deterministic at any --jobs count. The datapath picks the
-    // fetch pattern: the baseline's single unit-wide pointer issues
-    // fetchSequential, the CNV family's per-slice pointers
-    // fetchGroup (Section IV-B2).
-    std::optional<mem::MemoryModel> memModel;
-    if (opts.memKind != mem::Kind::Ideal) {
-        mem::Geometry geo;
-        geo.banks = cfg.nmBanks;
-        geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
-        memModel.emplace(geo);
-        result.memModelled = true;
+    // One memory model per arch of the call: a single owner, so it
+    // takes no locks and runs stay deterministic at any --jobs
+    // count. The datapath picks the fetch pattern: the baseline's
+    // single unit-wide pointer issues fetchSequential, the CNV
+    // family's per-slice pointers replay and charge fetch groups
+    // (Section IV-B2).
+    std::vector<ArchRun> runs(archs.size());
+    for (std::size_t a = 0; a < archs.size(); ++a) {
+        ArchRun &run = runs[a];
+        run.arch = archs[a];
+        run.result.network = net.name();
+        run.result.architecture = archName(run.arch);
+        if (opts.memKind != mem::Kind::Ideal) {
+            mem::Geometry geo;
+            geo.banks = cfg.nmBanks;
+            geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
+            run.mem.emplace(geo);
+            run.result.memModelled = true;
+        }
     }
-    // Fold the model's per-layer counter delta into the layer just
-    // pushed (also resets the global buffer at the boundary).
-    const auto drainInto = [&] {
-        if (memModel && !result.layers.empty())
-            result.layers.back().mem += memModel->drainLayer();
-    };
 
     // Every run reads its count maps through a TraceCache; a call
     // without one uses its own for the duration of the run.
@@ -202,109 +291,94 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
         localCache.emplace();
     TraceCache &cache = opts.cache ? *opts.cache : *localCache;
 
-    OverlapTracker overlap;
-
+    std::vector<std::shared_ptr<const CountMap>> counts(runs.size());
+    std::vector<EncodedSink> sinks;
+    std::vector<LayerResult> walked;
     for (int id = 0; id < net.nodeCount(); ++id) {
         const nn::Node &n = net.node(id);
         switch (n.kind) {
           case nn::NodeKind::Input:
             break;
           case nn::NodeKind::Conv: {
-            LayerResult loadStall;
-            loadStall.name = n.name + ":synapse-load";
-            loadStall.cycles = dadiannao::convSynapseLoadCycles(
-                cfg, n, overlap, loadStall.energy);
-            loadStall.activity.other =
-                loadStall.cycles *
-                static_cast<std::uint64_t>(cfg.nodeLanes());
-            // Exposed load time: every lane waits on the stream.
-            loadStall.micro.laneIdleCycles =
-                loadStall.cycles * static_cast<std::uint64_t>(cfg.lanes);
-            loadStall.micro.stalls[sim::StallReason::SynapseWait] =
-                loadStall.micro.laneIdleCycles;
-            // Synapse traffic goes through the DRAM channel; its
-            // wait time is already modelled by the OverlapTracker,
-            // so only the traffic counters are kept. When the load
-            // is fully hidden (no layer pushed) the traffic drains
-            // into the conv layer below instead.
-            if (memModel && loadStall.energy.offchipBytes > 0)
-                memModel->dramTransfer(loadStall.energy.offchipBytes);
-            if (loadStall.cycles > 0) {
-                result.layers.push_back(loadStall);
-                drainInto();
+            // Each arch runs synapse-load, drain, conv, drain, spill
+            // in order; only the encoded convs run as one walk.
+            sinks.clear();
+            const CountMap *encodedCounts = nullptr;
+            for (std::size_t a = 0; a < runs.size(); ++a) {
+                ArchRun &run = runs[a];
+                synapseLoad(cfg, n, run);
+                // The baseline's cycle count is content-independent,
+                // but its zero/non-zero split is not, so every arch
+                // consumes the same trace (external when a provider
+                // supplies one, synthetic otherwise). Pruning only
+                // reaches the encoder (CNV and Cnv2); the baseline
+                // always sees unpruned values. Each arch looks its
+                // map up, so the cache's lookup counts stay per run.
+                const nn::PruneConfig *prune =
+                    run.arch != Arch::Baseline ? opts.prune : nullptr;
+                counts[a] = cache.countMap(net, id, opts.imageSeed,
+                                           opts.traces, prune,
+                                           cfg.brickSize);
+                if (!runsEncoded(run.arch, n))
+                    continue;
+                if (!encodedCounts)
+                    encodedCounts = counts[a].get();
+                CNV_ASSERT(counts[a].get() == encodedCounts,
+                           "the encoded archs of one walk read one map");
+                const double sparsity =
+                    run.arch == Arch::Cnv2 ? opts.weightSparsity : 0.0;
+                sinks.push_back({sparsity, run.memory()});
             }
-
-            // The baseline's cycle count is content-independent, but
-            // its zero/non-zero activity split is not, so both
-            // architectures consume the same trace (external when a
-            // provider supplies one, synthetic otherwise). Pruning
-            // only reaches the encoder (CNV and Cnv2); the baseline
-            // always sees unpruned values.
-            const nn::PruneConfig *prune =
-                arch != Arch::Baseline ? opts.prune : nullptr;
-            const std::shared_ptr<const CountMap> counts =
-                cache.countMap(net, id, opts.imageSeed, opts.traces, prune,
-                               cfg.brickSize);
-
-            LayerResult conv = convLayerTiming(cfg, arch, n, *counts,
-                                               opts.weightSparsity,
-                                               memModel ? &*memModel
-                                                        : nullptr);
-            overlap.deposit(conv.cycles);
-            result.layers.push_back(conv);
-            drainInto();
-
-            // Activations past the NM capacity spill off-chip: a
-            // whole-node wait on the DRAM channel, reported as its
-            // own pseudo-layer like the synapse loads above.
-            if (memModel) {
-                const std::uint64_t actBytes =
-                    (n.inShape.volume() +
-                     n.conv.outputShape(n.inShape).volume()) * 2;
-                if (actBytes > cfg.nmBytes) {
-                    const std::uint64_t spillBytes =
-                        actBytes - cfg.nmBytes;
-                    LayerResult spill;
-                    spill.name = n.name + ":dram-spill";
-                    spill.cycles = memModel->dramTransfer(spillBytes);
-                    spill.energy.offchipBytes += spillBytes;
-                    spill.activity.other =
-                        spill.cycles *
-                        static_cast<std::uint64_t>(cfg.nodeLanes());
-                    spill.micro.laneIdleCycles =
-                        spill.cycles *
-                        static_cast<std::uint64_t>(cfg.lanes);
-                    spill.micro.stalls[sim::StallReason::DramWait] =
-                        spill.micro.laneIdleCycles;
-                    if (spill.cycles > 0) {
-                        result.layers.push_back(spill);
-                        drainInto();
-                    }
-                }
+            // The encoded archs share one gather per window group.
+            walked.clear();
+            if (encodedCounts)
+                walked = convEncoded(cfg, n.conv, n.inShape, *encodedCounts,
+                                     n.convIndex, sinks);
+            std::size_t sink = 0;
+            for (std::size_t a = 0; a < runs.size(); ++a) {
+                ArchRun &run = runs[a];
+                LayerResult conv = runsEncoded(run.arch, n)
+                    ? std::move(walked[sink++])
+                    : convLayerTiming(cfg, run.arch, n, *counts[a],
+                                      opts.weightSparsity, run.memory());
+                conv.name = n.name;
+                run.overlap.deposit(conv.cycles);
+                run.result.layers.push_back(std::move(conv));
+                run.drain();
+                dramSpill(cfg, n, run);
             }
             break;
           }
           case nn::NodeKind::Fc:
-            result.layers.push_back(
-                fcLayerTiming(cfg, arch, net, id, overlap));
-            if (memModel) {
-                // FC synapse traffic (already overlap-timed).
-                const std::uint64_t bytes =
-                    result.layers.back().energy.offchipBytes;
-                if (bytes > 0)
-                    memModel->dramTransfer(bytes);
-                drainInto();
+            for (ArchRun &run : runs) {
+                run.result.layers.push_back(
+                    fcLayerTiming(cfg, run.arch, net, id, run.overlap));
+                if (run.mem) {
+                    // FC synapse traffic (already overlap-timed).
+                    const std::uint64_t bytes =
+                        run.result.layers.back().energy.offchipBytes;
+                    if (bytes > 0)
+                        run.mem->dramTransfer(bytes);
+                    run.drain();
+                }
             }
             break;
           default:
-            result.layers.push_back(
-                dadiannao::otherLayerTiming(cfg, n, overlap));
-            drainInto();
+            for (ArchRun &run : runs) {
+                run.result.layers.push_back(
+                    dadiannao::otherLayerTiming(cfg, n, run.overlap));
+                run.drain();
+            }
             break;
         }
     }
-    result.stampTimeline();
-    return result;
+    std::vector<NetworkResult> results;
+    results.reserve(runs.size());
+    for (ArchRun &run : runs) {
+        run.result.stampTimeline();
+        results.push_back(std::move(run.result));
+    }
+    return results;
 }
 
 } // namespace cnv::timing

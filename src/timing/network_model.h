@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
@@ -165,11 +167,24 @@ dadiannao::LayerResult fcLayerTiming(const dadiannao::NodeConfig &cfg,
  * Simulate one image through the network on the given architecture.
  * Conv layers are trace-driven; the first conv layer runs in
  * conventional mode on both architectures; non-conv layers use the
- * shared throughput model.
+ * shared throughput model. The one-arch case of simulateNetworks.
  */
 dadiannao::NetworkResult simulateNetwork(const dadiannao::NodeConfig &cfg,
                                          const nn::Network &net, Arch arch,
                                          const RunOptions &opts);
+
+/**
+ * Simulate one image through the network on several architectures
+ * in lock-step: result i equals simulateNetwork(cfg, net, archs[i],
+ * opts). Each arch keeps its own overlap tracker, memory model and
+ * result, and takes each layer's steps in simulateNetwork's order;
+ * the encoded conv layers of every CNV-family arch run as one
+ * convEncoded walk, so a window group is gathered, and on banked
+ * runs replayed, once for all of them.
+ */
+std::vector<dadiannao::NetworkResult>
+simulateNetworks(const dadiannao::NodeConfig &cfg, const nn::Network &net,
+                 std::span<const Arch> archs, const RunOptions &opts);
 
 } // namespace cnv::timing
 

@@ -1,22 +1,26 @@
 /**
  * @file
  * Seeded randomised differential test of the encoded conv timing
- * models (timing::convCnv and timing::convCnv2) against the per-pass,
- * per-brick oracle in reference_cnv2.h. Each case draws a layer shape
- * (depths off the brick size included), filter geometry, a filter
- * count spanning one to three passes, a lane/brick width, an NBout
- * depth, a lane assignment, the empty-brick cost and a weight
- * sparsity, and runs with the ideal hierarchy or with a banked
- * MemoryModel pair fed in lockstep. Every LayerResult field and the
- * drained memory counters must match exactly.
+ * models (timing::convCnv, timing::convCnv2 and the shared walk
+ * timing::convEncoded) against the per-pass, per-brick oracle in
+ * reference_cnv2.h. Each case draws a layer shape (depths off the
+ * brick size included), filter geometry, a filter count spanning one
+ * to three passes, a lane/brick width, an NBout depth, a lane
+ * assignment, the empty-brick cost and a weight sparsity, and runs
+ * with the ideal hierarchy or with banked MemoryModels fed in
+ * lockstep. Every LayerResult field and the drained memory counters
+ * must match exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <random>
+#include <vector>
 
 #include "analysis/reference_cnv2.h"
 #include "dadiannao/config.h"
@@ -74,7 +78,28 @@ expectSameResult(const LayerResult &got, const LayerResult &want)
     expectSameCounters(got.mem, want.mem);
 }
 
-TEST(ConvCnvOracle, MatchesPerBrickReferenceOnRandomLayers)
+/** One random conv layer, node configuration and memory geometry. */
+struct RandomCase
+{
+    dadiannao::NodeConfig cfg;
+    nn::ConvParams p;
+    tensor::Shape3 in;
+    timing::CountMap counts;
+    int convIndex = 0;
+    double sparsity = 0.0;
+    bool banked = false;
+    mem::Geometry geo;
+};
+
+/**
+ * Draw a case: a layer shape (depths off the brick size included),
+ * filter geometry, one to three filter passes, a lane/brick width, an
+ * NBout depth, a lane assignment, the empty-brick cost, a weight
+ * sparsity, per-brick counts at a per-case density and a memory
+ * kind and geometry.
+ */
+RandomCase
+drawCase(std::mt19937_64 &rng)
 {
     const int brickChoices[] = {4, 8, 16};
     const dadiannao::LaneAssignment policies[] = {
@@ -84,106 +109,161 @@ TEST(ConvCnvOracle, MatchesPerBrickReferenceOnRandomLayers)
     const double sparsityChoices[] = {0.0, 0.35, 1.0};
     const int bankChoices[] = {1, 3, 16};
     const std::uint64_t gbChoices[] = {3, 64, 4096};
-    std::mt19937_64 rng(2017);
     const auto pick = [&](int n) {
         return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
     };
 
-    for (int c = 0; c < 600; ++c) {
-        dadiannao::NodeConfig cfg;
-        cfg.brickSize = cfg.lanes = brickChoices[pick(3)];
-        cfg.nboutEntries = 16 + pick(113);
-        cfg.laneAssignment = policies[pick(3)];
-        cfg.emptyBrickCostsCycle = pick(2) == 0;
+    RandomCase k;
+    dadiannao::NodeConfig &cfg = k.cfg;
+    cfg.brickSize = cfg.lanes = brickChoices[pick(3)];
+    cfg.nboutEntries = 16 + pick(113);
+    cfg.laneAssignment = policies[pick(3)];
+    cfg.emptyBrickCostsCycle = pick(2) == 0;
 
-        nn::ConvParams p;
-        p.groups = 1 + pick(2);
-        tensor::Shape3 in{1 + pick(20), 1 + pick(20), 0};
-        if (p.groups == 1) {
-            in.z = 1 + pick(96);
-        } else {
-            const int unit = p.groups * cfg.brickSize;
-            in.z = unit * (1 + pick(96 / unit));
-        }
-        p.stride = 1 + pick(3);
-        p.pad = pick(3);
-        p.fx = std::min(1 + pick(5), in.x + 2 * p.pad);
-        p.fy = std::min(1 + pick(5), in.y + 2 * p.pad);
-        const int parallel = cfg.parallelFilters();
-        const int passes = 1 + pick(3);
-        p.filters =
-            p.groups * ((passes - 1) * parallel + 1 + pick(parallel));
-        const int convIndex = pick(8);
-        const double sparsity = sparsityChoices[pick(3)];
+    nn::ConvParams &p = k.p;
+    p.groups = 1 + pick(2);
+    tensor::Shape3 &in = k.in;
+    in = {1 + pick(20), 1 + pick(20), 0};
+    if (p.groups == 1) {
+        in.z = 1 + pick(96);
+    } else {
+        const int unit = p.groups * cfg.brickSize;
+        in.z = unit * (1 + pick(96 / unit));
+    }
+    p.stride = 1 + pick(3);
+    p.pad = pick(3);
+    p.fx = std::min(1 + pick(5), in.x + 2 * p.pad);
+    p.fy = std::min(1 + pick(5), in.y + 2 * p.pad);
+    const int parallel = cfg.parallelFilters();
+    const int passes = 1 + pick(3);
+    p.filters = p.groups * ((passes - 1) * parallel + 1 + pick(parallel));
+    k.convIndex = pick(8);
+    k.sparsity = sparsityChoices[pick(3)];
 
-        // Per-brick non-zero counts at a per-case density; the last
-        // brick of a column may be narrower than the brick size.
-        const int bricks = (in.z + cfg.brickSize - 1) / cfg.brickSize;
-        timing::CountMap counts(in.x, in.y, bricks);
-        const int density = pick(5); // in quarters: 0, 1/4, ..., 1
-        for (int y = 0; y < in.y; ++y) {
-            for (int x = 0; x < in.x; ++x) {
-                for (int b = 0; b < bricks; ++b) {
-                    const int width =
-                        std::min(cfg.brickSize, in.z - b * cfg.brickSize);
-                    int nz = 0;
-                    for (int k = 0; k < width; ++k)
-                        nz += pick(4) < density ? 1 : 0;
-                    counts.at(x, y, b) = static_cast<std::uint8_t>(nz);
-                }
+    // Per-brick non-zero counts at a per-case density; the last
+    // brick of a column may be narrower than the brick size.
+    const int bricks = (in.z + cfg.brickSize - 1) / cfg.brickSize;
+    k.counts = timing::CountMap(in.x, in.y, bricks);
+    const int density = pick(5); // in quarters: 0, 1/4, ..., 1
+    for (int y = 0; y < in.y; ++y) {
+        for (int x = 0; x < in.x; ++x) {
+            for (int b = 0; b < bricks; ++b) {
+                const int width =
+                    std::min(cfg.brickSize, in.z - b * cfg.brickSize);
+                int nz = 0;
+                for (int i = 0; i < width; ++i)
+                    nz += pick(4) < density ? 1 : 0;
+                k.counts.at(x, y, b) = static_cast<std::uint8_t>(nz);
             }
         }
+    }
 
-        const bool banked = pick(2) == 0;
-        mem::Geometry geo;
-        geo.banks = bankChoices[pick(3)];
-        geo.gbLines = gbChoices[pick(3)];
-        geo.dramBytesPerCycle = 16;
+    k.banked = pick(2) == 0;
+    k.geo.banks = bankChoices[pick(3)];
+    k.geo.gbLines = gbChoices[pick(3)];
+    k.geo.dramBytesPerCycle = 16;
+    return k;
+}
 
-        SCOPED_TRACE(testing::Message()
-                     << "case " << c << ": in " << in.x << "x" << in.y
-                     << "x" << in.z << ", f " << p.fx << "x" << p.fy
-                     << ", stride " << p.stride << ", pad " << p.pad
-                     << ", groups " << p.groups << ", filters "
-                     << p.filters << ", brick " << cfg.brickSize
-                     << ", nbout " << cfg.nboutEntries << ", policy "
-                     << static_cast<int>(cfg.laneAssignment)
-                     << ", emptyCostsCycle " << cfg.emptyBrickCostsCycle
-                     << ", sparsity " << sparsity << ", banked "
-                     << banked);
+testing::Message
+describe(int c, const RandomCase &k)
+{
+    return testing::Message()
+           << "case " << c << ": in " << k.in.x << "x" << k.in.y << "x"
+           << k.in.z << ", f " << k.p.fx << "x" << k.p.fy << ", stride "
+           << k.p.stride << ", pad " << k.p.pad << ", groups "
+           << k.p.groups << ", filters " << k.p.filters << ", brick "
+           << k.cfg.brickSize << ", nbout " << k.cfg.nboutEntries
+           << ", policy " << static_cast<int>(k.cfg.laneAssignment)
+           << ", emptyCostsCycle " << k.cfg.emptyBrickCostsCycle
+           << ", sparsity " << k.sparsity << ", banked " << k.banked;
+}
+
+mem::MemoryModel *
+ptr(std::optional<mem::MemoryModel> &m)
+{
+    return m ? &*m : nullptr;
+}
+
+TEST(ConvCnvOracle, MatchesPerBrickReferenceOnRandomLayers)
+{
+    std::mt19937_64 rng(2017);
+    for (int c = 0; c < 600; ++c) {
+        const RandomCase k = drawCase(rng);
+        SCOPED_TRACE(describe(c, k));
 
         // The oracle and the model under test each own one memory
         // model of the same geometry, fed the same layer in lockstep.
         std::optional<mem::MemoryModel> wantMem, gotMem;
-        if (banked) {
-            wantMem.emplace(geo);
-            gotMem.emplace(geo);
+        if (k.banked) {
+            wantMem.emplace(k.geo);
+            gotMem.emplace(k.geo);
         }
-        const auto ptr = [](std::optional<mem::MemoryModel> &m) {
-            return m ? &*m : nullptr;
-        };
 
         const LayerResult want = testsupport::referenceConvCnv2(
-            cfg, p, in, counts, convIndex, sparsity, ptr(wantMem));
+            k.cfg, k.p, k.in, k.counts, k.convIndex, k.sparsity,
+            ptr(wantMem));
         const LayerResult got = timing::convCnv2(
-            cfg, p, in, counts, convIndex, sparsity, ptr(gotMem));
+            k.cfg, k.p, k.in, k.counts, k.convIndex, k.sparsity,
+            ptr(gotMem));
         EXPECT_EQ(got.name, "conv(cnv2)");
         expectSameResult(got, want);
-        if (banked)
+        if (k.banked)
             expectSameCounters(gotMem->drainLayer(), wantMem->drainLayer());
 
-        if (sparsity == 0.0) {
+        if (k.sparsity == 0.0) {
             // CNV is Cnvlutin2 without weight skipping. The memory
             // pair was drained above, so both start the layer cold.
             const LayerResult again = testsupport::referenceConvCnv2(
-                cfg, p, in, counts, convIndex, 0.0, ptr(wantMem));
+                k.cfg, k.p, k.in, k.counts, k.convIndex, 0.0,
+                ptr(wantMem));
             const LayerResult cnv =
-                timing::convCnv(cfg, p, in, counts, ptr(gotMem));
+                timing::convCnv(k.cfg, k.p, k.in, k.counts, ptr(gotMem));
             EXPECT_EQ(cnv.name, "conv(cnv)");
             expectSameResult(cnv, again);
-            if (banked)
+            if (k.banked)
                 expectSameCounters(gotMem->drainLayer(),
                                    wantMem->drainLayer());
+        }
+    }
+}
+
+TEST(ConvCnvOracle, SharedWalkMatchesReferencePerSink)
+{
+    // One walk feeding CNV and Cnvlutin2 at two sparsities: each sink
+    // must see exactly what its own reference run sees, on the ideal
+    // hierarchy and with every sink charged from one banked replay.
+    const double sinkSparsity[] = {0.0, 0.2, 0.5};
+    constexpr std::size_t kSinks = std::size(sinkSparsity);
+    std::mt19937_64 rng(2027);
+    for (int c = 0; c < 300; ++c) {
+        const RandomCase k = drawCase(rng);
+        for (const bool banked : {false, true}) {
+            SCOPED_TRACE(describe(c, k) << ", walk banked " << banked);
+            std::array<std::optional<mem::MemoryModel>, kSinks> gotMem,
+                wantMem;
+            std::array<timing::EncodedSink, kSinks> sinks;
+            for (std::size_t i = 0; i < kSinks; ++i) {
+                if (banked) {
+                    gotMem[i].emplace(k.geo);
+                    wantMem[i].emplace(k.geo);
+                }
+                sinks[i] = {sinkSparsity[i], ptr(gotMem[i])};
+            }
+            const std::vector<LayerResult> got = timing::convEncoded(
+                k.cfg, k.p, k.in, k.counts, k.convIndex, sinks);
+            ASSERT_EQ(got.size(), kSinks);
+            for (std::size_t i = 0; i < kSinks; ++i) {
+                SCOPED_TRACE(testing::Message()
+                             << "sink sparsity " << sinkSparsity[i]);
+                const LayerResult want = testsupport::referenceConvCnv2(
+                    k.cfg, k.p, k.in, k.counts, k.convIndex,
+                    sinkSparsity[i], ptr(wantMem[i]));
+                expectSameResult(got[i], want);
+                if (banked)
+                    expectSameCounters(gotMem[i]->drainLayer(),
+                                       wantMem[i]->drainLayer());
+            }
         }
     }
 }

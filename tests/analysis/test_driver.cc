@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "arch/registry.h"
 #include "driver/driver.h"
+#include "sim/parallel.h"
 #include "timing/network_model.h"
 
 namespace {
@@ -81,6 +88,68 @@ TEST(Driver, EvaluateAggregatesImages)
     EXPECT_EQ(cnvAgg.activity.zero, 0u);
     EXPECT_GT(cnvAgg.activity.stall, 0u);
     EXPECT_EQ(report.findArch("cnv-b8"), nullptr);
+}
+
+TEST(Driver, WalkGroupsMatchEveryArchRunAlone)
+{
+    // cnv and cnv2 share one walk, cnv-b8 (another node config) and
+    // cnv-pruned (another prune) walk alone, the baseline never
+    // joins: every timeline must equal the arch simulated by itself.
+    const auto archs = arch::builtin().select(
+        "dadiannao,cnv,cnv2,cnv-b8,cnv-pruned");
+    driver::ExperimentConfig cfg;
+    cfg.images = 2;
+    const auto groups = arch::walkGroups(archs, cfg.node);
+    const std::vector<std::vector<std::size_t>> wantGroups = {
+        {0}, {1, 2}, {3}, {4}};
+    EXPECT_EQ(groups, wantGroups);
+
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, cfg.seed);
+    const int jobsBefore = sim::jobCount();
+    for (const mem::Kind kind : {mem::Kind::Ideal, mem::Kind::Banked}) {
+        cfg.memKind = kind;
+        // Each arch alone: image 0's run and the cycles of both.
+        std::vector<dadiannao::NetworkResult> alone;
+        std::vector<std::uint64_t> aloneCycles;
+        for (const arch::ArchModel *model : archs) {
+            timing::RunOptions opts;
+            opts.weightSparsity = cfg.weightSparsity;
+            opts.memKind = kind;
+            std::uint64_t cycles = 0;
+            for (int image = cfg.images - 1; image >= 0; --image) {
+                opts.imageSeed =
+                    cfg.seed + static_cast<std::uint64_t>(image);
+                auto run = model->simulateNetwork(cfg.node, *net, opts);
+                cycles += run.totalCycles();
+                if (image == 0)
+                    alone.push_back(std::move(run));
+            }
+            aloneCycles.push_back(cycles);
+        }
+        for (const int jobs : {1, 4}) {
+            SCOPED_TRACE(testing::Message() << mem::kindName(kind)
+                                            << ", jobs " << jobs);
+            sim::setJobCount(jobs);
+            std::vector<driver::ArchTimeline> timelines;
+            const driver::NetworkReport report =
+                driver::evaluateNetworkArchs(cfg, *net, archs, nullptr,
+                                             nullptr, &timelines);
+            ASSERT_EQ(timelines.size(), archs.size());
+            for (std::size_t a = 0; a < archs.size(); ++a) {
+                EXPECT_EQ(report.archs[a].cycles, aloneCycles[a])
+                    << archs[a]->id();
+                const dadiannao::NetworkResult &got = timelines[a].result;
+                EXPECT_EQ(timelines[a].model, archs[a]);
+                EXPECT_EQ(got.architecture, alone[a].architecture);
+                EXPECT_EQ(got.memModelled, alone[a].memModelled);
+                ASSERT_EQ(got.layers.size(), alone[a].layers.size());
+                for (std::size_t i = 0; i < got.layers.size(); ++i)
+                    EXPECT_TRUE(got.layers[i] == alone[a].layers[i])
+                        << archs[a]->id() << " " << got.layers[i].name;
+            }
+        }
+    }
+    sim::setJobCount(jobsBefore);
 }
 
 } // namespace

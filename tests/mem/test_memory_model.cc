@@ -3,9 +3,11 @@
  * Tests for mem::MemoryModel through its public calls: hand-worked
  * bank-conflict cases (a 4-bank example, all lanes on one bank,
  * distinct banks), global-buffer hits, misses and evictions, fill
- * hiding behind compute, per-layer drain epochs and the conflict-free
- * sequential walk; then a seeded randomised differential test against
- * the naive round-replay oracle in reference_memory.h.
+ * hiding behind compute, per-layer drain epochs, the conflict-free
+ * sequential walk and one replay charged to two models; then seeded
+ * randomised differential tests against the naive round-replay
+ * oracle in reference_memory.h, through fetchGroup and through a
+ * replay shared by two charged models.
  */
 
 #include <gtest/gtest.h>
@@ -175,6 +177,34 @@ TEST(MemoryModel, DrainReturnsEpochDeltas)
     EXPECT_EQ(model.totals().nmAccesses, 7u); // totals span epochs
 }
 
+TEST(MemoryModel, OneReplayChargesTwoModels)
+{
+    // Two misses on bank 0 (+1 conflict), replayed once and charged
+    // at two compute budgets: each model sees what its own
+    // fetchGroup would have returned and counted.
+    const std::vector<Access> group = {{0, 0}, {1, 4}};
+    mem::MemoryModel replayer(geometry(4, /*gbLines=*/16));
+    mem::MemoryModel other(geometry(4, /*gbLines=*/16));
+    const mem::GroupReplay replay = replayer.replayGroup(group);
+    EXPECT_EQ(replay.gbMisses, 2u);
+    EXPECT_EQ(replay.conflictCycles, 1u);
+    const mem::GroupCost a = replayer.chargeGroup(replay, 0);
+    const mem::GroupCost b = other.chargeGroup(replay, 1);
+
+    mem::MemoryModel directA(geometry(4, 16));
+    mem::MemoryModel directB(geometry(4, 16));
+    const mem::GroupCost wantA = directA.fetchGroup(group, 0);
+    const mem::GroupCost wantB = directB.fetchGroup(group, 1);
+    EXPECT_EQ(a.conflictCycles, wantA.conflictCycles);
+    EXPECT_EQ(a.gbFillCycles, 2u);
+    EXPECT_EQ(a.gbFillCycles, wantA.gbFillCycles);
+    EXPECT_EQ(b.conflictCycles, wantB.conflictCycles);
+    EXPECT_EQ(b.gbFillCycles, 1u);
+    EXPECT_EQ(b.gbFillCycles, wantB.gbFillCycles);
+    EXPECT_EQ(replayer.totals(), directA.totals());
+    EXPECT_EQ(other.totals(), directB.totals());
+}
+
 TEST(MemoryModel, KindsRoundTrip)
 {
     EXPECT_STREQ(mem::kindName(mem::Kind::Ideal), "ideal");
@@ -249,6 +279,64 @@ TEST(MemoryModel, MatchesRoundReplayOracleOnRandomGroups)
                             "drainLayer");
         }
         expectEqual(model.totals(), oracle.totals(), "totals");
+    }
+}
+
+TEST(MemoryModel, SharedReplayMatchesOracleForEveryChargedModel)
+{
+    // One model replays every group and both it and a second model
+    // of the same geometry are charged, each at its own compute
+    // budget; each must match a round-replay oracle fed the group
+    // through fetchGroup at that budget.
+    const int bankChoices[] = {1, 3, 4, 16, 64};
+    const std::uint64_t gbChoices[] = {1, 2, 3, 16, 1000, 4096};
+    const std::uint64_t spanChoices[] = {8, 256, 8192, 1u << 20};
+    std::mt19937_64 rng(27);
+    const auto pick = [&](std::uint64_t n) { return rng() % n; };
+
+    for (int c = 0; c < 200; ++c) {
+        const mem::Geometry g =
+            geometry(bankChoices[pick(5)], gbChoices[pick(6)],
+                     1 + pick(64));
+        const int lanes = 1 + static_cast<int>(pick(16));
+        const std::uint64_t span = spanChoices[pick(4)];
+        SCOPED_TRACE(testing::Message()
+                     << "case " << c << ": banks " << g.banks
+                     << ", lanes " << lanes << ", gbLines " << g.gbLines
+                     << ", span " << span);
+
+        mem::MemoryModel replayer(g);
+        mem::MemoryModel other(g);
+        testsupport::ReferenceMemory oracleA(g);
+        testsupport::ReferenceMemory oracleB(g);
+        std::vector<Access> group;
+        const int groups = 1 + static_cast<int>(pick(6));
+        for (int k = 0; k < groups; ++k) {
+            group.resize(pick(2001));
+            for (Access &a : group) {
+                a.lane = static_cast<int>(pick(lanes));
+                a.address = pick(span);
+            }
+            const std::uint64_t computeA = pick(group.size() + 2);
+            const std::uint64_t computeB = pick(group.size() + 2);
+            const mem::GroupReplay replay = replayer.replayGroup(group);
+            const mem::GroupCost gotA = replayer.chargeGroup(replay, computeA);
+            const mem::GroupCost gotB = other.chargeGroup(replay, computeB);
+            const mem::GroupCost wantA = oracleA.fetchGroup(group, computeA);
+            const mem::GroupCost wantB = oracleB.fetchGroup(group, computeB);
+            EXPECT_EQ(gotA.conflictCycles, wantA.conflictCycles);
+            EXPECT_EQ(gotA.gbFillCycles, wantA.gbFillCycles);
+            EXPECT_EQ(gotB.conflictCycles, wantB.conflictCycles);
+            EXPECT_EQ(gotB.gbFillCycles, wantB.gbFillCycles);
+            if (pick(3) == 0) {
+                expectEqual(replayer.drainLayer(), oracleA.drainLayer(),
+                            "drainLayer A");
+                expectEqual(other.drainLayer(), oracleB.drainLayer(),
+                            "drainLayer B");
+            }
+        }
+        expectEqual(replayer.totals(), oracleA.totals(), "totals A");
+        expectEqual(other.totals(), oracleB.totals(), "totals B");
     }
 }
 

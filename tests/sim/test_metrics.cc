@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "sim/metrics.h"
 #include "sim/parallel.h"
@@ -115,8 +118,22 @@ TEST(MetricsRegistry, PoolLanesChargeBusyAndTaskCounters)
 {
     const MetricsEnabled on;
     ThreadPool pool(3);
-    parallelFor(pool, 64, [](std::size_t) {
+    // Workers could drain 64 trivial tasks before the submitting
+    // thread claims one, so a worker-run task waits (bounded) until
+    // the submitter has run a task of its own.
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::atomic<bool> submitterRan{false};
+    parallelFor(pool, 64, [&](std::size_t) {
         metrics().add("test.poolTask");
+        if (std::this_thread::get_id() == submitter) {
+            submitterRan.store(true, std::memory_order_release);
+            return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!submitterRan.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
     });
     const auto snap = metrics().snapshot();
     EXPECT_EQ(snap.counters.at("test.poolTask"), 64u);
