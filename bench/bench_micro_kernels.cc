@@ -366,6 +366,32 @@ BM_ConvTimingCnvBanked(benchmark::State &state)
 }
 BENCHMARK(BM_ConvTimingCnvBanked);
 
+// A 1x1 layer on a deep input (GoogLeNet's inception-5 shape, 52
+// bricks per cell, two filter passes) against the banked memory
+// model: each cell is one long run of bricks, so this prices the
+// replay's whole-run residency check rather than the gather.
+void
+BM_ConvTimingCnvBanked1x1(benchmark::State &state)
+{
+    const auto t = sparseTensor(7, 7, 832, 0.44);
+    const timing::CountMap counts = zfnaf::nonZeroCountMap(t);
+    nn::ConvParams params;
+    params.filters = 384;
+    params.fx = params.fy = 1;
+    params.stride = 1;
+    const dadiannao::NodeConfig cfg;
+    mem::Geometry geo;
+    geo.banks = cfg.nmBanks;
+    geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
+    mem::MemoryModel model(geo);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            timing::convCnv(cfg, params, t.shape(), counts, &model));
+        model.drainLayer();
+    }
+}
+BENCHMARK(BM_ConvTimingCnvBanked1x1);
+
 // CNV and Cnvlutin2 at 35% in one banked walk: the window groups are
 // gathered and replayed once for both, so this costs less than
 // BM_ConvTimingCnvBanked plus a banked Cnvlutin2 run.
@@ -446,6 +472,30 @@ BM_TraceCacheHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceCacheHit);
+
+// A design-sweep lookup: a pruned count map of a GoogLeNet concat
+// input, keyed by the threshold of each of its producer branches.
+// Every lookup hits.
+void
+BM_CountMapHit(benchmark::State &state)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 1);
+    int nodeId = net->convNodeIds().front();
+    for (int id : net->convNodeIds())
+        if (nn::inputSegments(*net, id).size() > 1)
+            nodeId = id;
+    nn::PruneConfig prune;
+    prune.thresholds.assign(
+        static_cast<std::size_t>(net->convLayerCount()), 8);
+    timing::TraceCache cache;
+    const dadiannao::NodeConfig cfg;
+    cache.countMap(*net, nodeId, 1, nullptr, &prune, cfg.brickSize);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.countMap(
+            *net, nodeId, 1, nullptr, &prune, cfg.brickSize));
+    }
+}
+BENCHMARK(BM_CountMapHit);
 
 void
 BM_GoogleNetTimingEndToEnd(benchmark::State &state)

@@ -77,7 +77,7 @@ class ArchModel
      * together under `base`: both run the encoded (CNV-family)
      * datapath on the same nodeConfig(base) with the same
      * default-prune flag, so they read the same count maps, gather
-     * the same window groups and issue the same NM fetch lists.
+     * the same window groups and issue the same NM fetch runs.
      */
     bool sharesWalk(const ArchModel &other,
                     const dadiannao::NodeConfig &base) const;

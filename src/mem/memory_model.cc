@@ -75,8 +75,10 @@ MemoryModel::geometry() const
 }
 
 GroupReplay
-MemoryModel::replayGroup(std::span<const Access> group)
+MemoryModel::replayGroup(std::span<const Run> runs, int lanes)
 {
+    const auto laneCount = static_cast<std::size_t>(lanes);
+    laneMisses_.resize(std::max(laneMisses_.size(), laneCount));
     const std::uint64_t lines = gbTag_.size();
     // Local tallies: a member counter would be reloaded after every
     // tag store, which may alias it.
@@ -84,35 +86,44 @@ MemoryModel::replayGroup(std::span<const Access> group)
     std::uint64_t evictions = 0;
     std::uint64_t missed = 0;
     std::size_t rounds = 0;
-    for (const Access &a : group) {
-        std::uint64_t &tag = gbTag_[wrap(a.address, lines, slotMask_)];
-        if (tag == a.address) {
-            ++hits;
+    for (const Run &run : runs) {
+        CNV_ASSERT(run.lane >= 0 && run.lane < lanes,
+                   "fetch lane {} out of range", run.lane);
+        auto lane = static_cast<std::size_t>(run.lane);
+        // A run whose tags all match hits in full and changes nothing.
+        const std::uint64_t end =
+            run.address + static_cast<std::uint64_t>(run.bricks);
+        std::uint64_t diff = 0;
+        for (std::uint64_t a = run.address; a < end; ++a)
+            diff |= gbTag_[wrap(a, lines, slotMask_)] ^ a;
+        if (diff == 0) {
+            hits += end - run.address;
             continue;
         }
-        if (tag != kEmpty)
-            ++evictions;
-        tag = a.address;
-        ++missed;
 
-        // The miss is the next fetch of its lane's slice pointer:
-        // the k-th one presents its bank in round k.
-        CNV_ASSERT(a.lane >= 0, "fetch lane {} out of range", a.lane);
-        const auto lane = static_cast<std::size_t>(a.lane);
-        if (lane >= laneMisses_.size())
-            laneMisses_.resize(lane + 1, 0);
-        const std::size_t round = laneMisses_[lane]++;
-        if (round == rounds) {
-            ++rounds;
-            if (rounds > roundBusiest_.size()) {
-                roundBusiest_.resize(rounds, 0);
-                roundBankHeads_.resize(rounds * banks_, 0);
+        for (std::uint64_t a = run.address; a < end; ++a) {
+            std::uint64_t &tag = gbTag_[wrap(a, lines, slotMask_)];
+            if (tag == a) {
+                ++hits;
+            } else {
+                evictions += tag != kEmpty;
+                tag = a;
+                ++missed;
+                // The miss is the next fetch of its lane's slice
+                // pointer: the k-th one presents its bank in round k.
+                const std::size_t round = laneMisses_[lane]++;
+                if (round == rounds && ++rounds > roundBusiest_.size()) {
+                    roundBusiest_.resize(rounds, 0);
+                    roundBankHeads_.resize(rounds * banks_, 0);
+                }
+                std::uint32_t &heads =
+                    roundBankHeads_[round * banks_ +
+                                    wrap(a, banks_, bankMask_)];
+                roundBusiest_[round] = std::max(roundBusiest_[round], ++heads);
             }
+            if (++lane == laneCount)
+                lane = 0;
         }
-        std::uint32_t &heads =
-            roundBankHeads_[round * banks_ +
-                            wrap(a.address, banks_, bankMask_)];
-        roundBusiest_[round] = std::max(roundBusiest_[round], ++heads);
     }
 
     // A round takes its busiest bank's head count in cycles instead
@@ -120,7 +131,7 @@ MemoryModel::replayGroup(std::span<const Access> group)
     std::uint64_t conflict = 0;
     for (std::size_t r = 0; r < rounds; ++r)
         conflict += roundBusiest_[r] - 1;
-    std::fill(laneMisses_.begin(), laneMisses_.end(), 0);
+    std::fill_n(laneMisses_.begin(), laneCount, 0);
     std::fill_n(roundBusiest_.begin(), rounds, 0);
     std::fill_n(roundBankHeads_.begin(), rounds * banks_, 0);
 

@@ -11,10 +11,10 @@
  *
  * The datapath picks the fetch pattern by the call it makes. CNV's
  * sixteen independent per-slice fetch pointers (paper Section 4's
- * contention risk area) issue fetchGroup(): brick fetches that miss
- * the GB contend for NM banks. fetchGroup is a replay (GB tags and
- * bank rounds) charged to the model's counters; a walk serving
- * several architectures replays once and charges each model.
+ * contention risk area) replay each window group, one run of bricks
+ * per cell, through replayGroup(): fetches that miss the GB contend
+ * for NM banks. chargeGroup() adds a replay to a model's counters,
+ * so a walk serving several architectures replays once.
  * DaDianNao's single unit-wide pointer issues fetchSequential(),
  * which walks banks in order and never conflicts. Activation
  * footprints past the NM capacity spill to DRAM through
@@ -76,11 +76,13 @@ struct Geometry
     bool operator==(const Geometry &) const = default;
 };
 
-/** One brick fetch: the issuing lane and the NM brick address. */
-struct Access
+/** One cell's brick fetches, in order: brick b reads NM address
+ *  `address + b` through lane (lane + b) mod the group's lanes. */
+struct Run
 {
-    int lane = 0;
     std::uint64_t address = 0;
+    int lane = 0;
+    int bricks = 0;
 };
 
 /**
@@ -162,30 +164,21 @@ class MemoryModel
     Geometry geometry() const;
 
     /**
-     * Serve one window group's synchronised brick fetches, issued
-     * through per-lane slice pointers: chargeGroup(replayGroup()).
-     */
-    GroupCost
-    fetchGroup(std::span<const Access> group, std::uint64_t computeCycles)
-    {
-        return chargeGroup(replayGroup(group), computeCycles);
-    }
-
-    /**
-     * Replay one window group's fetches through the GB and the NM
-     * banks, charging no counter. Each fetch is looked up in the GB:
-     * a hit is absorbed; a miss is installed (evicting any line
-     * resident in its slot) and read from NM. A lane's misses form
-     * an in-order stream, so its k-th miss presents in round k; a
-     * bank serving n of a round's heads takes n cycles, and the
-     * round's conflict cost is its busiest bank's count minus one.
+     * Replay one window group's fetches, run by run, through the GB
+     * and the NM banks over `lanes` slice pointers, charging no
+     * counter. Each brick is looked up in the GB: a hit is absorbed;
+     * a miss is installed (evicting any line resident in its slot)
+     * and read from NM. A lane's misses form an in-order stream, so
+     * its k-th miss presents in round k; a bank serving n of a
+     * round's heads takes n cycles, and the round's conflict cost is
+     * its busiest bank's count minus one.
      *
      * The outcome depends only on the geometry, the GB tags and the
-     * fetch list, so it may be charged to any model of the same
-     * geometry whose GB holds the same lines, e.g. one drained at
-     * the same layer boundary and fed the same fetch lists since.
+     * runs, so it may be charged to any model of the same geometry
+     * whose GB holds the same lines, e.g. one drained at the same
+     * layer boundary and fed the same runs since.
      */
-    GroupReplay replayGroup(std::span<const Access> group);
+    GroupReplay replayGroup(std::span<const Run> runs, int lanes);
 
     /**
      * Add one replay's hits, misses, evictions and conflicts to this
@@ -234,11 +227,8 @@ class MemoryModel
     /** Counters of the current layer epoch and of drained epochs. */
     Counters layer_;
     Counters drained_;
-    /**
-     * replayGroup scratch, all zero between calls: each lane's miss
-     * count so far, the heads per (round, bank), and each round's
-     * busiest bank.
-     */
+    /** replayGroup scratch, all zero between calls: each lane's miss
+     *  count, the heads per (round, bank) and each round's busiest. */
     std::vector<std::uint32_t> laneMisses_;
     std::vector<std::uint32_t> roundBankHeads_;
     std::vector<std::uint32_t> roundBusiest_;

@@ -64,6 +64,8 @@ struct TraceSegment
     int depth = 0;
     /** Producing conv layer's conv index; -1 for the raw image. */
     int producerConvIndex = -1;
+
+    bool operator==(const TraceSegment &) const = default;
 };
 
 /** Decompose a conv node's input depth into producer segments. */

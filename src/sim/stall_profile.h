@@ -47,10 +47,12 @@ enum class StallReason {
      *  other lanes were still draining theirs. */
     SliceDrained,
     /** Independent slice fetch pointers landed on the same NM bank
-     *  and serialised (`--mem banked`, mem::MemoryModel::fetchGroup). */
+     *  and serialised (`--mem banked`,
+     *  mem::MemoryModel::replayGroup). */
     NmBankConflict,
     /** Global-buffer miss fills not hidden behind the window
-     *  group's compute (`--mem banked`, mem::MemoryModel::fetchGroup). */
+     *  group's compute (`--mem banked`,
+     *  mem::MemoryModel::chargeGroup). */
     GbMiss,
     /** Whole node idle on an off-chip activation spill past the NM
      *  capacity (`--mem banked`, mem::MemoryModel::dramTransfer). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "dadiannao/assignment.h"
@@ -99,6 +100,11 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
 
     const auto wx = coverage1d(inShape.x, outShape.x, p.fx, p.stride, p.pad);
     const auto wy = coverage1d(inShape.y, outShape.y, p.fy, p.stride, p.pad);
+    // A column's coverage (at most fx) fits a byte, and a row of
+    // counts dotted with it fits 32 bits.
+    const auto depth = static_cast<std::size_t>(counts.shape().z);
+    CNV_ASSERT(p.fx <= UINT8_MAX && wx.size() * depth <= UINT16_MAX,
+               "input row above the model limit");
 
     // Valid cells per window, summed over all windows (separable).
     const std::uint64_t ax = std::accumulate(wx.begin(), wx.end(), 0ull);
@@ -131,17 +137,17 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
         if (p.groups > 1 && (g * depthPerGroup) % cfg.brickSize != 0)
             CNV_FATAL("group depth must be brick aligned");
 
-        // Coverage-weighted non-zero neurons in this group's slice.
+        // Coverage-weighted non-zero neurons in this group's slice:
+        // each input row's counts dotted with their columns' coverage.
+        std::vector<std::uint8_t> weight(wx.size() * depth, 0);
+        for (std::size_t x = 0; x < wx.size(); ++x)
+            std::fill_n(weight.data() + x * depth + brickBase,
+                        bricksPerCell, static_cast<std::uint8_t>(wx[x]));
         std::uint64_t coveredNz = 0;
-        for (int y = 0; y < inShape.y; ++y) {
-            for (int x = 0; x < inShape.x; ++x) {
-                const std::uint8_t *col = counts.column(x, y) + brickBase;
-                std::uint64_t nz = 0;
-                for (int b = 0; b < bricksPerCell; ++b)
-                    nz += col[b];
-                coveredNz += nz * wx[x] * wy[y];
-            }
-        }
+        for (int y = 0; y < inShape.y; ++y)
+            coveredNz += std::uint64_t{wy[y]} *
+                std::inner_product(weight.begin(), weight.end(),
+                                   counts.column(0, y), std::uint32_t{0});
 
         const std::uint64_t groupCycles = packedRows
             ? ay * packedRowBlocks
@@ -207,10 +213,6 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
     // filter group prunes, costs one dispatcher slot to step past
     // (the NM fetch still happens) and no multiply-cycles.
     const std::uint8_t emptyCost = cfg.emptyBrickCostsCycle ? 1 : 0;
-    // Brick addresses are linear over (cell, depth brick) so the
-    // banked NM's modulo interleave sees the real access pattern.
-    const std::uint64_t bricksTotal = static_cast<std::uint64_t>(
-        (inShape.z + cfg.brickSize - 1) / cfg.brickSize);
     const auto wideLanes = static_cast<std::uint64_t>(lanes);
     const int inFlight = cfg.windowsInFlight();
     const std::int64_t totalWindows =
@@ -231,25 +233,27 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
         walks[i].profiles = s.weightSparsity > 0.0 ? passes : 1;
     }
 
+    const int bricksPerCell =
+        (depthPerGroup + cfg.brickSize - 1) / cfg.brickSize;
+    const std::size_t bpc = static_cast<std::size_t>(bricksPerCell);
+    const std::size_t passTable = static_cast<std::size_t>(taps) * bpc;
     std::uint64_t nmReads = 0;
     std::vector<Cell> cells;
-    std::vector<mem::Access> fetches;
-    // Lane time unrolled past the lane count: brick b of a cell adds
-    // to slot rot + b, and slot k folds into lane k % lanes. A group
-    // adds at most 255 per cell to a slot, so 32 bits hold it.
-    CNV_ASSERT(std::min<std::int64_t>(inFlight, totalWindows) * taps <
-                   (1 << 24), "window group above the model limit");
-    std::vector<std::uint32_t> slots;
+    std::vector<mem::Run> runs;
+    // Lane time unrolled past the lane count into rows of `lanes`
+    // slots: brick b of a cell adds to slot rot + b, and a lane's time
+    // is its column's sum, at most 255 per cell and row: 32 bits hold
+    // it under the bound below.
+    const std::size_t rows = (2 * wideLanes + bpc - 2) / wideLanes;
+    CNV_ASSERT(std::min<std::int64_t>(inFlight, totalWindows) * taps *
+                       static_cast<std::int64_t>(rows) < (1 << 24),
+               "window group above the model limit");
+    std::vector<std::uint32_t> slots(rows * wideLanes);
 
     for (int g = 0; g < p.groups; ++g) {
         if (p.groups > 1 && (g * depthPerGroup) % cfg.brickSize != 0)
             CNV_FATAL("group depth must be brick aligned");
         const int brickBase = (g * depthPerGroup) / cfg.brickSize;
-        const int bricksPerCell =
-            (depthPerGroup + cfg.brickSize - 1) / cfg.brickSize;
-        const std::size_t bpc = static_cast<std::size_t>(bricksPerCell);
-        const std::size_t passTable = static_cast<std::size_t>(taps) * bpc;
-        slots.assign(static_cast<std::size_t>(lanes) + bpc, 0);
 
         // Weight-skip tables [pass][tap][brick]: 0xff where the
         // pass's filter group prunes the weight brick, so a brick's
@@ -269,7 +273,6 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
         }
 
         const auto laneProfile = [&](const std::uint8_t *passSkip) {
-            std::fill(slots.begin(), slots.end(), 0);
             LaneProfile lp;
             for (const Cell &c : cells) {
                 const std::uint8_t *sk = passSkip + c.tap * bpc;
@@ -281,12 +284,13 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     lp.nonZero += live;
                 }
             }
+            // Fold each row into the one below it, top row first: the
+            // first holds the column sums, and every slot ends zero.
+            for (std::size_t k = slots.size() - 1; k >= wideLanes; --k)
+                slots[k - wideLanes] += std::exchange(slots[k], 0);
             for (std::size_t l = 0; l < wideLanes; ++l) {
-                std::uint64_t t = 0;
-                for (std::size_t k = l; k < slots.size(); k += lanes)
-                    t += slots[k];
-                lp.cycles = std::max(lp.cycles, t);
-                lp.busy += t;
+                lp.cycles = std::max<std::uint64_t>(lp.cycles, slots[l]);
+                lp.busy += std::exchange(slots[l], 0);
             }
             return lp;
         };
@@ -299,7 +303,7 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
             // assignment a cell's bricks take consecutive lanes
             // from its first brick's, so laneOf runs once per cell.
             cells.clear();
-            fetches.clear();
+            runs.clear();
             int windowSeq = 0;
             for (int w = 0; w < batch; ++w) {
                 const int ox = static_cast<int>((w0 + w) % outShape.x);
@@ -318,20 +322,15 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                             dadiannao::laneOf(cfg.laneAssignment, ix, iy,
                                               brickBase, windowSeq, lanes);
                         windowSeq += bricksPerCell;
-                        cells.push_back({counts.column(ix, iy) + brickBase,
-                                         ky * p.fx + kx, rot});
-                        if (!replayer)
-                            continue;
-                        const std::uint64_t base =
-                            (static_cast<std::uint64_t>(iy) * inShape.x +
-                             ix) * bricksTotal +
-                            static_cast<std::uint64_t>(brickBase);
-                        int lane = rot;
-                        for (int b = 0; b < bricksPerCell; ++b) {
-                            fetches.push_back({lane, base + b});
-                            if (++lane == lanes)
-                                lane = 0;
-                        }
+                        const std::uint8_t *col =
+                            counts.column(ix, iy) + brickBase;
+                        cells.push_back({col, ky * p.fx + kx, rot});
+                        // NM brick addresses are count-map offsets,
+                        // linear over (cell, depth brick).
+                        if (replayer)
+                            runs.push_back({static_cast<std::uint64_t>(
+                                                col - counts.data()),
+                                            rot, bricksPerCell});
                     }
                 }
             }
@@ -341,10 +340,10 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                 const int activeUnits =
                     (fCount + cfg.filtersPerUnit - 1) / cfg.filtersPerUnit;
                 // Each pass re-fetches the group's bricks. The fetch
-                // list reads no weight, so one replay serves all.
+                // runs read no weight, so one replay serves all.
                 nmReads += cells.size() * bpc;
                 const mem::GroupReplay replay = replayer
-                    ? replayer->replayGroup(fetches) : mem::GroupReplay{};
+                    ? replayer->replayGroup(runs, lanes) : mem::GroupReplay{};
                 for (std::size_t i = 0; i < sinks.size(); ++i) {
                     SinkWalk &sw = walks[i];
                     if (pass < sw.profiles)

@@ -14,15 +14,18 @@
  *
  * convCnv and convCnv2 are one-sink calls of one encoded walk,
  * convEncoded (CNV is Cnvlutin2 with no weight brick pruned). It
- * gathers each window group's valid cells and NM fetch list once and
- * replays them for every filter pass and every sink; a pass reads
- * which weight bricks its filter group prunes from a per-sink table,
- * and the banked GB/bank replay of a (group, pass) runs once and is
- * charged to every sink's memory model. It rests on one lane
- * identity: under every LaneAssignment, brick b of a cell runs on
- * lane (rot + b) % lanes, where rot is dadiannao::laneOf of the
- * cell's first brick, so laneOf runs once per cell rather than per
- * brick.
+ * gathers each window group's valid cells once and replays them for
+ * every filter pass and every sink; a pass reads which weight bricks
+ * its filter group prunes from a per-sink table, and the banked
+ * GB/bank replay of a (group, pass) runs once and is charged to
+ * every sink's memory model. It rests on one lane identity: under
+ * every LaneAssignment, brick b of a cell runs on lane
+ * (rot + b) % lanes, where rot is dadiannao::laneOf of the cell's
+ * first brick, so laneOf runs once per cell rather than per brick,
+ * a cell's NM fetches are one mem::Run (consecutive addresses on
+ * consecutive lanes from rot), and its lane times add to slots
+ * rot .. rot + bricks - 1 of rows of `lanes` slots, summed per lane
+ * column.
  * tests/analysis/reference_cnv2.h keeps the per-brick, per-pass walk
  * as the oracle all three are tested against.
  */
@@ -113,7 +116,7 @@ struct EncodedSink
  * inShape, counts, convIndex, sinks[i].weightSparsity, sinks[i].mem)
  * but for the name, which is left empty.
  *
- * The fetch list depends only on positions, bricks and window order,
+ * The fetch runs depend only on positions, bricks and window order,
  * never on weights, so each (group, pass) is replayed once through
  * the first banked sink's model and charged to every banked sink.
  * Their models must share one geometry and enter holding the same

@@ -5,36 +5,62 @@
 #include <vector>
 
 #include "nn/trace.h"
-#include "sim/logging.h"
 #include "sim/metrics.h"
+#include "sim/rng.h"
 #include "zfnaf/format.h"
 
 namespace cnv::timing {
 
 namespace {
 
-/** Everything synthesis reads about one conv layer's input for one
- *  image: the key of its cached trace. */
-std::string
-traceKey(const nn::Network &net, int convNodeId, std::uint64_t imageSeed,
-         const std::vector<nn::TraceSegment> &segments)
+/** `h` with `v` mixed in. */
+std::uint64_t
+fold(std::uint64_t h, std::uint64_t v)
 {
-    const nn::Node &conv = net.node(convNodeId);
-    std::string key = sim::strfmt("{}#{}#{}#{}x{}x{}#", net.name(),
-                                  convNodeId, imageSeed, conv.inShape.x,
-                                  conv.inShape.y, conv.inShape.z);
-    for (const nn::TraceSegment &seg : segments)
-        key += sim::strfmt("{}:{},", seg.depth, seg.producerConvIndex);
-    // Bit pattern: exact, unlike a decimal rendering.
-    key += std::to_string(
-        std::bit_cast<std::uint64_t>(conv.conv.inputZeroFraction));
-    return key;
+    return sim::mix64(h ^ v);
 }
 
 } // namespace
 
+TraceCache::TraceKey
+TraceCache::traceKey(const nn::Network &net, int convNodeId,
+                     std::uint64_t imageSeed)
+{
+    const nn::Node &conv = net.node(convNodeId);
+    // Bit pattern: exact, unlike a decimal rendering.
+    return {net.name(), convNodeId, imageSeed, conv.inShape,
+            nn::inputSegments(net, convNodeId),
+            std::bit_cast<std::uint64_t>(conv.conv.inputZeroFraction)};
+}
+
+std::size_t
+TraceCache::KeyHash::operator()(const TraceKey &k) const
+{
+    std::uint64_t h = std::hash<std::string>{}(k.net);
+    h = fold(h, static_cast<std::uint64_t>(k.convNodeId));
+    h = fold(h, k.imageSeed);
+    h = fold(h, static_cast<std::uint64_t>(k.inShape.x));
+    h = fold(h, static_cast<std::uint64_t>(k.inShape.y));
+    h = fold(h, static_cast<std::uint64_t>(k.inShape.z));
+    for (const nn::TraceSegment &seg : k.segments) {
+        h = fold(h, static_cast<std::uint64_t>(seg.depth));
+        h = fold(h, static_cast<std::uint64_t>(seg.producerConvIndex));
+    }
+    return fold(h, k.zeroFractionBits);
+}
+
+std::size_t
+TraceCache::KeyHash::operator()(const CountKey &k) const
+{
+    std::uint64_t h = (*this)(k.trace);
+    for (std::int32_t t : k.thresholds)
+        h = fold(h, static_cast<std::uint64_t>(t));
+    h = fold(h, k.thresholds.size());
+    return fold(h, static_cast<std::uint64_t>(k.brickSize));
+}
+
 TraceCache::Trace
-TraceCache::trace(const std::string &key, const nn::Network &net,
+TraceCache::trace(const TraceKey &key, const nn::Network &net,
                   int convNodeId, std::uint64_t imageSeed,
                   const TraceProvider *traces, bool needValues)
 {
@@ -88,9 +114,9 @@ std::shared_ptr<const tensor::NeuronTensor>
 TraceCache::convInput(const nn::Network &net, int convNodeId,
                       std::uint64_t imageSeed, const TraceProvider *traces)
 {
-    const std::string key = traceKey(net, convNodeId, imageSeed,
-                                     nn::inputSegments(net, convNodeId));
-    return trace(key, net, convNodeId, imageSeed, traces, true).values;
+    return trace(traceKey(net, convNodeId, imageSeed), net, convNodeId,
+                 imageSeed, traces, true)
+        .values;
 }
 
 std::shared_ptr<const CountMap>
@@ -98,33 +124,26 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
                      std::uint64_t imageSeed, const TraceProvider *traces,
                      const nn::PruneConfig *prune, int brickSize)
 {
-    const std::vector<nn::TraceSegment> inputs =
-        nn::inputSegments(net, convNodeId);
-    const std::string key = traceKey(net, convNodeId, imageSeed, inputs);
+    CountKey key{traceKey(net, convNodeId, imageSeed), {}, brickSize};
     // Each depth range is pruned with its producer's threshold, and
     // those thresholds are all of `prune` the map reads, so they key
     // it: configs that agree on them share the map. A null or empty
-    // config keys as "-", apart from an all-zero one.
-    std::vector<zfnaf::DepthThreshold> segments;
-    std::string thresholds = "-";
+    // config keys with none, apart from an all-zero one.
     bool pruned = false;
     if (prune && !prune->thresholds.empty()) {
-        thresholds.clear();
-        for (const nn::TraceSegment &seg : inputs) {
+        for (const nn::TraceSegment &seg : key.trace.segments) {
             const std::int32_t t = seg.producerConvIndex >= 0
                 ? prune->forConvIndex(
                       static_cast<std::size_t>(seg.producerConvIndex))
                 : 0;
             pruned = pruned || t > 0;
-            segments.push_back({seg.depth, t});
-            thresholds += sim::strfmt("{},", t);
+            key.thresholds.push_back(t);
         }
     }
     std::shared_ptr<CountSlot> slot;
     {
         const core::MutexLock lock(mutex_);
-        auto &entry =
-            counts_[sim::strfmt("{}#{}#{}", key, thresholds, brickSize)];
+        auto &entry = counts_[key];
         if (!entry)
             entry = std::make_shared<CountSlot>();
         slot = entry;
@@ -139,7 +158,7 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
     sim::metrics().add("traceCache.countMapMisses");
     // Without thresholds the counts are the mask's; magnitudes are
     // drawn only when a threshold or a provider needs them.
-    const Trace t = trace(key, net, convNodeId, imageSeed, traces,
+    const Trace t = trace(key.trace, net, convNodeId, imageSeed, traces,
                           pruned || traces != nullptr);
     // Timed after the nested trace lookup so the encode histogram
     // (hostProfile.traceCache.encode) measures only the prune +
@@ -152,6 +171,10 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
         // Segmented counting folds the per-producer thresholds into
         // the count predicate — same counts as prune-then-count,
         // without copying the tensor.
+        std::vector<zfnaf::DepthThreshold> segments;
+        for (std::size_t i = 0; i < key.thresholds.size(); ++i)
+            segments.push_back(
+                {key.trace.segments[i].depth, key.thresholds[i]});
         slot->value = std::make_shared<const CountMap>(
             zfnaf::nonZeroCountMap(*t.values, brickSize, segments));
     } else {

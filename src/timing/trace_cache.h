@@ -14,15 +14,17 @@
  * trace key covers everything synthesis reads: network name, node,
  * image seed, the layer's input shape, its producer segments and its
  * calibrated input zero fraction, so two builds of one network at
- * different scales never share a trace.
+ * different scales never share a trace. Keys are plain structs
+ * compared field by field, so no two lookups alias across a field
+ * boundary and a hit formats no string.
  *
  * A pruned count map reads only its producer segments' thresholds,
  * one per nn::inputSegments() entry, so those key it rather than the
  * whole prune config: the candidates of a threshold search that
  * agree on a layer's producers share its map, and a search over a
  * ladder of L rungs holds at most L maps per single-producer layer
- * and image. A null or empty config keys as "-", apart from an
- * all-zero one.
+ * and image. A null or empty config keys with no thresholds, apart
+ * from an all-zero one.
  *
  * A trace slot holds either the stage-1 nn::Activity (a bit-packed
  * mask) or the values tensor, never both. Unpruned count maps without
@@ -53,6 +55,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/sync.h"
 #include "nn/network.h"
@@ -99,6 +102,45 @@ class TraceCache
     Stats stats() const;
 
   private:
+    /** Everything synthesis reads about one conv layer's input for
+     *  one image: the key of its cached trace. */
+    struct TraceKey
+    {
+        std::string net;
+        int convNodeId = 0;
+        std::uint64_t imageSeed = 0;
+        tensor::Shape3 inShape;
+        std::vector<nn::TraceSegment> segments;
+        /** The calibrated input zero fraction's bit pattern. */
+        std::uint64_t zeroFractionBits = 0;
+
+        bool operator==(const TraceKey &) const = default;
+    };
+
+    /** A count map's key: its trace's, the threshold of each input
+     *  segment (none for a null or empty prune config) and the brick
+     *  size. */
+    struct CountKey
+    {
+        TraceKey trace;
+        std::vector<std::int32_t> thresholds;
+        int brickSize = 0;
+
+        bool operator==(const CountKey &) const = default;
+    };
+
+    /** The trace key of one conv layer's input for one image. */
+    static TraceKey traceKey(const nn::Network &net, int convNodeId,
+                             std::uint64_t imageSeed);
+
+    /** Hashes every field of either key; the maps compare keys field
+     *  by field. */
+    struct KeyHash
+    {
+        std::size_t operator()(const TraceKey &k) const;
+        std::size_t operator()(const CountKey &k) const;
+    };
+
     /** One cached count map: its own mutex serializes the
      *  compute-once protocol per key. */
     struct CountSlot
@@ -126,15 +168,15 @@ class TraceCache
 
     /** The trace under `key`, synthesized (or loaded) as far as the
      *  caller needs; counts the lookup as a tensor hit or miss. */
-    Trace trace(const std::string &key, const nn::Network &net,
+    Trace trace(const TraceKey &key, const nn::Network &net,
                 int convNodeId, std::uint64_t imageSeed,
                 const TraceProvider *traces, bool needValues);
 
     /** Guards the two key -> slot maps (not slot contents). */
     core::Mutex mutex_;
-    std::unordered_map<std::string, std::shared_ptr<TraceSlot>>
+    std::unordered_map<TraceKey, std::shared_ptr<TraceSlot>, KeyHash>
         tensors_ CNV_GUARDED_BY(mutex_);
-    std::unordered_map<std::string, std::shared_ptr<CountSlot>>
+    std::unordered_map<CountKey, std::shared_ptr<CountSlot>, KeyHash>
         counts_ CNV_GUARDED_BY(mutex_);
 
     std::atomic<std::uint64_t> tensorHits_{0};

@@ -5,11 +5,11 @@
  * straightforward per-pass, per-brick walk: every filter pass
  * re-walks every window group, asks dadiannao::laneOf for the lane of
  * each brick, hashes each (tap, brick, pass) weight brick afresh,
- * and rebuilds the group's fetch list before handing it to the
- * memory model. It shares no code with the production walker apart
- * from dadiannao::laneOf and the memory model it feeds; the weight-brick
- * hash is a private copy, so a change to either side's schedule
- * shows up as a mismatch.
+ * and rebuilds the group's fetch list, one single-brick run per
+ * brick, before handing it to the memory model. It shares no code
+ * with the production walker apart from dadiannao::laneOf and the
+ * memory model it feeds; the weight-brick hash is a private copy, so
+ * a change to either side's schedule shows up as a mismatch.
  */
 
 #ifndef CNV_TESTS_ANALYSIS_REFERENCE_CNV2_H
@@ -84,7 +84,7 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
         std::array<std::uint64_t, 64> laneTime{};
         const std::uint64_t bricksTotal = static_cast<std::uint64_t>(
             (inShape.z + cfg.brickSize - 1) / cfg.brickSize);
-        std::vector<mem::Access> fetches;
+        std::vector<mem::Run> fetches;
 
         const int inFlight = cfg.windowsInFlight();
         const std::int64_t totalWindows =
@@ -126,12 +126,12 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
                                     brickBase + b, windowSeq++, lanes);
                                 if (mem)
                                     fetches.push_back(
-                                        {lane,
-                                         (static_cast<std::uint64_t>(iy) *
+                                        {(static_cast<std::uint64_t>(iy) *
                                               inShape.x +
                                           ix) * bricksTotal +
                                              static_cast<std::uint64_t>(
-                                                 brickBase + b)});
+                                                 brickBase + b),
+                                         lane, 1});
                                 const std::uint32_t nz =
                                     counts.at(ix, iy, brickBase + b);
                                 std::uint64_t cost;
@@ -177,8 +177,8 @@ referenceConvCnv2(const dadiannao::NodeConfig &cfg, const nn::ConvParams &p,
                     barrier;
 
                 if (mem) {
-                    const mem::GroupCost gc =
-                        mem->fetchGroup(fetches, groupCycles);
+                    const mem::GroupCost gc = mem->chargeGroup(
+                        mem->replayGroup(fetches, lanes), groupCycles);
                     const std::uint64_t extra =
                         gc.conflictCycles + gc.gbFillCycles;
                     r.cycles += extra;

@@ -6,7 +6,8 @@
  * on the ideal path shows up here), and the banked
  * backend must attribute its extra cycles without breaking the
  * stalls.total() == laneIdleCycles invariant and reproduce its
- * pinned nin cycle and counter totals.
+ * pinned nin cycle and counter totals, and google's over the
+ * design-sweep grid of lane assignments and NBout depths.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "nn/zoo/zoo.h"
 #include "support/json_parser.h"
 #include "timing/network_model.h"
+#include "timing/trace_cache.h"
 
 namespace {
 
@@ -117,6 +119,89 @@ TEST(MemoryModelPins, BankedCycleAndCounterTotalsArePinned)
         EXPECT_EQ(total.gbEvictions, pin.mem.gbEvictions) << pin.arch;
         EXPECT_EQ(total.dramBytes, pin.mem.dramBytes) << pin.arch;
         EXPECT_EQ(total.dramCycles, pin.mem.dramCycles) << pin.arch;
+    }
+}
+
+TEST(MemoryModelPins, DesignSweepBankedGridIsPinned)
+{
+    // Banked google totals, image seed 2016, Cnvlutin2 weight
+    // sparsity 0.35, at every lane assignment and NBout depth of the
+    // design sweep: the lane rotation and the window-group size each
+    // reach the bank-conflict replay, which the default point
+    // (WindowEven, 64) alone would not cover.
+    using dadiannao::LaneAssignment;
+    struct Pin
+    {
+        LaneAssignment lanes;
+        int nboutEntries;
+        const char *arch;
+        std::uint64_t cycles;
+        mem::Counters mem;
+    };
+    const Pin pins[] = {
+        {LaneAssignment::ZOnly, 48, "cnv", 1532888u,
+         {476953u, 1699u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::ZOnly, 48, "cnv2", 1331084u,
+         {476953u, 1699u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::ZOnly, 64, "cnv", 1531118u,
+         {476953u, 2164u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::ZOnly, 64, "cnv2", 1330218u,
+         {476953u, 2164u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::ZOnly, 96, "cnv", 1528144u,
+         {476953u, 2615u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::ZOnly, 96, "cnv2", 1328951u,
+         {476953u, 2615u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 48, "cnv", 1086074u,
+         {476953u, 4467u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 48, "cnv2", 916293u,
+         {476953u, 4467u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 64, "cnv", 1064036u,
+         {476953u, 5512u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 64, "cnv2", 902509u,
+         {476953u, 5512u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 96, "cnv", 985621u,
+         {476953u, 8450u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::XYZHash, 96, "cnv2", 848812u,
+         {476953u, 8450u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 48, "cnv", 765530u,
+         {476953u, 308u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 48, "cnv2", 719855u,
+         {476953u, 308u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 64, "cnv", 758281u,
+         {476953u, 336u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 64, "cnv2", 710620u,
+         {476953u, 336u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 96, "cnv", 753884u,
+         {476953u, 415u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+        {LaneAssignment::WindowEven, 96, "cnv2", 704837u,
+         {476953u, 415u, 375330u, 283231u, 117456u, 26731392u, 52210u}},
+    };
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    timing::TraceCache cache;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(testing::Message()
+                     << pin.arch << ", lane assignment "
+                     << static_cast<int>(pin.lanes) << ", NBout "
+                     << pin.nboutEntries);
+        dadiannao::NodeConfig cfg;
+        cfg.laneAssignment = pin.lanes;
+        cfg.nboutEntries = pin.nboutEntries;
+        timing::RunOptions opts;
+        opts.imageSeed = 2016;
+        opts.memKind = mem::Kind::Banked;
+        opts.weightSparsity = 0.35;
+        opts.cache = &cache;
+        const auto run =
+            arch::builtin().get(pin.arch).simulateNetwork(cfg, *net, opts);
+        EXPECT_EQ(run.totalCycles(), pin.cycles);
+        const auto total = run.totalMem();
+        EXPECT_EQ(total.nmAccesses, pin.mem.nmAccesses);
+        EXPECT_EQ(total.nmConflictCycles, pin.mem.nmConflictCycles);
+        EXPECT_EQ(total.gbHits, pin.mem.gbHits);
+        EXPECT_EQ(total.gbMisses, pin.mem.gbMisses);
+        EXPECT_EQ(total.gbEvictions, pin.mem.gbEvictions);
+        EXPECT_EQ(total.dramBytes, pin.mem.dramBytes);
+        EXPECT_EQ(total.dramCycles, pin.mem.dramCycles);
     }
 }
 

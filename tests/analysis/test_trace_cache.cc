@@ -5,7 +5,8 @@
  * pruning), mask-derived count maps equal the tensor's, hit/miss
  * counters are exact and independent of lookup order, trace keys
  * tell scaled builds of one network apart, pruned count maps are
- * keyed by their producers' thresholds alone, concurrent lookups of
+ * keyed by their producers' thresholds alone, keys never alias across
+ * field boundaries, concurrent lookups of
  * one key compute it once, and simulateNetwork times every conv
  * layer on the reference synthesis's counts with and without a
  * shared cache.
@@ -292,6 +293,78 @@ TEST(TraceCache, ConcatInputKeyedByEachBranchProducer)
     const auto s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 2u);
     EXPECT_EQ(s.countMapHits, 3u);
+}
+
+TEST(TraceCache, KeysNeverAliasAcrossFieldBoundaries)
+{
+    // Each lookup below differs from an earlier one in a single field,
+    // often in a way that reads the same with the field boundaries
+    // dropped ({1, 23} and {12, 3}); a key that ran its fields
+    // together would count one of them as a hit.
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    int nodeId = -1;
+    std::vector<nn::TraceSegment> inputs;
+    for (int id : net->convNodeIds()) {
+        inputs = nn::inputSegments(*net, id);
+        if (inputs.size() > 1) {
+            nodeId = id;
+            break;
+        }
+    }
+    ASSERT_GE(nodeId, 0);
+    const int first = inputs[0].producerConvIndex;
+    const int second = inputs[1].producerConvIndex;
+    ASSERT_GE(first, 0);
+    ASSERT_GE(second, 0);
+    ASSERT_NE(first, second);
+
+    const auto convs = static_cast<std::size_t>(net->convLayerCount());
+    nn::PruneConfig a;
+    a.thresholds.assign(convs, 0);
+    a.thresholds[first] = 1;
+    a.thresholds[second] = 23;
+    nn::PruneConfig b = a;
+    b.thresholds[first] = 12;
+    b.thresholds[second] = 3;
+
+    timing::TraceCache cache;
+    const auto expect = [&](std::uint64_t countMisses,
+                            std::uint64_t countHits,
+                            std::uint64_t tensorMisses) {
+        const auto s = cache.stats();
+        EXPECT_EQ(s.countMapMisses, countMisses);
+        EXPECT_EQ(s.countMapHits, countHits);
+        EXPECT_EQ(s.tensorMisses, tensorMisses);
+    };
+    const auto mapA = cache.countMap(*net, nodeId, 6, nullptr, &a, 16);
+    const auto mapB = cache.countMap(*net, nodeId, 6, nullptr, &b, 16);
+    EXPECT_NE(mapA, mapB);
+    expect(2, 0, 1);
+    // Brick 8 against 16, then a repeat of each: two hits.
+    cache.countMap(*net, nodeId, 6, nullptr, &a, 8);
+    expect(3, 0, 1);
+    EXPECT_EQ(cache.countMap(*net, nodeId, 6, nullptr, &a, 16), mapA);
+    EXPECT_EQ(cache.countMap(*net, nodeId, 6, nullptr, &b, 16), mapB);
+    expect(3, 2, 1);
+    // Adjacent image seeds and adjacent conv nodes are new traces.
+    cache.countMap(*net, nodeId, 7, nullptr, &a, 16);
+    cache.countMap(*net, nodeId, 5, nullptr, &a, 16);
+    expect(5, 2, 3);
+    const int next = net->convNodeIds().back();
+    ASSERT_NE(next, nodeId);
+    cache.countMap(*net, next, 6, nullptr, nullptr, 16);
+    expect(6, 2, 4);
+
+    // A scaled build shares the name and node ids, not the shapes.
+    const auto small = nn::zoo::build(nn::zoo::NetId::Google, 2016, 8);
+    ASSERT_EQ(small->name(), net->name());
+    ASSERT_NE(small->node(nodeId).inShape, net->node(nodeId).inShape);
+    const auto scaled = cache.countMap(*small, nodeId, 6, nullptr, &a, 16);
+    EXPECT_NE(scaled, mapA);
+    EXPECT_EQ(*scaled,
+              zfnaf::nonZeroCountMap(
+                  nn::synthesizeConvInput(*small, nodeId, 6, &a), 16));
+    expect(7, 2, 5);
 }
 
 TEST(TraceCache, LadderCandidatesMissOncePerProducerThresholdTuple)

@@ -3,11 +3,12 @@
  * Naive reference model of the banked memory hierarchy, the oracle
  * mem::MemoryModel is differentially tested against. It is written
  * for obviousness, not speed, and shares no code with the production
- * model: the global buffer is a std::map from slot to resident tag,
- * every lane's NM misses queue on their own std::deque and are
- * replayed round by round (each non-empty queue presents its head; a
- * bank with n heads serialises them over n cycles), and the DRAM
- * channel is a ceiling division.
+ * model: it takes one fetch per brick (expand() unrolls the
+ * production model's per-cell runs), the global buffer is a std::map
+ * from slot to resident tag, every lane's NM misses queue on their
+ * own std::deque and are replayed round by round (each non-empty
+ * queue presents its head; a bank with n heads serialises them over
+ * n cycles), and the DRAM channel is a ceiling division.
  */
 
 #ifndef CNV_TESTS_MEM_REFERENCE_MEMORY_H
@@ -23,6 +24,26 @@
 
 namespace cnv::testsupport {
 
+/** One brick fetch: the issuing lane and the NM brick address. */
+struct Access
+{
+    int lane = 0;
+    std::uint64_t address = 0;
+};
+
+/** The brick fetches of `runs` issued over `lanes` slice pointers, in
+ *  order: brick b of a run is its address + b on lane (lane + b) %
+ *  lanes. */
+inline std::vector<Access>
+expand(const std::vector<mem::Run> &runs, int lanes)
+{
+    std::vector<Access> out;
+    for (const mem::Run &r : runs)
+        for (int b = 0; b < r.bricks; ++b)
+            out.push_back({(r.lane + b) % lanes, r.address + b});
+    return out;
+}
+
 /** Round-replay oracle with the public calls of mem::MemoryModel. */
 class ReferenceMemory
 {
@@ -30,13 +51,13 @@ class ReferenceMemory
     explicit ReferenceMemory(const mem::Geometry &g) : geo_(g) {}
 
     mem::GroupCost
-    fetchGroup(const std::vector<mem::Access> &group,
+    fetchGroup(const std::vector<Access> &group,
                std::uint64_t computeCycles)
     {
         // Global buffer: hits are absorbed, misses queue per lane.
         std::map<int, std::deque<std::uint64_t>> laneBanks;
         std::uint64_t missed = 0;
-        for (const mem::Access &a : group) {
+        for (const Access &a : group) {
             const std::uint64_t slot = a.address % geo_.gbLines;
             const auto resident = gb_.find(slot);
             if (resident != gb_.end() && resident->second == a.address) {
