@@ -59,38 +59,49 @@ pool2d(const NeuronTensor &in, const PoolParams &p)
     const Shape3 inShape = in.shape();
     const Shape3 outShape = p.outputShape(inShape);
     NeuronTensor out(outShape);
+    const auto depth = static_cast<std::size_t>(inShape.z);
+    std::vector<Accum> sum(depth);
 
+    // Whole depth columns at a time: a window's columns are each
+    // contiguous, so every output column is a vectorisable max or sum.
+    Fixed16 *o = out.data();
     for (int oy = 0; oy < outShape.y; ++oy) {
-        for (int ox = 0; ox < outShape.x; ++ox) {
+        for (int ox = 0; ox < outShape.x; ++ox, o += depth) {
             const int x0 = ox * p.stride - p.pad;
             const int y0 = oy * p.stride - p.pad;
             const int x1 = std::min(x0 + p.k, inShape.x);
             const int y1 = std::min(y0 + p.k, inShape.y);
             const int xs = std::max(x0, 0);
             const int ys = std::max(y0, 0);
-            for (int z = 0; z < inShape.z; ++z) {
-                if (p.op == PoolParams::Op::Max) {
-                    // A window that is all padding (possible only
-                    // with degenerate pad/kernel combinations)
-                    // yields the padding value, zero.
-                    Fixed16 best = (xs < x1 && ys < y1)
-                        ? Fixed16::fromRaw(
-                              static_cast<std::int16_t>(Fixed16::kRawMin))
-                        : Fixed16{};
-                    for (int iy = ys; iy < y1; ++iy)
-                        for (int ix = xs; ix < x1; ++ix)
-                            best = std::max(best, in.at(ix, iy, z));
-                    out.at(ox, oy, z) = best;
-                } else {
-                    // Caffe averages over the full (padded) window size.
-                    Accum sum = 0;
-                    for (int iy = ys; iy < y1; ++iy)
-                        for (int ix = xs; ix < x1; ++ix)
-                            sum += in.at(ix, iy, z).raw();
-                    const int denom = p.k * p.k;
-                    out.at(ox, oy, z) = Fixed16::saturateFromRaw(
-                        (sum + (sum >= 0 ? denom / 2 : -denom / 2)) / denom);
-                }
+            if (p.op == PoolParams::Op::Max) {
+                // A window that is all padding (possible only with
+                // degenerate pad/kernel combinations) yields the
+                // padding value, zero.
+                std::fill_n(o, depth,
+                            (xs < x1 && ys < y1)
+                                ? Fixed16::fromRaw(static_cast<std::int16_t>(
+                                      Fixed16::kRawMin))
+                                : Fixed16{});
+                for (int iy = ys; iy < y1; ++iy)
+                    for (int ix = xs; ix < x1; ++ix) {
+                        const Fixed16 *c = in.column(ix, iy);
+                        for (std::size_t z = 0; z < depth; ++z)
+                            o[z] = std::max(o[z], c[z]);
+                    }
+            } else {
+                std::fill(sum.begin(), sum.end(), Accum{0});
+                for (int iy = ys; iy < y1; ++iy)
+                    for (int ix = xs; ix < x1; ++ix) {
+                        const Fixed16 *c = in.column(ix, iy);
+                        for (std::size_t z = 0; z < depth; ++z)
+                            sum[z] += c[z].raw();
+                    }
+                // Caffe averages over the full (padded) window size.
+                const int denom = p.k * p.k;
+                for (std::size_t z = 0; z < depth; ++z)
+                    o[z] = Fixed16::saturateFromRaw(
+                        (sum[z] + (sum[z] >= 0 ? denom / 2 : -denom / 2)) /
+                        denom);
             }
         }
     }

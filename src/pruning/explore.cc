@@ -28,9 +28,11 @@ struct Reference
     double norm = 0.0; ///< L2 of the logits
 };
 
+/** The memoised unpruned prediction of accuracy image `i`. */
 Reference
-referenceOf(nn::ForwardResult run)
+referenceOf(const Network &net, std::uint64_t seed, std::size_t i)
 {
+    nn::Prediction run = net.reference(seed + i);
     Reference ref;
     ref.top1 = run.top1;
     double sq = 0.0;
@@ -148,7 +150,7 @@ relativeAccuracy(const Network &net, const PruneConfig &cfg, int images,
         static_cast<std::size_t>(images), [&](std::size_t i) {
             const nn::LiveSet prefix =
                 net.advance(accuracyInput(net, seed, i), cut);
-            return predictionPreserved(referenceOf(net.forward(prefix)),
+            return predictionPreserved(referenceOf(net, seed, i),
                                        net.forward(prefix, opts), 0.05);
         });
 }
@@ -181,10 +183,8 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
     const int convs = fullNet.convLayerCount();
     const auto images = static_cast<std::size_t>(opts.accuracyImages);
     std::vector<nn::LiveSet> inputs(images);
-    std::vector<Reference> refs(images);
     sim::parallelFor(images, [&](std::size_t i) {
         inputs[i] = accuracyInput(accNet, opts.seed, i);
-        refs[i] = referenceOf(accNet.forward(inputs[i]));
     });
 
     const std::vector<std::vector<int>> groups = thresholdGroups(fullNet);
@@ -197,7 +197,7 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
         nn::ForwardOptions pruned;
         pruned.prune = &candidate;
         return agreementFraction(images, [&](std::size_t i) {
-            return predictionPreserved(refs[i],
+            return predictionPreserved(referenceOf(accNet, opts.seed, i),
                                        accNet.forward(prefixes[i], pruned),
                                        opts.distortionTolerance);
         });

@@ -67,7 +67,9 @@ std::vector<std::vector<int>> thresholdGroups(const nn::Network &net);
 /**
  * Relative accuracy of a pruning configuration: top-1 agreement
  * between the pruned and unpruned functional network over seeded
- * inputs. The network must be calibrated.
+ * inputs. The network must be calibrated. The unpruned predictions
+ * come from Network::reference, so repeated calls on one network
+ * run only the pruned passes.
  */
 double relativeAccuracy(const nn::Network &net, const nn::PruneConfig &cfg,
                         int images, std::uint64_t seed);

@@ -4,12 +4,15 @@
  * models (timing::convCnv, timing::convCnv2 and the shared walk
  * timing::convEncoded) against the per-pass, per-brick oracle in
  * reference_cnv2.h. Each case draws a layer shape (depths off the
- * brick size included), filter geometry, a filter count spanning one
- * to three passes, a lane/brick width, an NBout depth, a lane
- * assignment, the empty-brick cost and a weight sparsity, and runs
- * with the ideal hierarchy or with banked MemoryModels fed in
- * lockstep. Every LayerResult field and the drained memory counters
- * must match exactly.
+ * brick size, one brick per cell and many more bricks per cell than
+ * lanes included), filter geometry with strides and pads that clip
+ * window rows, a filter count spanning one to three passes, a
+ * lane/brick width, an NBout depth, a lane assignment, the
+ * empty-brick cost and a weight sparsity, and runs with the ideal
+ * hierarchy or with banked MemoryModels fed in lockstep. Every
+ * LayerResult field and the drained memory counters must match
+ * exactly. VGG-19's per-layer CNV cycles at three Table II rungs are
+ * pinned as well.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +26,13 @@
 #include <vector>
 
 #include "analysis/reference_cnv2.h"
+#include "arch/registry.h"
 #include "dadiannao/config.h"
 #include "mem/memory_model.h"
+#include "nn/zoo/zoo.h"
 #include "timing/conv_model.h"
+#include "timing/network_model.h"
+#include "timing/trace_cache.h"
 
 namespace {
 
@@ -101,7 +108,9 @@ struct RandomCase
 RandomCase
 drawCase(std::mt19937_64 &rng)
 {
-    const int brickChoices[] = {4, 8, 16};
+    // Lane counts that divide 64 and one that does not (its stream
+    // folds a row at a time, and its lane wrap is a remainder).
+    const int brickChoices[] = {4, 8, 12, 16, 32};
     const dadiannao::LaneAssignment policies[] = {
         dadiannao::LaneAssignment::ZOnly,
         dadiannao::LaneAssignment::XYZHash,
@@ -115,7 +124,7 @@ drawCase(std::mt19937_64 &rng)
 
     RandomCase k;
     dadiannao::NodeConfig &cfg = k.cfg;
-    cfg.brickSize = cfg.lanes = brickChoices[pick(3)];
+    cfg.brickSize = cfg.lanes = brickChoices[pick(5)];
     cfg.nboutEntries = 16 + pick(113);
     cfg.laneAssignment = policies[pick(3)];
     cfg.emptyBrickCostsCycle = pick(2) == 0;
@@ -123,15 +132,23 @@ drawCase(std::mt19937_64 &rng)
     nn::ConvParams &p = k.p;
     p.groups = 1 + pick(2);
     tensor::Shape3 &in = k.in;
-    in = {1 + pick(20), 1 + pick(20), 0};
+    // Depth: one brick per cell, up to 96, or up to 512 (far more
+    // bricks per cell than lanes) on a smaller input.
+    const int depthKind = pick(3);
+    const int maxDepth = depthKind == 0 ? p.groups * cfg.brickSize
+                         : depthKind == 1 ? 96 : 512;
+    const int side = depthKind == 2 ? 8 : 20;
+    in = {1 + pick(side), 1 + pick(side), 0};
     if (p.groups == 1) {
-        in.z = 1 + pick(96);
+        in.z = 1 + pick(maxDepth);
     } else {
         const int unit = p.groups * cfg.brickSize;
-        in.z = unit * (1 + pick(96 / unit));
+        in.z = unit * (1 + pick(maxDepth / unit));
     }
-    p.stride = 1 + pick(3);
-    p.pad = pick(3);
+    // Strides past the filter and pads past the input edge clip
+    // window rows, so a row's cells start mid-row or skip columns.
+    p.stride = 1 + pick(4);
+    p.pad = pick(4);
     p.fx = std::min(1 + pick(5), in.x + 2 * p.pad);
     p.fy = std::min(1 + pick(5), in.y + 2 * p.pad);
     const int parallel = cfg.parallelFilters();
@@ -265,6 +282,66 @@ TEST(ConvCnvOracle, SharedWalkMatchesReferencePerSink)
                                        wantMem[i]->drainLayer());
             }
         }
+    }
+}
+
+TEST(ConvCnvPins, Vgg19LayerCyclesAtTableTwoRungs)
+{
+    // Full-geometry VGG-19, image seed 2016, CNV at three uniform
+    // rungs of the Table II threshold ladder, ideal and banked: each
+    // conv layer's cycles. Its depths give 1 to 32 bricks per cell;
+    // at rung 256 the banked fills outrun the shortened compute.
+    struct Pin
+    {
+        std::int32_t threshold;
+        mem::Kind memKind;
+        std::vector<std::uint64_t> cycles;
+    };
+    const Pin pins[] = {
+        {4, mem::Kind::Ideal,
+         {223780u, 1299694u, 321581u, 619160u, 147795u, 304703u, 290482u,
+          283715u, 136614u, 250832u, 238836u, 240518u, 55740u, 54326u,
+          54032u, 51196u}},
+        {4, mem::Kind::Banked,
+         {223780u, 1299807u, 321638u, 619270u, 147849u, 304703u, 290482u,
+          283715u, 136614u, 250832u, 238836u, 240518u, 55740u, 54326u,
+          54032u, 51196u}},
+        {32, mem::Kind::Ideal,
+         {223780u, 1074912u, 264626u, 501192u, 120139u, 242674u, 231969u,
+          226899u, 108988u, 199286u, 190028u, 191950u, 43988u, 43100u,
+          42940u, 40976u}},
+        {32, mem::Kind::Banked,
+         {223780u, 1075027u, 264683u, 501302u, 120196u, 242681u, 231969u,
+          226899u, 108993u, 199286u, 190075u, 191950u, 43988u, 43132u,
+          42968u, 41022u}},
+        {256, mem::Kind::Ideal,
+         {223780u, 186579u, 46007u, 82721u, 20223u, 37491u, 37107u, 36882u,
+          17986u, 33600u, 33520u, 33116u, 7876u, 7950u, 7794u, 7708u}},
+        {256, mem::Kind::Banked,
+         {223780u, 208617u, 52144u, 101544u, 25561u, 50699u, 50653u, 50692u,
+          21790u, 42288u, 42252u, 42050u, 10417u, 10460u, 10363u, 10316u}},
+    };
+    const auto net = nn::zoo::build(nn::zoo::NetId::Vgg19, 2016);
+    timing::TraceCache cache;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(testing::Message() << "threshold " << pin.threshold
+                                        << ", " << mem::kindName(pin.memKind));
+        nn::PruneConfig prune;
+        prune.thresholds.assign(
+            static_cast<std::size_t>(net->convLayerCount()), pin.threshold);
+        timing::RunOptions opts;
+        opts.imageSeed = 2016;
+        opts.prune = &prune;
+        opts.cache = &cache;
+        opts.memKind = pin.memKind;
+        const auto run = arch::builtin().get("cnv").simulateNetwork(
+            dadiannao::NodeConfig{}, *net, opts);
+        std::vector<std::uint64_t> cycles;
+        for (const int id : net->convNodeIds())
+            for (const dadiannao::LayerResult &layer : run.layers)
+                if (layer.name == net->node(id).name)
+                    cycles.push_back(layer.cycles);
+        EXPECT_EQ(cycles, pin.cycles);
     }
 }
 
