@@ -85,24 +85,27 @@ writeReports(const CliOptions &opts, driver::RunReport &report)
  * Write the standalone cnv-perf-v1 telemetry artifact requested with
  * --perf-json: the run manifest plus the hostProfile object (same
  * emitter as the report section). Called once, after the command
- * body, so phase timers and cache counters cover the whole run.
+ * body, so phase timers and cache counters cover the whole run. The
+ * snapshot comes first: opening the artifact and building its
+ * manifest are not part of the run it describes.
  */
 void
 writePerfJson(const CliOptions &opts, const std::string &network)
 {
     if (opts.perfJson.empty())
         return;
+    const sim::MetricsRegistry::Snapshot snap = sim::metrics().snapshot();
     auto os = openOutput(opts.perfJson);
     driver::RunManifest manifest =
         driver::makeManifest("cnvsim", network, opts.cfg);
-    manifest.wallSeconds = sim::metrics().secondsSinceEnable();
+    manifest.wallSeconds = static_cast<double>(snap.sinceEnableNanos) * 1e-9;
     sim::JsonWriter w(os);
     w.beginObject();
     w.key("schema").value("cnv-perf-v1");
     w.key("manifest");
     manifest.writeJson(w);
     w.key("hostProfile");
-    sim::writeHostProfile(sim::metrics().snapshot(), w);
+    sim::writeHostProfile(snap, w);
     w.endObject();
     w.complete();
     os << '\n';
@@ -225,6 +228,10 @@ cmdRun(const CliOptions &opts)
             driver::buildStats(tl.result, *tl.model)->dump(std::cout);
 
     writeReports(opts, run);
+    // Free the run and the network inside the phase: their teardown
+    // is wall time of the command as well.
+    run = {};
+    net.reset();
     return 0;
 }
 

@@ -66,6 +66,7 @@ Network::addNode(Node n)
     materialized_.push_back(false);
     packed_.emplace_back();
     references_.clear();
+    prefixes_.clear();
     return nodeCount() - 1;
 }
 
@@ -364,6 +365,32 @@ Network::reference(std::uint64_t imageSeed) const
     return pred;
 }
 
+const LiveSet *
+Network::prefixLocked(std::uint64_t imageSeed, int cut) const
+{
+    for (const auto &[key, set] : prefixes_)
+        if (key.first == imageSeed && key.second == cut)
+            return &set;
+    return nullptr;
+}
+
+LiveSet
+Network::unprunedPrefix(std::uint64_t imageSeed, int cut) const
+{
+    {
+        const core::MutexLock lock(materializeMutex_.m);
+        if (const LiveSet *memo = prefixLocked(imageSeed, cut))
+            return *memo;
+    }
+    // Computed unlocked, like reference().
+    LiveSet set =
+        advance(start(synthesizeImage(nodes_.at(0).outShape, imageSeed)), cut);
+    const core::MutexLock lock(materializeMutex_.m);
+    if (!prefixLocked(imageSeed, cut) && prefixes_.size() < kReferenceMemo)
+        prefixes_.push_back({{imageSeed, cut}, set});
+    return set;
+}
+
 LiveSet
 Network::advance(LiveSet from, int cut, const ForwardOptions &opts) const
 {
@@ -510,6 +537,7 @@ Network::calibrate()
     // lock discipline is machine-checked either way).
     const core::MutexLock lock(materializeMutex_.m);
     references_.clear();
+    prefixes_.clear();
     core::Arena arena;
     for (int id = 0; id < nodeCount(); ++id) {
         Node &n = nodes_[id];

@@ -195,6 +195,17 @@ class Network
     /** Images whose reference the memo holds at most. */
     static constexpr std::size_t kReferenceMemo = 64;
 
+    /**
+     * The unpruned pass's live set at `cut` on synthesizeImage(input
+     * shape, imageSeed), memoised beside reference() on the same terms:
+     * calibrate() and adding a node clear it, and it keeps the first
+     * kReferenceMemo (image, cut) pairs it sees. An accuracy study
+     * resumes every candidate from the cut before its first pruned
+     * layer. The result is a copy, which a pruned pass may threshold
+     * in place.
+     */
+    LiveSet unprunedPrefix(std::uint64_t imageSeed, int cut) const;
+
     /** True once calibrate() has run. */
     bool calibrated() const { return calibrated_; }
 
@@ -222,6 +233,9 @@ class Network
         CNV_REQUIRES(materializeMutex_.m);
     /** reference()'s memo entry for `imageSeed`, or nullptr. */
     const Prediction *memoLocked(std::uint64_t imageSeed) const
+        CNV_REQUIRES(materializeMutex_.m);
+    /** unprunedPrefix()'s memo entry for (imageSeed, cut), or nullptr. */
+    const LiveSet *prefixLocked(std::uint64_t imageSeed, int cut) const
         CNV_REQUIRES(materializeMutex_.m);
     /** Conv node `id`'s weights as the kernel reads them. */
     const kernels::PackedConvWeights &packedWeightsOf(int id) const;
@@ -263,6 +277,9 @@ class Network
     /** reference() memo: (image seed, prediction). */
     mutable std::vector<std::pair<std::uint64_t, Prediction>> references_
         CNV_GUARDED_BY(materializeMutex_.m);
+    /** unprunedPrefix() memo: ((image seed, cut), live set). */
+    mutable std::vector<std::pair<std::pair<std::uint64_t, int>, LiveSet>>
+        prefixes_ CNV_GUARDED_BY(materializeMutex_.m);
 };
 
 } // namespace cnv::nn

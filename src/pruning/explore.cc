@@ -148,10 +148,9 @@ relativeAccuracy(const Network &net, const PruneConfig &cfg, int images,
     opts.prune = &cfg;
     return agreementFraction(
         static_cast<std::size_t>(images), [&](std::size_t i) {
-            const nn::LiveSet prefix =
-                net.advance(accuracyInput(net, seed, i), cut);
-            return predictionPreserved(referenceOf(net, seed, i),
-                                       net.forward(prefix, opts), 0.05);
+            return predictionPreserved(
+                referenceOf(net, seed, i),
+                net.forward(net.unprunedPrefix(seed + i, cut), opts), 0.05);
         });
 }
 

@@ -229,6 +229,33 @@ TEST(Pruning, RecalibrationDropsMemoisedReferences)
               pruning::relativeAccuracy(*fresh, cand, 6, 77));
 }
 
+TEST(Pruning, MemoisedPrefixIsAFreshCopyUntilRecalibration)
+{
+    // A memoised unpruned prefix must equal a fresh pass to the cut,
+    // and be a copy: the pruned pass thresholds its tensors in place.
+    // calibrate() rewrites the biases, so a prefix memoised before it
+    // must not outlive it.
+    auto net = nn::zoo::build(nn::zoo::NetId::Vgg19, 2016, 8);
+    const int cut = net->convNodeIds()[0] + 1;
+    const auto fresh = [&] {
+        return net->advance(
+            net->start(nn::synthesizeImage(net->node(0).outShape, 77)),
+            cut);
+    };
+    const nn::LiveSet before = net->unprunedPrefix(77, cut);
+    nn::LiveSet hit = net->unprunedPrefix(77, cut);
+    EXPECT_EQ(hit.cut, cut);
+    EXPECT_EQ(hit.tensors, fresh().tensors);
+    ASSERT_FALSE(hit.tensors.empty());
+    hit.tensors.front().second.data()[0] = tensor::Fixed16::fromRaw(123);
+    EXPECT_EQ(net->unprunedPrefix(77, cut).tensors, fresh().tensors);
+
+    net->calibrate();
+    const nn::LiveSet after = net->unprunedPrefix(77, cut);
+    EXPECT_EQ(after.tensors, fresh().tensors);
+    EXPECT_NE(after.tensors, before.tensors);
+}
+
 TEST(Pruning, AccuracyPastTheReferenceMemoCapIsStable)
 {
     // More images than the reference memo holds: the memo keeps the

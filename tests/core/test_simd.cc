@@ -194,4 +194,29 @@ TEST(Simd, MacBlockFlushesLanesInWeightOrder)
         EXPECT_EQ(out[i], expect[i]) << "lane " << i;
 }
 
+TEST(Simd, AddWrappedDiffsWidensModularDifferences)
+{
+    // hi - lo wraps past 2^16 (prefix sums that overflowed) and the
+    // accumulators sit near 2^32 in some lanes: each lane must gain
+    // exactly (hi - lo) mod 2^16.
+    cnv::sim::Rng rng(0xd1ff);
+    std::vector<std::uint16_t> hi(simd::kDiffLanes), lo(simd::kDiffLanes);
+    std::vector<std::uint32_t> acc(simd::kDiffLanes), expect;
+    for (int round = 0; round < 64; ++round) {
+        for (std::size_t i = 0; i < hi.size(); ++i) {
+            hi[i] = static_cast<std::uint16_t>(rng.uniformInt(
+                std::int64_t{0}, std::int64_t{0xffff}));
+            lo[i] = static_cast<std::uint16_t>(rng.uniformInt(
+                std::int64_t{0}, std::int64_t{0xffff}));
+            acc[i] = i % 2 == 0 ? 0xfffe0000u + static_cast<std::uint32_t>(i)
+                                : static_cast<std::uint32_t>(round);
+        }
+        expect = acc;
+        for (std::size_t i = 0; i < hi.size(); ++i)
+            expect[i] += static_cast<std::uint16_t>(hi[i] - lo[i]);
+        simd::addWrappedDiffs(acc.data(), hi.data(), lo.data());
+        EXPECT_EQ(acc, expect) << "round " << round;
+    }
+}
+
 } // namespace
