@@ -14,20 +14,37 @@
  *
  * convCnv and convCnv2 are one-sink calls of one encoded walk,
  * convEncoded (CNV is Cnvlutin2 with no weight brick pruned). It
- * gathers each window group once, into a byte stream of brick counts
- * whose position j runs on lane j % lanes, and folds that stream for
- * every filter pass and every sink; a pass reads which weight bricks
- * its filter group prunes from a per-sink table gathered the same
- * way, and the banked GB/bank replay of a (group, pass) runs once
- * and is charged to every sink's memory model. It rests on one lane
- * identity: under every LaneAssignment, brick b of a cell runs on
- * lane (rot + b) % lanes, where rot is dadiannao::laneOf of the
- * cell's first brick. So laneOf runs once per cell, a cell starts at
- * the next stream position on lane rot (positions it skips cost
- * nothing), a cell is one mem::Run (consecutive addresses on
- * consecutive lanes), and a run of cells that skip none and sit side
- * by side in the count map is one copy. Under WindowEven with one
- * conv group, that is every window row.
+ * rests on one lane identity: under every LaneAssignment, brick b of
+ * cell x in input row y runs on lane (phi + b + psi) % lanes, where
+ * phi is dadiannao::laneOf(x, y, brick base, x * bricks per cell) and
+ * psi is cursor - xa * bricks per cell under WindowEven (cursor: the
+ * bricks its window group fetched before the window row, xa: the
+ * row's first column) and 0 under the static assignments. A walk takes
+ * one of two routes:
+ *
+ *   - No sink skips weight bricks (CNV, Cnvlutin2 at sparsity 0):
+ *     every pass has one lane profile, and it is read off per-row
+ *     prefix sums. Entry x of input row y holds the costs of the cells
+ *     left of x summed per lane, twice over so that a rotation by psi
+ *     is an offset load, and their non-zero count. A window row
+ *     [xa, xb) adds entry xb less entry xa to its group's lanes in
+ *     16-lane vector adds (core::simd::addWrappedDiffs); its fetch
+ *     count is (xb - xa) x bricks per cell. A ring holds the input
+ *     rows one window group reads, each built on first use, so the
+ *     scratch stays a few rows whatever the layer.
+ *   - Some sink skips weight bricks: which bricks a pass skips changes
+ *     with every tap and filter pass, so prefix sums over cells cannot
+ *     hold them. The walk gathers each window group once, into a byte
+ *     stream of brick counts whose position j runs on lane j % lanes
+ *     (a cell starts at the next position on lane rot, positions it
+ *     skips cost nothing), and folds that stream for every filter
+ *     pass and every sink; a pass reads which weight bricks its filter
+ *     group prunes from a per-sink table gathered the same way.
+ *
+ * On both routes a cell is one mem::Run (consecutive addresses on
+ * consecutive lanes), built only when a sink is banked on the prefix
+ * route, and the banked GB/bank replay of a (group, pass) runs once
+ * and is charged to every sink's memory model.
  * tests/analysis/reference_cnv2.h keeps the per-brick, per-pass walk
  * as the oracle all three are tested against.
  */
