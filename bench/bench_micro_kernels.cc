@@ -3,9 +3,10 @@
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * ZFNAf encode/decode, non-zero count maps, the closed-form conv
  * timing models, trace synthesis, thread-pool scaling, the
- * conv-trace cache, and the pruning search's accuracy check. These
- * guard the throughput that makes the paper-scale experiments (full
- * 224x224 geometries, batches of images, threshold sweeps) tractable.
+ * conv-trace cache and its pruned count maps, and the pruning
+ * search's accuracy check. These guard the throughput that makes the
+ * paper-scale experiments (full 224x224 geometries, batches of
+ * images, threshold sweeps) tractable.
  *
  * The *Scalar variants benchmark the scalar reference kernels next
  * to their vectorized counterparts (core/simd.h backends), giving
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/arena.h"
@@ -538,6 +540,44 @@ BM_CountMapHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CountMapHit);
+
+// A threshold-search lookup that misses: a pruned count map of the
+// same concat input on a warm trace, at a threshold the cache has not
+// seen. It prices nn::prunedMask plus the count, not synthesis;
+// items/s gives ns per input element.
+void
+BM_PrunedCountMapMiss(benchmark::State &state)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 1);
+    int nodeId = net->convNodeIds().front();
+    for (int id : net->convNodeIds())
+        if (nn::inputSegments(*net, id).size() > 1)
+            nodeId = id;
+    const dadiannao::NodeConfig cfg;
+    nn::PruneConfig prune;
+    std::optional<timing::TraceCache> cache;
+    int fresh = 0;
+    for (auto _ : state) {
+        // Every 256 thresholds, an untimed fresh cache with a warm
+        // trace, so the maps held stay bounded.
+        if (fresh % 256 == 0) {
+            state.PauseTiming();
+            cache.emplace();
+            cache->countMap(*net, nodeId, 1, nullptr, nullptr,
+                            cfg.brickSize);
+            state.ResumeTiming();
+        }
+        prune.thresholds.assign(
+            static_cast<std::size_t>(net->convLayerCount()),
+            2 + 64 * (fresh++ % 256));
+        benchmark::DoNotOptimize(cache->countMap(
+            *net, nodeId, 1, nullptr, &prune, cfg.brickSize));
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(net->node(nodeId).inShape.volume()));
+}
+BENCHMARK(BM_PrunedCountMapMiss);
 
 void
 BM_GoogleNetTimingEndToEnd(benchmark::State &state)

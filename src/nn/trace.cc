@@ -203,38 +203,75 @@ drawActivity(int depth, int zBase, const SparsityModel &model,
 }
 
 /**
- * Stage 2 for one segment: write the magnitudes of its active
- * elements into `out` (zero-initialised), zeroing those below
- * `threshold`. Active elements are visited 64 mask bits at a time,
- * lowest set bit first.
+ * Call f(at, key, bits) for each word of one segment's mask, whose
+ * depth range starts at `zBase` of `mask`: `bits` marks the active
+ * ones among up to 64 elements along a column, the first at index `at`
+ * of the tensor, and element j's magnitude draw is output j of the
+ * SplitMix64 stream at `key`.
  */
+template <typename F>
 void
-drawValues(const Activity::Segment &seg, int zBase, std::int32_t threshold,
-           const tensor::ActivityMask &mask, NeuronTensor &out)
+forEachWord(const Activity::Segment &seg, int zBase,
+            const tensor::ActivityMask &mask, F &&f)
 {
-    const MagnitudeTable &table = magnitudeTable();
-    const Shape3 shape = out.shape();
-    Fixed16 *data = out.data();
+    const Shape3 shape = mask.shape();
     std::size_t column = 0;
     for (int y = 0; y < shape.y; ++y) {
         for (int x = 0; x < shape.x; ++x, ++column) {
             const std::size_t base = columnBase(shape, x, y) + zBase;
-            for (int z0 = 0; z0 < seg.depth; z0 += 64) {
-                std::uint64_t bits =
-                    mask.bits(base + z0, std::min(64, seg.depth - z0));
-                const std::uint64_t first = column * seg.depth + z0;
-                while (bits != 0) {
-                    const int j = std::countr_zero(bits);
-                    bits &= bits - 1;
-                    const int v = table.draw(sim::mix64(
-                        seg.magnitudes + (first + j) * sim::kGoldenGamma));
-                    if (v >= threshold)
-                        data[base + z0 + j] =
-                            Fixed16::fromRaw(static_cast<std::int16_t>(v));
-                }
-            }
+            for (int z0 = 0; z0 < seg.depth; z0 += 64)
+                f(base + z0,
+                  seg.magnitudes +
+                      (column * seg.depth + z0) * sim::kGoldenGamma,
+                  mask.bits(base + z0, std::min(64, seg.depth - z0)));
         }
     }
+}
+
+// The per-word loops below run out of line: inlined, they spill.
+
+/**
+ * Stage 2 for one word: write the magnitudes of its active elements
+ * into `out` (zero-initialised), lowest set bit first, zeroing those
+ * below `threshold`.
+ */
+[[gnu::noinline]] void
+drawWord(const MagnitudeTable &table, std::uint64_t key, std::uint64_t bits,
+         std::int32_t threshold, Fixed16 *out)
+{
+    for (; bits != 0; bits &= bits - 1) {
+        const auto j = static_cast<std::uint64_t>(std::countr_zero(bits));
+        const int v = table.draw(sim::mix64(key + j * sim::kGoldenGamma));
+        if (v >= threshold)
+            out[j] = Fixed16::fromRaw(static_cast<std::int16_t>(v));
+    }
+}
+
+/** The set bits j of one word whose draw is at least `cutoff`. */
+[[gnu::noinline]] std::uint64_t
+keptDraws(std::uint64_t key, std::uint64_t bits, std::uint64_t cutoff)
+{
+    if (cutoff == 0)
+        return bits;
+    std::uint64_t kept = 0;
+    for (; bits != 0; bits &= bits - 1) {
+        const auto j = static_cast<std::uint64_t>(std::countr_zero(bits));
+        kept |= std::uint64_t{sim::mix64(key + j * sim::kGoldenGamma) >=
+                              cutoff}
+                << j;
+    }
+    return kept;
+}
+
+/** The threshold `prune` applies to a segment: its producer's, or 0
+ *  for the raw image or without a config. */
+std::int32_t
+segmentThreshold(const Activity::Segment &seg, const PruneConfig *prune)
+{
+    return prune && seg.producerConvIndex >= 0
+               ? prune->forConvIndex(
+                     static_cast<std::size_t>(seg.producerConvIndex))
+               : 0;
 }
 
 } // namespace
@@ -303,17 +340,45 @@ magnitudeOfDraw(std::uint64_t u)
     return magnitudeTable().draw(u);
 }
 
+std::optional<std::uint64_t>
+magnitudeCutoff(std::int32_t threshold)
+{
+    if (threshold <= 1)
+        return 0;
+    if (threshold > kMaxMagnitude)
+        return std::nullopt;
+    return magnitudeThreshold(threshold - 1);
+}
+
+tensor::ActivityMask
+prunedMask(const Activity &activity, const PruneConfig *prune)
+{
+    tensor::ActivityMask out(activity.mask.shape());
+    int zBase = 0;
+    for (const Activity::Segment &seg : activity.segments) {
+        if (const auto c = magnitudeCutoff(segmentThreshold(seg, prune)))
+            forEachWord(seg, zBase, activity.mask,
+                        [&, cutoff = *c](auto at, auto key, auto bits) {
+                            out.setBits(at, keptDraws(key, bits, cutoff));
+                        });
+        zBase += seg.depth;
+    }
+    return out;
+}
+
 NeuronTensor
 synthesizeValues(const Activity &activity, const PruneConfig *prune)
 {
+    const MagnitudeTable &table = magnitudeTable();
     NeuronTensor out(activity.mask.shape());
     int zBase = 0;
     for (const Activity::Segment &seg : activity.segments) {
-        const std::int32_t threshold = prune && seg.producerConvIndex >= 0
-            ? prune->forConvIndex(
-                  static_cast<std::size_t>(seg.producerConvIndex))
-            : 0;
-        drawValues(seg, zBase, threshold, activity.mask, out);
+        const std::int32_t threshold = segmentThreshold(seg, prune);
+        forEachWord(seg, zBase, activity.mask,
+                    [&](auto at, auto key, auto bits) {
+                        drawWord(table, key, bits, threshold,
+                                 out.data() + at);
+                    });
         zBase += seg.depth;
     }
     return out;
@@ -462,19 +527,13 @@ zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
         // Every input neuron participates in the same number of
         // products for a given layer, so the operand zero fraction
         // equals the tensor zero fraction, MAC-weighted per layer.
-        // Unpruned, the zeros are exactly the stage-1 mask's clear
-        // bits.
-        double zf = 0.0;
-        if (prune) {
-            zf = tensor::zeroFraction(
-                synthesizeConvInput(net, id, imageSeed, prune));
-        } else {
-            const tensor::ActivityMask mask =
-                synthesizeConvActivity(net, id, imageSeed).mask;
-            if (mask.size() > 0)
-                zf = static_cast<double>(mask.size() - mask.count()) /
-                     static_cast<double>(mask.size());
-        }
+        const tensor::ActivityMask mask =
+            prunedMask(synthesizeConvActivity(net, id, imageSeed), prune);
+        const double zf =
+            mask.size() > 0
+                ? static_cast<double>(mask.size() - mask.count()) /
+                      static_cast<double>(mask.size())
+                : 0.0;
         const double macs = static_cast<double>(n.macs());
         weightedZero += zf * macs;
         totalMacs += macs;

@@ -24,8 +24,8 @@
  * key2 being drawn from a stream forked off the segment's stream:
  * an inverse-CDF draw of lround(clamp(exp(N(mu, sigma)), 1, 32767)).
  * In both stages each element is a pure function of its index, so no
- * state is carried from one element to the next. Unpruned count maps
- * need stage 1 only.
+ * state is carried from one element to the next. Count maps and zero
+ * fractions, pruned or not, need no values (prunedMask).
  */
 
 #ifndef CNV_NN_TRACE_H
@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "nn/network.h"
@@ -154,6 +155,21 @@ Activity synthesizeConvActivity(const Network &net, int convNodeId,
 int magnitudeOfDraw(std::uint64_t u);
 
 /**
+ * The smallest draw u with magnitudeOfDraw(u) >= threshold (0 below 2,
+ * none above 32767): the CDF step of threshold - 1 that
+ * magnitudeOfDraw's table is built from, so no draw is misjudged.
+ */
+std::optional<std::uint64_t> magnitudeCutoff(std::int32_t threshold);
+
+/**
+ * The non-zeros of synthesizeValues(activity, prune) from the draws
+ * alone: active element i of a segment pruned at t stays set iff
+ * sim::mix64(magnitudes + i * kGoldenGamma) >= magnitudeCutoff(t).
+ */
+tensor::ActivityMask prunedMask(const Activity &activity,
+                                const PruneConfig *prune);
+
+/**
  * Stage 2: the values of a stage-1 activity. With `prune`, each
  * conv-fed segment's values below its producer's threshold become
  * zero.
@@ -195,7 +211,7 @@ tensor::NeuronTensor synthesizeImage(tensor::Shape3 shape,
 /**
  * Measured fraction of conv multiplication operands that are zero
  * for one image (Figure 1's metric): MAC-weighted input zero
- * fraction across all conv layers. Unpruned, it needs stage 1 only.
+ * fraction across all conv layers, counted on prunedMask().
  */
 double zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
                            const PruneConfig *prune = nullptr);

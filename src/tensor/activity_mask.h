@@ -4,8 +4,8 @@
  * one bit per neuron, in the array's depth-fastest storage order.
  *
  * Zero-skipping timing depends only on where the zeros are, so a mask
- * carries everything an unpruned count map needs at 1/16 of the
- * NeuronTensor's memory (see nn::synthesizeActivity).
+ * carries everything a count map needs at 1/16 of the NeuronTensor's
+ * memory (see nn::synthesizeActivity and nn::prunedMask).
  */
 
 #ifndef CNV_TENSOR_ACTIVITY_MASK_H

@@ -20,6 +20,23 @@ fold(std::uint64_t h, std::uint64_t v)
     return sim::mix64(h ^ v);
 }
 
+/** `values` with each segment's elements below its threshold zeroed;
+ *  the segments repeat along each column, never past the tensor. */
+tensor::NeuronTensor
+pruneSegments(tensor::NeuronTensor values,
+              const std::vector<nn::TraceSegment> &segments,
+              const std::vector<std::int32_t> &thresholds)
+{
+    tensor::Fixed16 *v = values.data();
+    const std::size_t n = values.size();
+    for (std::size_t i = 0; i < n;)
+        for (std::size_t s = 0; s < segments.size(); ++s)
+            for (int d = 0; d < segments[s].depth && i < n; ++d, ++i)
+                if (v[i].rawAbs() < thresholds[s])
+                    v[i] = tensor::Fixed16{};
+    return values;
+}
+
 } // namespace
 
 TraceCache::TraceKey
@@ -62,7 +79,7 @@ TraceCache::KeyHash::operator()(const CountKey &k) const
 TraceCache::Trace
 TraceCache::trace(const TraceKey &key, const nn::Network &net,
                   int convNodeId, std::uint64_t imageSeed,
-                  const TraceProvider *traces, bool needValues)
+                  const TraceProvider *traces)
 {
     std::shared_ptr<TraceSlot> slot;
     {
@@ -73,50 +90,40 @@ TraceCache::trace(const TraceKey &key, const nn::Network &net,
         slot = entry;
     }
     const core::MutexLock lock(slot->m);
-    if (slot->values || slot->activity) {
+    if (slot->trace.activity || slot->trace.values) {
         tensorHits_.fetch_add(1, std::memory_order_relaxed);
         sim::metrics().add("traceCache.tensorHits");
-        if (slot->values || !needValues)
-            return {slot->activity, slot->values};
-    } else {
-        tensorMisses_.fetch_add(1, std::memory_order_relaxed);
-        sim::metrics().add("traceCache.tensorMisses");
+        return slot->trace;
     }
-    // The synthesis (or trace-load) cost every other lookup of this
-    // key amortizes: stage 1, stage 2 or both, whichever this lookup
-    // ran. Its latency distribution feeds
-    // hostProfile.traceCache.synthesis.
+    tensorMisses_.fetch_add(1, std::memory_order_relaxed);
+    sim::metrics().add("traceCache.tensorMisses");
+    // One stage-1 synthesis or trace load per miss, which every other
+    // lookup of the key amortizes (hostProfile.traceCache.synthesis).
     const std::uint64_t t0 = sim::metrics().nowIfEnabled();
-    std::optional<tensor::NeuronTensor> external;
-    if (traces)
-        external = traces->convInput(net, convNodeId, imageSeed);
-    if (external) {
-        slot->values =
+    std::optional<tensor::NeuronTensor> external =
+        traces ? traces->convInput(net, convNodeId, imageSeed) : std::nullopt;
+    if (external)
+        slot->trace.values =
             std::make_shared<const tensor::NeuronTensor>(std::move(*external));
-    } else {
-        if (!slot->activity)
-            slot->activity = std::make_shared<const nn::Activity>(
-                nn::synthesizeConvActivity(net, convNodeId, imageSeed));
-        if (needValues) {
-            slot->values = std::make_shared<const tensor::NeuronTensor>(
-                nn::synthesizeValues(*slot->activity));
-            slot->activity.reset();
-        }
-    }
+    else
+        slot->trace.activity = std::make_shared<const nn::Activity>(
+            nn::synthesizeConvActivity(net, convNodeId, imageSeed));
     if (t0 != 0)
         sim::metrics().recordNanos(
             "traceCache.synthesis",
             sim::MetricsRegistry::nowNanos() - t0);
-    return {slot->activity, slot->values};
+    return slot->trace;
 }
 
 std::shared_ptr<const tensor::NeuronTensor>
 TraceCache::convInput(const nn::Network &net, int convNodeId,
                       std::uint64_t imageSeed, const TraceProvider *traces)
 {
-    return trace(traceKey(net, convNodeId, imageSeed), net, convNodeId,
-                 imageSeed, traces, true)
-        .values;
+    const Trace t = trace(traceKey(net, convNodeId, imageSeed), net,
+                          convNodeId, imageSeed, traces);
+    return t.values ? t.values
+                    : std::make_shared<const tensor::NeuronTensor>(
+                          nn::synthesizeValues(*t.activity));
 }
 
 std::shared_ptr<const CountMap>
@@ -156,31 +163,23 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
     }
     countMisses_.fetch_add(1, std::memory_order_relaxed);
     sim::metrics().add("traceCache.countMapMisses");
-    // Without thresholds the counts are the mask's; magnitudes are
-    // drawn only when a threshold or a provider needs them.
-    const Trace t = trace(key.trace, net, convNodeId, imageSeed, traces,
-                          pruned || traces != nullptr);
+    const Trace t = trace(key.trace, net, convNodeId, imageSeed, traces);
     // Timed after the nested trace lookup so the encode histogram
     // (hostProfile.traceCache.encode) measures only the prune +
     // non-zero-count work, not a first-touch synthesis underneath.
     const std::uint64_t t0 = sim::metrics().nowIfEnabled();
-    if (t.activity) {
-        slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(t.activity->mask, brickSize));
-    } else if (pruned) {
-        // Segmented counting folds the per-producer thresholds into
-        // the count predicate — same counts as prune-then-count,
-        // without copying the tensor.
-        std::vector<zfnaf::DepthThreshold> segments;
-        for (std::size_t i = 0; i < key.thresholds.size(); ++i)
-            segments.push_back(
-                {key.trace.segments[i].depth, key.thresholds[i]});
-        slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*t.values, brickSize, segments));
-    } else {
-        slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*t.values, brickSize));
-    }
+    CountMap counts;
+    if (t.values)
+        counts = pruned ? zfnaf::nonZeroCountMap(
+                              pruneSegments(*t.values, key.trace.segments,
+                                            key.thresholds),
+                              brickSize)
+                        : zfnaf::nonZeroCountMap(*t.values, brickSize);
+    else
+        counts = pruned ? zfnaf::nonZeroCountMap(
+                              nn::prunedMask(*t.activity, prune), brickSize)
+                        : zfnaf::nonZeroCountMap(t.activity->mask, brickSize);
+    slot->value = std::make_shared<const CountMap>(std::move(counts));
     if (t0 != 0)
         sim::metrics().recordNanos("traceCache.encode",
                                    sim::MetricsRegistry::nowNanos() - t0);

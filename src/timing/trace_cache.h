@@ -26,21 +26,20 @@
  * and image. A null or empty config keys with no thresholds, apart
  * from an all-zero one.
  *
- * A trace slot holds either the stage-1 nn::Activity (a bit-packed
- * mask) or the values tensor, never both. Unpruned count maps without
- * a TraceProvider need only the mask, so a miss there runs stage 1
- * alone; the first lookup that needs magnitudes (convInput, a pruned
- * count map, a provider) draws them and the values replace the mask,
- * whose bits are exactly the values' non-zeros.
+ * A trace slot is set once, at its miss: to the provider's tensor
+ * when a TraceProvider supplies one, else to the stage-1 nn::Activity.
+ * A synthetic count map counts nn::prunedMask(), which reads the
+ * magnitude draws but no values, and convInput() draws the values
+ * afresh without keeping them. A provider's pruned map counts a copy
+ * of its tensor with each segment zeroed below its threshold.
  *
  * Thread safety: a global mutex guards only the key -> slot maps;
  * each slot carries its own mutex, so two threads asking for the
  * same missing key serialize on that slot (one computes, the other
  * waits and hits) while different keys proceed concurrently. Hit
  * and miss totals are therefore deterministic: misses == distinct
- * keys ever requested (the first lookup of a key is its miss, even
- * when a later lookup still has to draw the values), independent of
- * the job count and of lookup order.
+ * keys ever requested, independent of the job count and of lookup
+ * order.
  *
  * One cache assumes one TraceProvider (or none) for its lifetime;
  * callers pass the provider per lookup only so the cache does not
@@ -81,9 +80,9 @@ class TraceCache
     TraceCache &operator=(const TraceCache &) = delete;
 
     /**
-     * The unpruned input tensor of one conv layer for one image:
-     * the provider's trace when it supplies one, synthesized
-     * otherwise. Identical to nn::synthesizeConvInput().
+     * The unpruned input tensor of one conv layer for one image: the
+     * provider's trace when it supplies one, else stage 2 drawn afresh
+     * on the cached activity. Identical to nn::synthesizeConvInput().
      */
     std::shared_ptr<const tensor::NeuronTensor>
     convInput(const nn::Network &net, int convNodeId,
@@ -91,7 +90,7 @@ class TraceCache
 
     /**
      * Per-brick non-zero counts of the layer input, after applying
-     * `prune` (may be null) to the cached unpruned tensor. This is
+     * `prune` (may be null) to the cached unpruned trace. This is
      * the only artifact the timing models consume.
      */
     std::shared_ptr<const CountMap>
@@ -149,28 +148,25 @@ class TraceCache
         std::shared_ptr<const CountMap> value CNV_GUARDED_BY(m);
     };
 
-    /** One cached trace: the stage-1 activity until a lookup needs
-     *  values, then the values alone. */
-    struct TraceSlot
-    {
-        core::Mutex m;
-        std::shared_ptr<const nn::Activity> activity CNV_GUARDED_BY(m);
-        std::shared_ptr<const tensor::NeuronTensor> values
-            CNV_GUARDED_BY(m);
-    };
-
-    /** A trace lookup's result: exactly one member is set. */
+    /** A provider's tensor or a stage-1 activity: one member is set. */
     struct Trace
     {
         std::shared_ptr<const nn::Activity> activity;
         std::shared_ptr<const tensor::NeuronTensor> values;
     };
 
-    /** The trace under `key`, synthesized (or loaded) as far as the
-     *  caller needs; counts the lookup as a tensor hit or miss. */
+    /** One cached trace, empty until its miss sets it. */
+    struct TraceSlot
+    {
+        core::Mutex m;
+        Trace trace CNV_GUARDED_BY(m);
+    };
+
+    /** The trace under `key`, loaded or synthesized at its miss;
+     *  counts the lookup as a tensor hit or miss. */
     Trace trace(const TraceKey &key, const nn::Network &net,
                 int convNodeId, std::uint64_t imageSeed,
-                const TraceProvider *traces, bool needValues);
+                const TraceProvider *traces);
 
     /** Guards the two key -> slot maps (not slot contents). */
     core::Mutex mutex_;

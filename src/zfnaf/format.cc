@@ -343,52 +343,4 @@ nonZeroCountMapScalar(const tensor::NeuronTensor &in, int brickSize,
     return counts;
 }
 
-tensor::Tensor3<std::uint8_t>
-nonZeroCountMap(const tensor::NeuronTensor &in, int brickSize,
-                std::span<const DepthThreshold> segments)
-{
-    if (brickSize < 1 || brickSize > 255)
-        CNV_FATAL("brick size {} outside supported range for count map",
-                  brickSize);
-    // Resolve each depth position's clamped threshold once; bricks
-    // may straddle segment boundaries, so counting walks uniform
-    // threshold runs inside each brick.
-    std::vector<std::uint16_t> tz;
-    tz.reserve(static_cast<std::size_t>(in.shape().z));
-    for (const DepthThreshold &seg : segments) {
-        if (seg.depth < 0)
-            CNV_FATAL("negative segment depth {}", seg.depth);
-        tz.insert(tz.end(), static_cast<std::size_t>(seg.depth),
-                  simd::clampThreshold(seg.threshold));
-    }
-    if (tz.size() != static_cast<std::size_t>(in.shape().z))
-        CNV_FATAL("segment depths {} != array depth {}", tz.size(),
-                  in.shape().z);
-
-    const int bricks = (in.shape().z + brickSize - 1) / brickSize;
-    tensor::Tensor3<std::uint8_t> counts(in.shape().x, in.shape().y, bricks);
-    for (int y = 0; y < in.shape().y; ++y) {
-        for (int x = 0; x < in.shape().x; ++x) {
-            const tensor::Fixed16 *col = in.column(x, y);
-            for (int b = 0; b < bricks; ++b) {
-                const int z0 = b * brickSize;
-                const int zEnd = std::min(z0 + brickSize, in.shape().z);
-                int nz = 0;
-                int z = z0;
-                while (z < zEnd) {
-                    const std::uint16_t t = tz[static_cast<std::size_t>(z)];
-                    int ze = z + 1;
-                    while (ze < zEnd &&
-                           tz[static_cast<std::size_t>(ze)] == t)
-                        ++ze;
-                    nz += countKept(col + z, ze - z, t);
-                    z = ze;
-                }
-                counts.at(x, y, b) = static_cast<std::uint8_t>(nz);
-            }
-        }
-    }
-    return counts;
-}
-
 } // namespace cnv::zfnaf

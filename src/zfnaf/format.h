@@ -174,8 +174,8 @@ nonZeroCountMap(const tensor::NeuronTensor &in,
 /**
  * Per-brick non-zero counts from an activity mask: equal to
  * nonZeroCountMap(t, brickSize) for any tensor t whose non-zeros the
- * mask marks. Unpruned trace counts come from here, before (or
- * without) the tensor's magnitudes being drawn.
+ * mask marks. Synthetic trace counts come from here, pruned ones
+ * from nn::prunedMask(), without the tensor's values being drawn.
  */
 tensor::Tensor3<std::uint8_t>
 nonZeroCountMap(const tensor::ActivityMask &mask,
@@ -186,30 +186,6 @@ tensor::Tensor3<std::uint8_t>
 nonZeroCountMapScalar(const tensor::NeuronTensor &in,
                       int brickSize = kPaperBrickSize,
                       std::int32_t pruneThreshold = 0);
-
-/**
- * One contiguous depth range sharing a prune threshold — the
- * segmented counting form of nn::TraceSegment plus its resolved
- * threshold.
- */
-struct DepthThreshold
-{
-    /** Number of consecutive feature-dimension entries covered. */
-    int depth = 0;
-    /** Raw prune threshold for this range; <= 0 counts non-zeros. */
-    std::int32_t threshold = 0;
-};
-
-/**
- * Segmented-threshold count map: like nonZeroCountMap but each depth
- * range carries its own prune threshold (segment depths must sum to
- * the array depth). Equivalent to zeroing every neuron below its
- * segment's threshold and counting the survivors — without the
- * tensor copy the timing::TraceCache prune path used to make.
- */
-tensor::Tensor3<std::uint8_t>
-nonZeroCountMap(const tensor::NeuronTensor &in, int brickSize,
-                std::span<const DepthThreshold> segments);
 
 } // namespace cnv::zfnaf
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for timing::TraceCache: cached tensors and count maps are
+ * Tests for timing::TraceCache: tensors and count maps are
  * bit-identical to the inline synthesis path (with and without
  * pruning), mask-derived count maps equal the tensor's, hit/miss
  * counters are exact and independent of lookup order, trace keys
@@ -50,22 +50,57 @@ TEST(TraceCache, TensorMatchesInlineSynthesis)
 
 TEST(TraceCache, CountMapMatchesInlinePathWithPruning)
 {
-    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
-    nn::PruneConfig prune;
-    prune.thresholds.assign(
-        static_cast<std::size_t>(net->convLayerCount()), 16);
+    // Every zoo net's conv inputs under one threshold everywhere, at
+    // the edges of the magnitude cutoff: nothing pruned (0, 1), the
+    // smallest magnitudes (2, 3), either side of the end of the draw
+    // table (4096), the largest magnitude and past it.
     const NodeConfig cfg;
-
-    timing::TraceCache cache;
-    for (int nodeId : net->convNodeIds()) {
-        // Inline path: synthesize with pruning applied directly.
-        const auto pruned =
-            nn::synthesizeConvInput(*net, nodeId, 3, &prune);
-        const auto expected = zfnaf::nonZeroCountMap(pruned, cfg.brickSize);
-        const auto cached = cache.countMap(*net, nodeId, 3, nullptr,
-                                           &prune, cfg.brickSize);
-        EXPECT_EQ(*cached, expected);
+    for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
+        const auto net = nn::zoo::build(id, 2016);
+        timing::TraceCache cache;
+        for (std::int32_t t :
+             {0, 1, 2, 3, 4095, 4096, 4097, 32767, 32768}) {
+            nn::PruneConfig prune;
+            prune.thresholds.assign(
+                static_cast<std::size_t>(net->convLayerCount()), t);
+            for (int nodeId : net->convNodeIds()) {
+                // Inline path: synthesize with pruning applied directly.
+                const auto pruned =
+                    nn::synthesizeConvInput(*net, nodeId, 3, &prune);
+                EXPECT_EQ(*cache.countMap(*net, nodeId, 3, nullptr, &prune,
+                                          cfg.brickSize),
+                          zfnaf::nonZeroCountMap(pruned, cfg.brickSize))
+                    << nn::zoo::netName(id) << " "
+                    << net->node(nodeId).name << " t " << t;
+            }
+        }
     }
+
+    // Google's concat inputs with a different threshold per producer
+    // branch, at brick sizes whose bricks straddle segment edges.
+    const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    const std::int32_t branch[] = {64, 2, 4097, 0};
+    timing::TraceCache cache;
+    int concatInputs = 0;
+    for (int nodeId : net->convNodeIds()) {
+        const auto segments = nn::inputSegments(*net, nodeId);
+        if (segments.size() < 2)
+            continue;
+        ++concatInputs;
+        nn::PruneConfig prune;
+        prune.thresholds.assign(
+            static_cast<std::size_t>(net->convLayerCount()), 0);
+        for (std::size_t k = 0; k < segments.size(); ++k)
+            prune.thresholds[static_cast<std::size_t>(
+                segments[k].producerConvIndex)] = branch[k % 4];
+        const auto pruned = nn::synthesizeConvInput(*net, nodeId, 3, &prune);
+        for (int brick : {16, 8, 3})
+            EXPECT_EQ(*cache.countMap(*net, nodeId, 3, nullptr, &prune,
+                                      brick),
+                      zfnaf::nonZeroCountMap(pruned, brick))
+                << net->node(nodeId).name << " brick " << brick;
+    }
+    EXPECT_GT(concatInputs, 0);
 }
 
 TEST(TraceCache, MaskCountMapsMatchTensorCountMaps)
@@ -77,8 +112,9 @@ TEST(TraceCache, MaskCountMapsMatchTensorCountMaps)
     timing::TraceCache cache;
     bool straddles = false;
     for (int nodeId : net->convNodeIds()) {
-        // Unpruned count maps first, so they come from the mask the
-        // slot holds before any magnitude is drawn.
+        // Unpruned count maps come from the stage-1 mask the slot
+        // holds, whichever lookup of the trace comes first; convInput
+        // draws the values on top of it without keeping them.
         std::vector<std::shared_ptr<const timing::CountMap>> fromMask;
         for (int brick : bricks)
             fromMask.push_back(
@@ -408,7 +444,8 @@ TEST(TraceCache, ConcurrentLookupsComputeOnce)
     const int nodeId = net->convNodeIds().front();
     timing::TraceCache cache;
     sim::ThreadPool pool(4);
-    // Count-map lookups (mask only) race tensor lookups (values).
+    // Count-map lookups race tensor lookups, which draw the values
+    // on top of the one cached activity.
     std::vector<std::shared_ptr<const tensor::NeuronTensor>> values(16);
     sim::parallelFor(pool, 16, [&](std::size_t i) {
         if (i % 2 == 0)

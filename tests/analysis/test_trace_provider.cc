@@ -2,7 +2,8 @@
  * @file
  * Tests for external trace injection: a DirectoryTraceProvider fed
  * with exported traces must reproduce the synthetic run exactly,
- * honour pruning thresholds, fall back gracefully on missing files,
+ * honour pruning thresholds (per producer branch of a concat input),
+ * fall back gracefully on missing files,
  * and reject shape mismatches.
  */
 
@@ -16,6 +17,8 @@
 #include "sim/logging.h"
 #include "tensor/serialize.h"
 #include "timing/network_model.h"
+#include "timing/trace_cache.h"
+#include "zfnaf/format.h"
 
 namespace {
 
@@ -103,6 +106,33 @@ TEST_F(TraceProviderTest, PruningAppliesToExternalTraces)
     const auto c = timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv,
                                            syntheticPruned);
     EXPECT_EQ(b.totalCycles(), c.totalCycles());
+
+    // A concat-fed google layer with a different threshold per
+    // producer branch: the provider's tensor is pruned segment by
+    // segment as synthesis prunes it, at brick sizes that straddle
+    // segment edges.
+    const auto google = nn::zoo::build(nn::zoo::NetId::Google, 77);
+    int nodeId = -1;
+    for (int id : google->convNodeIds())
+        if (nn::inputSegments(*google, id).size() == 4)
+            nodeId = id;
+    ASSERT_GE(nodeId, 0);
+    tensor::saveTensorFile(provider.pathFor(*google, nodeId, 6),
+                           nn::synthesizeConvInput(*google, nodeId, 6));
+    nn::PruneConfig branches;
+    branches.thresholds.assign(google->convLayerCount(), 0);
+    const std::int32_t branch[] = {48, 2, 4097, 0};
+    const auto segments = nn::inputSegments(*google, nodeId);
+    for (std::size_t k = 0; k < segments.size(); ++k)
+        branches.thresholds[segments[k].producerConvIndex] = branch[k];
+    const auto expected =
+        nn::synthesizeConvInput(*google, nodeId, 6, &branches);
+    timing::TraceCache cache;
+    for (int brick : {16, 3})
+        EXPECT_EQ(*cache.countMap(*google, nodeId, 6, &provider, &branches,
+                                  brick),
+                  zfnaf::nonZeroCountMap(expected, brick))
+            << "brick " << brick;
 }
 
 TEST_F(TraceProviderTest, MissingFilesFallBackToSynthesis)

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "nn/trace.h"
@@ -224,21 +225,30 @@ TEST(Traces, ConvInputValuesDigestIsPinned)
 
 TEST(Traces, ActivityMaskMarksExactlyTheNonZeros)
 {
+    // The stage-1 mask marks the unpruned values' non-zeros, and
+    // prunedMask marks those of the values pruned by ladderPrune.
     for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
         const auto net = nn::zoo::build(id, 2016, 2);
+        const nn::PruneConfig prune = ladderPrune(*net);
         for (int nodeId : net->convNodeIds()) {
             const nn::Activity activity =
                 nn::synthesizeConvActivity(*net, nodeId, 5);
-            const NeuronTensor values = nn::synthesizeValues(activity);
-            ASSERT_EQ(activity.mask.shape(), values.shape());
-            EXPECT_EQ(values, nn::synthesizeConvInput(*net, nodeId, 5));
-            std::size_t mismatches = 0;
-            for (std::size_t i = 0; i < values.size(); ++i)
-                mismatches +=
-                    activity.mask.test(i) == values.data()[i].isZero();
-            EXPECT_EQ(mismatches, 0u)
-                << nn::zoo::netName(id) << " node " << nodeId;
-            EXPECT_EQ(activity.mask.count(), tensor::countNonZero(values));
+            EXPECT_EQ(nn::synthesizeValues(activity),
+                      nn::synthesizeConvInput(*net, nodeId, 5));
+            EXPECT_EQ(nn::prunedMask(activity, nullptr), activity.mask);
+            for (const nn::PruneConfig *p :
+                 {static_cast<const nn::PruneConfig *>(nullptr), &prune}) {
+                const tensor::ActivityMask mask = nn::prunedMask(activity, p);
+                const NeuronTensor values = nn::synthesizeValues(activity, p);
+                ASSERT_EQ(mask.shape(), values.shape());
+                std::size_t mismatches = 0;
+                for (std::size_t i = 0; i < values.size(); ++i)
+                    mismatches += mask.test(i) == values.data()[i].isZero();
+                EXPECT_EQ(mismatches, 0u)
+                    << nn::zoo::netName(id) << " node " << nodeId
+                    << (p ? " pruned" : "");
+                EXPECT_EQ(mask.count(), tensor::countNonZero(values));
+            }
         }
     }
 }
@@ -452,6 +462,30 @@ TEST(Traces, MagnitudeOfDrawInvertsTheAnalyticCdf)
     }
 }
 
+TEST(Traces, MagnitudeCutoffIsTheFirstDrawThatKeeps)
+{
+    // prunedMask keeps a draw u at threshold t iff u >= the cutoff.
+    // magnitudeOfDraw never decreases in u, so that is "magnitude >=
+    // t" exactly when the cutoff is the first draw whose magnitude
+    // reaches t. Checked at every threshold a magnitude can meet.
+    for (std::int32_t t = 2; t <= MagnitudeLaw::kMax; ++t) {
+        // No cutoff reads as 0, which fails the first check.
+        const std::uint64_t c = nn::magnitudeCutoff(t).value_or(0);
+        ASSERT_GT(c, 0u) << t;
+        ASSERT_GE(nn::magnitudeOfDraw(c), t) << t;
+        ASSERT_LT(nn::magnitudeOfDraw(c - 1), t) << t;
+    }
+    // Every draw keeps a threshold <= 1 and none keeps one above the
+    // largest magnitude.
+    for (const std::int32_t t : {0, 1, MagnitudeLaw::kMax + 1}) {
+        const std::optional<std::uint64_t> c = nn::magnitudeCutoff(t);
+        for (const std::uint64_t u :
+             {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()})
+            EXPECT_EQ(c.has_value() && u >= *c, nn::magnitudeOfDraw(u) >= t)
+                << "t " << t << " u " << u;
+    }
+}
+
 /**
  * Pearson's statistic of `counts` (indexed by magnitude; `n` draws in
  * all) against MagnitudeLaw. Bins are consecutive magnitudes, each
@@ -596,18 +630,34 @@ TEST(Traces, ElementMagnitudeIsItsCounterDraw)
     }
 }
 
-TEST(Traces, UnprunedZeroOperandFractionMatchesTheValues)
+TEST(Traces, ZeroOperandFractionMatchesTheValues)
 {
+    // Unpruned and with a different threshold per conv layer, so
+    // google's concat inputs prune each producer branch differently.
     const auto net = nn::zoo::build(nn::zoo::NetId::Google, 2016, 2);
-    double weightedZero = 0.0;
-    double totalMacs = 0.0;
-    for (int id : net->convNodeIds()) {
-        const double macs = static_cast<double>(net->node(id).macs());
-        weightedZero +=
-            tensor::zeroFraction(nn::synthesizeConvInput(*net, id, 3)) * macs;
-        totalMacs += macs;
+    nn::PruneConfig prune;
+    const std::int32_t ladder[] = {0, 8, 64, 300, 4097};
+    for (int i = 0; i < net->convLayerCount(); ++i)
+        prune.thresholds.push_back(ladder[i % 5]);
+    double unpruned = 0.0;
+    const nn::PruneConfig *const configs[] = {nullptr, &prune};
+    for (const nn::PruneConfig *p : configs) {
+        double weightedZero = 0.0;
+        double totalMacs = 0.0;
+        for (int id : net->convNodeIds()) {
+            const double macs = static_cast<double>(net->node(id).macs());
+            weightedZero += tensor::zeroFraction(
+                                nn::synthesizeConvInput(*net, id, 3, p)) *
+                            macs;
+            totalMacs += macs;
+        }
+        const double zf = nn::zeroOperandFraction(*net, 3, p);
+        EXPECT_EQ(zf, weightedZero / totalMacs) << (p ? "pruned" : "unpruned");
+        if (!p)
+            unpruned = zf;
+        else
+            EXPECT_GT(zf, unpruned);
     }
-    EXPECT_EQ(nn::zeroOperandFraction(*net, 3), weightedZero / totalMacs);
 }
 
 TEST(Traces, ZeroOperandFractionStableAcrossImages)

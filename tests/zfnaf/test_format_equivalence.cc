@@ -4,9 +4,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
-#include "sim/error.h"
 #include "sim/rng.h"
 #include "tensor/tensor.h"
 #include "zfnaf/format.h"
@@ -16,7 +14,6 @@ namespace {
 using namespace cnv;
 using tensor::Fixed16;
 using tensor::NeuronTensor;
-using zfnaf::DepthThreshold;
 using zfnaf::EncodedArray;
 
 NeuronTensor
@@ -99,46 +96,6 @@ TEST(ZfnafEquivalence, CountMapMatchesScalar)
             }
         }
     }
-}
-
-TEST(ZfnafEquivalence, SegmentedCountMatchesPruneThenCount)
-{
-    // Reference semantics: zero out each segment below its threshold,
-    // then count plain non-zeros — what timing::TraceCache used to
-    // do with a full tensor copy. Segment boundaries deliberately
-    // fall inside bricks.
-    const int z = 43;
-    const NeuronTensor t = randomTensor(6, 5, z, 777);
-    const std::vector<DepthThreshold> segments = {
-        {10, 0}, {13, 250}, {7, 1}, {13, 9000},
-    };
-
-    NeuronTensor pruned = t;
-    int zBase = 0;
-    for (const DepthThreshold &seg : segments) {
-        for (int y = 0; y < pruned.shape().y; ++y)
-            for (int x = 0; x < pruned.shape().x; ++x)
-                for (int d = zBase; d < zBase + seg.depth; ++d) {
-                    Fixed16 &v = pruned.at(x, y, d);
-                    if (seg.threshold > 0 && v.rawAbs() < seg.threshold)
-                        v = Fixed16{};
-                }
-        zBase += seg.depth;
-    }
-
-    for (int brickSize : {1, 4, 16, 40}) {
-        expectCountsEqual(
-            zfnaf::nonZeroCountMap(t, brickSize, segments),
-            zfnaf::nonZeroCountMapScalar(pruned, brickSize, 0),
-            "segmented nonZeroCountMap");
-    }
-}
-
-TEST(ZfnafEquivalence, SegmentedCountValidatesDepthSum)
-{
-    const NeuronTensor t = randomTensor(2, 2, 10, 5);
-    const std::vector<DepthThreshold> bad = {{4, 0}, {4, 10}};
-    EXPECT_THROW(zfnaf::nonZeroCountMap(t, 4, bad), sim::FatalError);
 }
 
 TEST(ZfnafEquivalence, TensorCountsMatchBruteForce)
