@@ -277,6 +277,25 @@ BM_TraceActivity(benchmark::State &state)
 BENCHMARK(BM_TraceActivity);
 
 void
+BM_TraceActivityInput(benchmark::State &state)
+{
+    // Stage 1 on a network's first conv input: the raw image's model
+    // (as synthesizeConvActivity sets it) on a 224x224x3 plane, where
+    // the field's per-column work weighs as much as the draws.
+    constexpr tensor::Shape3 shape{224, 224, 3};
+    nn::SparsityModel model;
+    model.zeroFraction = 0.01;
+    model.channelDispersion = 0.05;
+    model.spatialDispersion = 0.05;
+    sim::Rng rng(7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(nn::synthesizeActivity(shape, model, rng));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(shape.volume()));
+}
+BENCHMARK(BM_TraceActivityInput);
+
+void
 BM_TraceValues(benchmark::State &state)
 {
     // Stage 2 alone, on the activity BM_TraceActivity draws.

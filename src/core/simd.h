@@ -1,7 +1,8 @@
 /**
  * @file
  * Freestanding portable SIMD layer for the 16-bit fixed-point hot
- * paths (conv forward, ZFNAf encode, non-zero brick counting).
+ * paths (conv forward, ZFNAf encode, non-zero brick counting) and for
+ * trace synthesis's counter-based Bernoulli draws.
  *
  * Exactly one backend is selected at compile time:
  *
@@ -19,10 +20,11 @@
  * flushes to 64 bits before they can wrap), and integer addition is
  * associative — so all four
  * backends are bit-identical by construction; the equivalence tests
- * in tests/nn and tests/zfnaf pin this.
+ * in tests/nn and tests/zfnaf pin this. The one floating-point
+ * kernel, bernoulliBlock, is exact too: see its comment.
  *
  * Layering: core is the bottom module, so this header includes
- * nothing from src/ (tools/check_layering.py). It is also the
+ * nothing from src/ outside core (tools/check_layering.py). It is also the
  * only file in the tree allowed to touch raw intrinsics: the cnvlint
  * `raw-simd` rule bans `<immintrin.h>` / `<arm_neon.h>` and the
  * `__m128`/`__m256`/NEON vector types everywhere else.
@@ -41,6 +43,8 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+
+#include "core/splitmix.h"
 
 #if !defined(CNV_SIMD) || CNV_SIMD
 #if defined(__AVX2__)
@@ -768,6 +772,124 @@ addWrappedDiffs(std::uint32_t *acc, const std::uint16_t *hi,
 #else
     for (int i = 0; i < kDiffLanes; ++i)
         acc[i] += static_cast<std::uint16_t>(hi[i] - lo[i]);
+#endif
+}
+
+#if defined(CNV_SIMD_BACKEND_AVX2)
+
+namespace detail {
+
+/** Lane-wise a * m mod 2^64 for a constant m: three 32x32->64-bit
+ *  multiplies, the a_hi * m_hi term falling above bit 63. */
+inline __m256i
+mulLo64(__m256i a, std::uint64_t m)
+{
+    const __m256i mv = _mm256_set1_epi64x(static_cast<std::int64_t>(m));
+    const __m256i mHi =
+        _mm256_set1_epi64x(static_cast<std::int64_t>(m >> 32));
+    const __m256i lo = _mm256_mul_epu32(a, mv);
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), mv),
+                         _mm256_mul_epu32(a, mHi));
+    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
+}
+
+/** core::mix64 of each of four 64-bit lanes. */
+inline __m256i
+mix64x4(__m256i x)
+{
+    x = _mm256_add_epi64(
+        x, _mm256_set1_epi64x(static_cast<std::int64_t>(kGoldenGamma)));
+    x = mulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), kMix64Mul1);
+    x = mulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), kMix64Mul2);
+    return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+}
+
+/**
+ * (h >> 11) * 2^-53 of each lane, exactly. The 53-bit draw is split at
+ * bit 32: its low part goes into the mantissa of 2^-1, whose ulp is
+ * 2^-53, and its high part into that of 2^31, whose ulp is 2^-21.
+ * Then (hi - (2^31 + 2^-1)) + lo recombines them; both operations
+ * have exactly representable results, so neither rounds.
+ */
+inline __m256d
+unitDoubles(__m256i h)
+{
+    const __m256i lo = _mm256_blend_epi32(
+        _mm256_srli_epi64(h, 11), _mm256_set1_epi64x(0x3FE0000000000000),
+        0xAA);
+    const __m256i hi = _mm256_or_si256(
+        _mm256_srli_epi64(h, 43), _mm256_set1_epi64x(0x41E0000000000000));
+    return _mm256_add_pd(_mm256_sub_pd(_mm256_castsi256_pd(hi),
+                                       _mm256_set1_pd(0x1.00000001p31)),
+                         _mm256_castsi256_pd(lo));
+}
+
+} // namespace detail
+
+#endif
+
+/**
+ * Counter-based Bernoulli block of n <= 64 elements: bit j of the
+ * result is set iff
+ *
+ *     (mix64(counter + j * kGoldenGamma) >> 11) * 2^-53
+ *         < ((s * rate[j]) * scale) * active,
+ *
+ * output j of the SplitMix64 stream at `counter` as a uniform double
+ * in [0, 1) against the element's probability. Reads rate[0, n). The
+ * draw is below 1, so a probability clamped to min(1, q) would set
+ * the same bits.
+ *
+ * Every backend yields the same bits. The draw is exact: any integer
+ * below 2^53 is a double. The probability is three IEEE multiplies in
+ * the order written, never contracted into an FMA (the build passes
+ * no -mfma). AVX2 hashes four lanes at a time; SSE4.2 and NEON take
+ * the scalar loop, as no 2-lane variant is built or tested.
+ */
+inline std::uint64_t
+bernoulliBlock(std::uint64_t counter, int n, double s, const double *rate,
+               double scale, double active)
+{
+#if defined(CNV_SIMD_BACKEND_AVX2)
+    constexpr std::uint64_t g = kGoldenGamma;
+    __m256i c = _mm256_add_epi64(
+        _mm256_set1_epi64x(static_cast<std::int64_t>(counter)),
+        _mm256_setr_epi64x(0, static_cast<std::int64_t>(g),
+                           static_cast<std::int64_t>(2 * g),
+                           static_cast<std::int64_t>(3 * g)));
+    const __m256i step = _mm256_set1_epi64x(static_cast<std::int64_t>(4 * g));
+    const __m256d sv = _mm256_set1_pd(s);
+    const __m256d scv = _mm256_set1_pd(scale);
+    const __m256d av = _mm256_set1_pd(active);
+    const auto lanes = [&](__m256i counters, __m256d r) {
+        const __m256d q = _mm256_mul_pd(
+            _mm256_mul_pd(_mm256_mul_pd(sv, r), scv), av);
+        const __m256d u = detail::unitDoubles(detail::mix64x4(counters));
+        return static_cast<std::uint64_t>(
+            _mm256_movemask_pd(_mm256_cmp_pd(u, q, _CMP_LT_OQ)));
+    };
+    std::uint64_t bits = 0;
+    int j = 0;
+    for (; j + 4 <= n; j += 4, c = _mm256_add_epi64(c, step)) {
+        __m256d r;
+        std::memcpy(&r, rate + j, sizeof(r));
+        bits |= lanes(c, r) << j;
+    }
+    if (j < n) {
+        // Lanes past n load 0, so their q is 0 and u < q is false.
+        const __m256i live = _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(n - j), _mm256_setr_epi64x(0, 1, 2, 3));
+        bits |= lanes(c, _mm256_maskload_pd(rate + j, live)) << j;
+    }
+    return bits;
+#else
+    std::uint64_t bits = 0;
+    for (int j = 0; j < n; ++j, counter += kGoldenGamma) {
+        const double u = static_cast<double>(mix64(counter) >> 11) * 0x1.0p-53;
+        bits |= std::uint64_t{u < s * rate[j] * scale * active} << j;
+    }
+    return bits;
 #endif
 }
 

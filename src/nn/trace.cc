@@ -7,6 +7,7 @@
 #include <numbers>
 #include <numeric>
 
+#include "core/simd.h"
 #include "sim/logging.h"
 
 namespace cnv::nn {
@@ -28,25 +29,51 @@ class SpatialField
             v = std::exp(rng.normal(0.0, sigma));
     }
 
-    /** The field at column (x, y) of a width x height plane. */
-    double
-    at(int x, int y, int width, int height) const
+    /**
+     * Call f(value) for each column (x, y) of a width x height plane,
+     * y-major. Column (x, y) maps to (u, v) in [0, 1]^2 (0.5
+     * along an axis of length 1), then onto the control grid; its
+     * value interpolates along x on the two grid rows around it, then
+     * along y. The x positions are worked out once, the two
+     * x-interpolated grid rows once per grid row, and the y terms once
+     * per plane row.
+     */
+    template <typename F>
+    void
+    forEachColumn(int width, int height, F &&f) const
     {
-        // (u, v) in [0, 1]^2; map onto the control grid.
-        const double u =
-            width > 1 ? static_cast<double>(x) / (width - 1) : 0.5;
-        const double v =
-            height > 1 ? static_cast<double>(y) / (height - 1) : 0.5;
-        const double gx = u * (grid_ - 1);
-        const double gy = v * (grid_ - 1);
-        const int x0 = std::min(static_cast<int>(gx), grid_ - 2);
-        const int y0 = std::min(static_cast<int>(gy), grid_ - 2);
-        const double fx = gx - x0;
-        const double fy = gy - y0;
-        const double a = cell(x0, y0) * (1 - fx) + cell(x0 + 1, y0) * fx;
-        const double b =
-            cell(x0, y0 + 1) * (1 - fx) + cell(x0 + 1, y0 + 1) * fx;
-        return a * (1 - fy) + b * fy;
+        const auto w = static_cast<std::size_t>(width);
+        std::vector<int> x0(w);
+        std::vector<double> fx(w);
+        for (int x = 0; x < width; ++x) {
+            const double u =
+                width > 1 ? static_cast<double>(x) / (width - 1) : 0.5;
+            const double gx = u * (grid_ - 1);
+            x0[x] = std::min(static_cast<int>(gx), grid_ - 2);
+            fx[x] = gx - x0[x];
+        }
+        // The x-interpolated field on grid rows y0 and y0 + 1.
+        std::vector<double> a(w);
+        std::vector<double> b(w);
+        int rowsAt = -1;
+        for (int y = 0; y < height; ++y) {
+            const double v =
+                height > 1 ? static_cast<double>(y) / (height - 1) : 0.5;
+            const double gy = v * (grid_ - 1);
+            const int y0 = std::min(static_cast<int>(gy), grid_ - 2);
+            const double fy = gy - y0;
+            if (y0 != rowsAt) {
+                for (int x = 0; x < width; ++x) {
+                    a[x] = cell(x0[x], y0) * (1 - fx[x]) +
+                           cell(x0[x] + 1, y0) * fx[x];
+                    b[x] = cell(x0[x], y0 + 1) * (1 - fx[x]) +
+                           cell(x0[x] + 1, y0 + 1) * fx[x];
+                }
+                rowsAt = y0;
+            }
+            for (int x = 0; x < width; ++x)
+                f(a[x] * (1 - fy) + b[x] * fy);
+        }
     }
 
   private:
@@ -182,19 +209,14 @@ drawActivity(int depth, int zBase, const SparsityModel &model,
             const std::size_t base = columnBase(shape, x, y) + zBase;
             for (int z0 = 0; z0 < depth; z0 += 64) {
                 const int n = std::min(64, depth - z0);
-                std::uint64_t bits = ~std::uint64_t{0} >> (64 - n);
-                if (sampled) {
-                    bits = 0;
-                    std::uint64_t counter =
-                        key + (column * depth + z0) * sim::kGoldenGamma;
-                    for (int j = 0; j < n; ++j, counter += sim::kGoldenGamma) {
-                        const double u =
-                            static_cast<double>(sim::mix64(counter) >> 11) *
-                            0x1.0p-53;
-                        bits |= std::uint64_t{u < field.q(column, z0 + j)}
-                                << j;
-                    }
-                }
+                const std::uint64_t bits =
+                    sampled ? core::simd::bernoulliBlock(
+                                  key + (column * depth + z0) *
+                                            core::kGoldenGamma,
+                                  n, field.spatial[column],
+                                  field.channelRate.data() + z0,
+                                  field.scale, field.active)
+                            : ~std::uint64_t{0} >> (64 - n);
                 mask.setBits(base + z0, bits);
             }
         }
@@ -222,7 +244,7 @@ forEachWord(const Activity::Segment &seg, int zBase,
             for (int z0 = 0; z0 < seg.depth; z0 += 64)
                 f(base + z0,
                   seg.magnitudes +
-                      (column * seg.depth + z0) * sim::kGoldenGamma,
+                      (column * seg.depth + z0) * core::kGoldenGamma,
                   mask.bits(base + z0, std::min(64, seg.depth - z0)));
         }
     }
@@ -241,7 +263,7 @@ drawWord(const MagnitudeTable &table, std::uint64_t key, std::uint64_t bits,
 {
     for (; bits != 0; bits &= bits - 1) {
         const auto j = static_cast<std::uint64_t>(std::countr_zero(bits));
-        const int v = table.draw(sim::mix64(key + j * sim::kGoldenGamma));
+        const int v = table.draw(core::mix64(key + j * core::kGoldenGamma));
         if (v >= threshold)
             out[j] = Fixed16::fromRaw(static_cast<std::int16_t>(v));
     }
@@ -256,7 +278,7 @@ keptDraws(std::uint64_t key, std::uint64_t bits, std::uint64_t cutoff)
     std::uint64_t kept = 0;
     for (; bits != 0; bits &= bits - 1) {
         const auto j = static_cast<std::uint64_t>(std::countr_zero(bits));
-        kept |= std::uint64_t{sim::mix64(key + j * sim::kGoldenGamma) >=
+        kept |= std::uint64_t{core::mix64(key + j * core::kGoldenGamma) >=
                               cutoff}
                 << j;
     }
@@ -274,7 +296,71 @@ segmentThreshold(const Activity::Segment &seg, const PruneConfig *prune)
                : 0;
 }
 
+/** Half-width of the band around 1 where r * sc cannot order r
+ *  against 1 / sc rounded, so countBelowReciprocal divides. */
+constexpr double kTieBand = 0x1.0p-50;
+
+/**
+ * countBelowReciprocal where the rates next to the guess `k` do not
+ * settle the count: the gallop, out of line so that the common case
+ * stays small.
+ */
+[[gnu::noinline]] std::size_t
+gallopBelowReciprocal(const std::vector<double> &sorted, double sc,
+                      std::size_t k)
+{
+    // r * sc and 1 / sc each round by at most 2^-53 relative (by
+    // less, relative to r, where a result is subnormal, zero or
+    // infinite), so a product outside 1 +- kTieBand orders r against
+    // 1 / sc rounded; a NaN product takes the divide.
+    const auto below = [&](std::size_t i) {
+        const double p = sorted[i] * sc;
+        if (p < 1.0 - kTieBand)
+            return true;
+        if (p > 1.0 + kTieBand)
+            return false;
+        return sorted[i] < 1.0 / sc;
+    };
+    std::size_t lo = 0; // the count lies in [lo, hi]
+    std::size_t hi = 0;
+    std::size_t step = 1;
+    if (k < sorted.size() && below(k)) {
+        lo = k + 1;
+        for (; lo + step <= sorted.size() && below(lo + step - 1); step *= 2)
+            lo += step;
+        hi = std::min(sorted.size(), lo + step - 1);
+    } else if (k > 0 && !below(k - 1)) {
+        hi = k - 1;
+        for (; hi >= step && !below(hi - step); step *= 2)
+            hi -= step;
+        lo = hi >= step ? hi - step + 1 : 0;
+    } else {
+        return k;
+    }
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (below(mid))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 } // namespace
+
+std::size_t
+countBelowReciprocal(const std::vector<double> &sorted, double sc,
+                     std::size_t k)
+{
+    // Most columns keep the previous column's count, which the
+    // products of the two rates around it settle (the band's bound is
+    // argued in gallopBelowReciprocal).
+    if ((k == sorted.size() || sorted[k] * sc > 1.0 + kTieBand) &&
+        (k == 0 || sorted[k - 1] * sc < 1.0 - kTieBand)) [[likely]]
+        return k;
+    return gallopBelowReciprocal(sorted, sc, k);
+}
 
 ActivityField
 drawActivityField(int width, int height, int depth,
@@ -293,15 +379,16 @@ drawActivityField(int width, int height, int depth,
     const SpatialField spatial(grid, model.spatialDispersion, rng);
     field.spatial.reserve(static_cast<std::size_t>(width) *
                           static_cast<std::size_t>(height));
-    for (int y = 0; y < height; ++y)
-        for (int x = 0; x < width; ++x)
-            field.spatial.push_back(spatial.at(x, y, width, height));
+    spatial.forEachColumn(width, height,
+                          [&](double s) { field.spatial.push_back(s); });
 
     // Normalise so the mean of q matches the target; clamping to [0,1]
     // shifts the mean, so iterate a few times. With the rates sorted
     // and prefix-summed, a column whose factor s * c is `sc` sums to
     // sc * prefix[k] + (depth - k), k being the number of rates below
-    // 1 / sc: O(XY log Z) per pass.
+    // 1 / sc. The field is smooth, so k is galloped from the previous
+    // column's: O(XY log Z) per pass at worst, O(XY) as a rule, and
+    // with no divide but near a tie.
     std::vector<double> sorted = field.channelRate;
     std::sort(sorted.begin(), sorted.end());
     std::vector<double> prefix(sorted.size() + 1, 0.0);
@@ -310,11 +397,10 @@ drawActivityField(int width, int height, int depth,
     for (int iter = 0; iter < 4; ++iter) {
         const double c = field.scale * field.active;
         double mean = 0.0;
+        std::size_t k = 0;
         for (const double s : field.spatial) {
             const double sc = s * c;
-            const auto k =
-                std::lower_bound(sorted.begin(), sorted.end(), 1.0 / sc) -
-                sorted.begin();
+            k = countBelowReciprocal(sorted, sc, k);
             mean += sc * prefix[k] + static_cast<double>(depth - k);
         }
         mean /= elems;
@@ -408,17 +494,14 @@ synthesizeImage(Shape3 shape, std::uint64_t seed)
     std::vector<double> raw(shape.volume());
     std::size_t idx = 0;
     double sum = 0.0;
-    for (int y = 0; y < shape.y; ++y) {
-        for (int x = 0; x < shape.x; ++x) {
-            const double local = field.at(x, y, shape.x, shape.y);
-            for (int z = 0; z < shape.z; ++z) {
-                const double val = std::abs(rng.normal(0.4, 0.2)) * local *
-                                   channelGain[z];
-                raw[idx++] = val;
-                sum += val;
-            }
+    field.forEachColumn(shape.x, shape.y, [&](double local) {
+        for (int z = 0; z < shape.z; ++z) {
+            const double val =
+                std::abs(rng.normal(0.4, 0.2)) * local * channelGain[z];
+            raw[idx++] = val;
+            sum += val;
         }
-    }
+    });
     const double mean = sum / static_cast<double>(raw.size());
     const double norm = mean > 1e-9 ? 0.4 / mean : 1.0;
 

@@ -18,9 +18,9 @@
  * draws the segment's ActivityField from the stream (channel rates,
  * then the spatial grid), then one key; element i of the segment is
  * active iff output i of a SplitMix64 stream seeded by the key,
- * sim::mix64(key + i * sim::kGoldenGamma), falls below the element's
+ * core::mix64(key + i * core::kGoldenGamma), falls below the element's
  * probability q. Stage 2 (synthesizeValues) gives each active element
- * i the magnitude magnitudeOfDraw(sim::mix64(key2 + i * kGoldenGamma)),
+ * i the magnitude magnitudeOfDraw(core::mix64(key2 + i * kGoldenGamma)),
  * key2 being drawn from a stream forked off the segment's stream:
  * an inverse-CDF draw of lround(clamp(exp(N(mu, sigma)), 1, 32767)).
  * In both stages each element is a pure function of its index, so no
@@ -76,7 +76,11 @@ std::vector<TraceSegment> inputSegments(const Network &net, int convNodeId);
  * Stage 1's per-element activity probability over one segment of
  * `depth` channels:
  * q(column, z) = min(1, spatial[column] * channelRate[z] * scale * active),
- * with `scale` normalising the mean of q to `active` (up to clamping).
+ * the three multiplies in that order, with `scale` normalising the
+ * mean of q to `active` (up to clamping). Element (column, z) is
+ * active iff its uniform draw in [0, 1) is below q; as the draw is
+ * below 1, core::simd::bernoulliBlock compares it with the product
+ * unclamped and sets the same bits.
  */
 struct ActivityField
 {
@@ -100,9 +104,31 @@ struct ActivityField
  * Draw the ActivityField of a (width, height, depth) segment from
  * `rng`: `depth` channel-rate normals, then the spatial grid. Draws
  * nothing, and leaves the vectors empty, when `active` is 0 or 1.
+ *
+ * The spatial factors interpolate the grid bilinearly, with the x
+ * positions worked out once, the x-interpolated grid rows once per
+ * grid row and the y terms once per plane row. Four
+ * passes fit `scale`; each sums the clamped q of every column in
+ * column order from the sorted rates' prefix sums, galloping each
+ * column's count of rates below 1 / (s * c) from the previous
+ * column's and dividing only near a tie: O(XY log Z) per pass at
+ * worst. The result is bit-equal to the direct per-column form
+ * (tests/nn/test_field_oracle.cc).
  */
 ActivityField drawActivityField(int width, int height, int depth,
                                 const SparsityModel &model, sim::Rng &rng);
+
+/**
+ * The number of entries of ascending `sorted` below 1 / sc, as
+ * std::lower_bound(sorted, 1.0 / sc) counts them (0 for a NaN sc),
+ * galloped from the guess `k`: O(log d) compares when the count is
+ * k +- d. An entry r is compared by r * sc, which decides exactly
+ * unless it rounds to within 2^-50 of 1; only then does it divide.
+ * That needs sc to be +0, positive or NaN, as every s * c is.
+ * drawActivityField's passes call it once per column.
+ */
+std::size_t countBelowReciprocal(const std::vector<double> &sorted, double sc,
+                                 std::size_t k);
 
 /**
  * Stage-1 output: where a synthesized tensor is non-zero, plus what
@@ -119,7 +145,7 @@ struct Activity
         int producerConvIndex = -1;
         /** Stage 2's key: the segment's element i (local index
          *  (y * X + x) * depth + z) has magnitude
-         *  magnitudeOfDraw(sim::mix64(magnitudes + i * kGoldenGamma))
+         *  magnitudeOfDraw(core::mix64(magnitudes + i * kGoldenGamma))
          *  where it is active. */
         std::uint64_t magnitudes = 0;
     };
@@ -164,7 +190,7 @@ std::optional<std::uint64_t> magnitudeCutoff(std::int32_t threshold);
 /**
  * The non-zeros of synthesizeValues(activity, prune) from the draws
  * alone: active element i of a segment pruned at t stays set iff
- * sim::mix64(magnitudes + i * kGoldenGamma) >= magnitudeCutoff(t).
+ * core::mix64(magnitudes + i * kGoldenGamma) >= magnitudeCutoff(t).
  */
 tensor::ActivityMask prunedMask(const Activity &activity,
                                 const PruneConfig *prune);

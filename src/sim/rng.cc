@@ -10,7 +10,7 @@ Rng::Rng(std::uint64_t seed)
 {
     // Seed from the first four outputs of a splitmix64 stream.
     for (std::size_t i = 0; i < state_.size(); ++i)
-        state_[i] = mix64(seed + i * kGoldenGamma);
+        state_[i] = core::mix64(seed + i * core::kGoldenGamma);
     // xoshiro256++ requires a nonzero state; splitmix64 of any seed
     // yields all-zero with probability ~2^-256, but guard anyway.
     if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0)
@@ -77,7 +77,7 @@ Rng::fork(std::uint64_t stream) const
     // Derive a child seed from the parent state and the stream id so
     // that distinct streams are decorrelated.
     std::uint64_t s = state_[0] ^ (state_[1] + 0x632be59bd9b4e019ULL * (stream + 1));
-    return Rng(mix64(s));
+    return Rng(core::mix64(s));
 }
 
 } // namespace cnv::sim

@@ -4,7 +4,7 @@
  * property tests.
  *
  * All stochastic behaviour in the simulator flows through Rng, or
- * through mix64 keyed by an Rng draw, so that every experiment is
+ * through core::mix64 keyed by an Rng draw, so that every experiment is
  * reproducible from a single seed. The generator is xoshiro256++
  * seeded via splitmix64, which is fast, has a 2^256-1 period, and
  * (unlike std::mt19937 with std::distributions) produces identical
@@ -18,25 +18,9 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/splitmix.h"
+
 namespace cnv::sim {
-
-/** SplitMix64's increment, 2^64 divided by the golden ratio. */
-inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
-
-/**
- * The SplitMix64 output function: a bijective, well-mixed 64-bit hash
- * of `x`. mix64(seed + i * kGoldenGamma) is output i of a SplitMix64
- * stream seeded with `seed`, so a counter-indexed draw needs no state
- * carried between draws.
- */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += kGoldenGamma;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Deterministic pseudo-random number generator (xoshiro256++). */
 class Rng

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "core/simd.h"
+#include "core/splitmix.h"
 #include "dadiannao/assignment.h"
 #include "sim/logging.h"
-#include "sim/rng.h"
 
 namespace cnv::timing {
 
@@ -51,11 +51,11 @@ bool
 weightBrickIneffectual(int convIndex, int ky, int kx, int brick, int pass,
                        double sparsity)
 {
-    std::uint64_t h = sim::mix64(static_cast<std::uint64_t>(convIndex) + 1);
-    h = sim::mix64(h ^ static_cast<std::uint64_t>(ky));
-    h = sim::mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
-    h = sim::mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
-    h = sim::mix64(h ^ static_cast<std::uint64_t>(pass));
+    std::uint64_t h = core::mix64(static_cast<std::uint64_t>(convIndex) + 1);
+    h = core::mix64(h ^ static_cast<std::uint64_t>(ky));
+    h = core::mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
+    h = core::mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
+    h = core::mix64(h ^ static_cast<std::uint64_t>(pass));
     // Top 53 bits as a uniform deviate in [0, 1).
     return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
 }

@@ -4,9 +4,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/splitmix.h"
 #include "nn/trace.h"
 #include "sim/metrics.h"
-#include "sim/rng.h"
 #include "zfnaf/format.h"
 
 namespace cnv::timing {
@@ -17,7 +17,7 @@ namespace {
 std::uint64_t
 fold(std::uint64_t h, std::uint64_t v)
 {
-    return sim::mix64(h ^ v);
+    return core::mix64(h ^ v);
 }
 
 /** `values` with each segment's elements below its threshold zeroed;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -216,6 +217,122 @@ TEST(Simd, AddWrappedDiffsWidensModularDifferences)
             expect[i] += static_cast<std::uint16_t>(hi[i] - lo[i]);
         simd::addWrappedDiffs(acc.data(), hi.data(), lo.data());
         EXPECT_EQ(acc, expect) << "round " << round;
+    }
+}
+
+/** Today's scalar Bernoulli loop, with the min(1, q) clamp that
+ *  bernoulliBlock drops. */
+std::uint64_t
+bernoulliScalar(std::uint64_t counter, int n, double s, const double *rate,
+                double scale, double active)
+{
+    std::uint64_t bits = 0;
+    for (int j = 0; j < n; ++j) {
+        const std::uint64_t h =
+            cnv::core::mix64(counter + j * cnv::core::kGoldenGamma);
+        const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+        const double q = std::min(1.0, s * rate[j] * scale * active);
+        bits |= std::uint64_t{u < q} << j;
+    }
+    return bits;
+}
+
+/** The inverse of x -> x ^ (x >> shift). */
+std::uint64_t
+unXorShift(std::uint64_t y, int shift)
+{
+    std::uint64_t x = y;
+    for (int i = 0; i < 64 / shift; ++i)
+        x = y ^ (x >> shift);
+    return x;
+}
+
+/** The inverse of an odd multiplier mod 2^64 (Newton's iteration). */
+std::uint64_t
+inverseMod64(std::uint64_t m)
+{
+    std::uint64_t inv = m;
+    for (int i = 0; i < 5; ++i)
+        inv *= 2 - m * inv;
+    return inv;
+}
+
+/** The x with mix64(x) == y: every step of SplitMix64 is a bijection. */
+std::uint64_t
+unmix64(std::uint64_t y)
+{
+    std::uint64_t x = unXorShift(y, 31);
+    x *= inverseMod64(cnv::core::kMix64Mul2);
+    x = unXorShift(x, 27);
+    x *= inverseMod64(cnv::core::kMix64Mul1);
+    x = unXorShift(x, 30);
+    return x - cnv::core::kGoldenGamma;
+}
+
+TEST(Simd, BernoulliBlockMatchesScalar)
+{
+    namespace core = cnv::core;
+    cnv::sim::Rng rng(0xbe57);
+    std::vector<double> rate(64);
+    // Rate rows: q = 0, q below 2^-53 (no draw is below it but 0),
+    // q >= 1 (the dropped clamp: every draw is below 1), ordinary
+    // probabilities, and all of them mixed in one row.
+    const auto fillRow = [&](int kind) {
+        for (double &r : rate) {
+            const int k = kind < 4 ? kind
+                                   : static_cast<int>(rng.uniformInt(4));
+            r = k == 0   ? 0.0
+                : k == 1 ? rng.uniform(0.0, 0x1.0p-54)
+                : k == 2 ? rng.uniform(1.0, 3.0)
+                         : rng.uniform();
+        }
+    };
+    for (int kind = 0; kind < 5; ++kind) {
+        for (int n = 1; n <= 64; ++n) {
+            for (int trial = 0; trial < 8; ++trial) {
+                fillRow(kind);
+                const std::uint64_t counter = rng.next();
+                const double s = kind == 2 ? 1.0 : rng.uniform(0.5, 1.5);
+                const double scale = kind == 2 ? 1.0 : rng.uniform(0.5, 1.5);
+                const double active = kind == 2 ? 1.0 : rng.uniform(0.1, 1.0);
+                const double *r = rate.data();
+                const std::uint64_t want =
+                    bernoulliScalar(counter, n, s, r, scale, active);
+                EXPECT_EQ(core::simd::bernoulliBlock(counter, n, s, r, scale,
+                                                     active),
+                          want)
+                    << "kind " << kind << " n " << n << " trial " << trial;
+            }
+        }
+    }
+
+    // Draws that land exactly on q = m * 2^-53 leave their bit clear,
+    // and the draw one step below sets it: the compare is a strict <.
+    // A mask digest would not see a slip to <=, since a random draw
+    // equals q with probability about 2^-53.
+    for (int trial = 0; trial < 256; ++trial) {
+        const int n = 1 + static_cast<int>(rng.uniformInt(64));
+        const int j = static_cast<int>(rng.uniformInt(
+            static_cast<std::uint64_t>(n)));
+        fillRow(3);
+        const std::uint64_t m =
+            1 + rng.uniformInt(trial % 2 == 0 ? 64
+                                              : (std::uint64_t{1} << 53) - 1);
+        rate[j] = static_cast<double>(m) * 0x1.0p-53;
+        for (const std::uint64_t draw : {m, m - 1}) {
+            // Any low 11 bits: the block looks at the top 53 only.
+            const std::uint64_t y = draw << 11 | rng.uniformInt(2048);
+            const std::uint64_t x = unmix64(y);
+            ASSERT_EQ(core::mix64(x), y);
+            const std::uint64_t counter = x - j * core::kGoldenGamma;
+            const std::uint64_t bits = core::simd::bernoulliBlock(
+                counter, n, 1.0, rate.data(), 1.0, 1.0);
+            EXPECT_EQ(bits >> j & 1, draw < m ? 1u : 0u)
+                << "trial " << trial << " m " << m;
+            EXPECT_EQ(bits,
+                      bernoulliScalar(counter, n, 1.0, rate.data(), 1.0, 1.0))
+                << "trial " << trial;
+        }
     }
 }
 

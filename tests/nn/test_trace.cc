@@ -328,7 +328,7 @@ TEST(Traces, ElementActivityIsItsCounterDraw)
     for (std::size_t column = 0; column < field.spatial.size(); ++column)
         for (int z = 0; z < shape.z; ++z, ++i) {
             const std::uint64_t h =
-                sim::mix64(key + i * sim::kGoldenGamma);
+                core::mix64(key + i * core::kGoldenGamma);
             const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
             EXPECT_EQ(activity.mask.test(i), u < field.q(column, z)) << i;
         }
@@ -588,7 +588,7 @@ TEST(Traces, ElementMagnitudeIsItsCounterDraw)
                         static_cast<std::uint64_t>(seg.depth) +
                     static_cast<std::uint64_t>(z - zBase);
                 return nn::magnitudeOfDraw(
-                    sim::mix64(seg.magnitudes + i * sim::kGoldenGamma));
+                    core::mix64(seg.magnitudes + i * core::kGoldenGamma));
             }
             zBase += seg.depth;
         }

@@ -95,8 +95,8 @@ TEST(Rng, BernoulliRate)
 TEST(Rng, Mix64KnownAnswer)
 {
     // The SplitMix64 reference output for seed 0.
-    static_assert(cnv::sim::mix64(0) == 0xe220a8397b1dcdafULL);
-    EXPECT_EQ(cnv::sim::mix64(0), 0xe220a8397b1dcdafULL);
+    static_assert(cnv::core::mix64(0) == 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(cnv::core::mix64(0), 0xe220a8397b1dcdafULL);
 }
 
 /** FNV-1a over the bit patterns of `n` values drawn by `draw`. */
