@@ -4,9 +4,9 @@
  * ZFNAf encode/decode, non-zero count maps, the closed-form conv
  * timing models, trace synthesis, thread-pool scaling, the
  * conv-trace cache and its pruned count maps, and the pruning
- * search's accuracy check. These guard the throughput that makes the
- * paper-scale experiments (full 224x224 geometries, batches of
- * images, threshold sweeps) tractable.
+ * search's accuracy check and timing stage. These guard the
+ * throughput that makes the paper-scale experiments (full 224x224
+ * geometries, batches of images, threshold sweeps) tractable.
  *
  * The *Scalar variants benchmark the scalar reference kernels next
  * to their vectorized counterparts (core/simd.h backends), giving
@@ -458,6 +458,46 @@ BM_ConvTimingSharedWalk(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConvTimingSharedWalk);
+
+// Prune-search's timing stage on its own: the ideal dadiannao + cnv
+// walk of full-geometry VGG-19 over count maps warmed outside the
+// loop. Arg 0 walks the whole net, as timing::simulateNetworks does;
+// Arg k walks conv layer k alone (both archs, cnv's conv1 on the
+// baseline datapath), which shows the layers a change moves.
+void
+BM_ConvTimingVgg19Warm(benchmark::State &state)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Vgg19, 1);
+    const dadiannao::NodeConfig cfg;
+    timing::TraceCache cache;
+    timing::RunOptions opts;
+    opts.imageSeed = 1;
+    opts.cache = &cache;
+    const timing::Arch archs[] = {timing::Arch::Baseline, timing::Arch::Cnv};
+    timing::simulateNetworks(cfg, *net, archs, opts);
+    const int layer = static_cast<int>(state.range(0));
+    if (layer == 0) {
+        for (auto _ : state)
+            benchmark::DoNotOptimize(
+                timing::simulateNetworks(cfg, *net, archs, opts));
+        return;
+    }
+    const int id = net->convNodeIds()[static_cast<std::size_t>(layer - 1)];
+    const nn::Node &node = net->node(id);
+    const auto counts = cache.countMap(*net, id, opts.imageSeed, nullptr,
+                                       nullptr, cfg.brickSize);
+    const bool conv1 = node.convIndex == 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(timing::convBaseline(
+            cfg, node.conv, node.inShape, *counts, conv1));
+        benchmark::DoNotOptimize(
+            conv1 ? timing::convBaseline(cfg, node.conv, node.inShape,
+                                         *counts, conv1)
+                  : timing::convCnv(cfg, node.conv, node.inShape, *counts));
+    }
+}
+BENCHMARK(BM_ConvTimingVgg19Warm)->DenseRange(0, 16)
+    ->Unit(benchmark::kMicrosecond);
 
 // One Table II candidate's accuracy check (the scale-8 VGG-19 the
 // threshold search uses, 6 images) on a warm network: weights

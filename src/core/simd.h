@@ -1,8 +1,9 @@
 /**
  * @file
  * Freestanding portable SIMD layer for the 16-bit fixed-point hot
- * paths (conv forward, ZFNAf encode, non-zero brick counting) and for
- * trace synthesis's counter-based Bernoulli draws.
+ * paths (conv forward, ZFNAf encode, non-zero brick counting), for
+ * the lane sums of the skip-free conv timing walk, and for trace
+ * synthesis's counter-based Bernoulli draws.
  *
  * Exactly one backend is selected at compile time:
  *
@@ -722,58 +723,223 @@ geMask(VecI16 v, std::uint16_t t)
 
 #endif // backend selection
 
-/** Lanes of one addWrappedDiffs step, the same on every backend. */
+/** Lanes of one LaneSums::addWrappedDiffs step, on every backend. */
 inline constexpr int kDiffLanes = 16;
 
 /**
- * acc[i] += (hi[i] - lo[i]) mod 2^16 for i < kDiffLanes: the
- * difference of two rows of wrapping 16-bit prefix sums, exact
- * whenever the true difference is below 2^16, widened into 32-bit
- * accumulators (the caller keeps their sums below 2^32). One AVX2
- * step, two SSE4.2 or NEON steps, or one scalar step per lane.
+ * kWidth 32-bit lane sums (kWidth a multiple of kDiffLanes, at most
+ * 64), zeroed on construction and held in registers while the object
+ * lives in one function: 2 to 8 AVX2 vectors, 4 to 16 SSE4.2 or NEON
+ * vectors, or an array on the scalar backend. It sums rows of wrapping
+ * 16-bit differences and reduces the first `lanes` lanes; lanes at and
+ * past `lanes` may hold anything and never reach a reduction. All
+ * arithmetic wraps mod 2^32, so every backend returns the same values.
  */
-inline void
-addWrappedDiffs(std::uint32_t *acc, const std::uint16_t *hi,
-                const std::uint16_t *lo)
+template <int kWidth>
+class LaneSums
 {
+    static_assert(kWidth % kDiffLanes == 0 && kWidth > 0 && kWidth <= 64);
+
+  public:
 #if defined(CNV_SIMD_BACKEND_AVX2)
-    __m256i a, b, s0, s1;
-    std::memcpy(&a, hi, sizeof(a));
-    std::memcpy(&b, lo, sizeof(b));
-    std::memcpy(&s0, acc, sizeof(s0));
-    std::memcpy(&s1, acc + 8, sizeof(s1));
-    const __m256i d = _mm256_sub_epi16(a, b);
-    s0 = _mm256_add_epi32(s0,
-                          _mm256_cvtepu16_epi32(_mm256_castsi256_si128(d)));
-    s1 = _mm256_add_epi32(
-        s1, _mm256_cvtepu16_epi32(_mm256_extracti128_si256(d, 1)));
-    std::memcpy(acc, &s0, sizeof(s0));
-    std::memcpy(acc + 8, &s1, sizeof(s1));
+    /**
+     * lane i += (hi[i] - lo[i]) mod 2^16 for i < kWidth: the difference
+     * of two rows of wrapping 16-bit prefix sums, exact whenever the
+     * true difference is below 2^16.
+     */
+    void
+    addWrappedDiffs(const std::uint16_t *hi, const std::uint16_t *lo)
+    {
+        for (int k = 0; k < kWidth / kDiffLanes; ++k) {
+            __m256i a, b;
+            std::memcpy(&a, hi + kDiffLanes * k, sizeof(a));
+            std::memcpy(&b, lo + kDiffLanes * k, sizeof(b));
+            const __m256i d = _mm256_sub_epi16(a, b);
+            acc_[2 * k] = _mm256_add_epi32(
+                acc_[2 * k], _mm256_cvtepu16_epi32(_mm256_castsi256_si128(d)));
+            acc_[2 * k + 1] = _mm256_add_epi32(
+                acc_[2 * k + 1],
+                _mm256_cvtepu16_epi32(_mm256_extracti128_si256(d, 1)));
+        }
+    }
+
+    /** The largest of lanes [0, lanes), lanes <= kWidth (0 if none). */
+    std::uint32_t
+    max(int lanes) const
+    {
+        __m256i m = live(0, lanes);
+        for (int k = 1; k < kWidth / 8; ++k)
+            m = _mm256_max_epu32(m, live(k, lanes));
+        __m128i h = _mm_max_epu32(_mm256_castsi256_si128(m),
+                                  _mm256_extracti128_si256(m, 1));
+        h = _mm_max_epu32(h, _mm_shuffle_epi32(h, 0x4E));
+        h = _mm_max_epu32(h, _mm_shuffle_epi32(h, 0xB1));
+        return static_cast<std::uint32_t>(_mm_cvtsi128_si32(h));
+    }
+
+    /** The sum of lanes [0, lanes) mod 2^32, lanes <= kWidth. */
+    std::uint32_t
+    sum(int lanes) const
+    {
+        __m256i s = live(0, lanes);
+        for (int k = 1; k < kWidth / 8; ++k)
+            s = _mm256_add_epi32(s, live(k, lanes));
+        __m128i h = _mm_add_epi32(_mm256_castsi256_si128(s),
+                                  _mm256_extracti128_si256(s, 1));
+        h = _mm_add_epi32(h, _mm_shuffle_epi32(h, 0x4E));
+        h = _mm_add_epi32(h, _mm_shuffle_epi32(h, 0xB1));
+        return static_cast<std::uint32_t>(_mm_cvtsi128_si32(h));
+    }
+
+  private:
+    /** Vector k (lanes 8k to 8k + 7), lanes at and past `lanes` zeroed. */
+    __m256i
+    live(int k, int lanes) const
+    {
+        return _mm256_and_si256(
+            acc_[k], _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes - 8 * k),
+                                        _mm256_setr_epi32(0, 1, 2, 3, 4, 5,
+                                                          6, 7)));
+    }
+
+    __m256i acc_[kWidth / 8] = {};
 #elif defined(CNV_SIMD_BACKEND_SSE42)
-    for (int i = 0; i < kDiffLanes; i += 8) {
-        __m128i a, b, s0, s1;
-        std::memcpy(&a, hi + i, sizeof(a));
-        std::memcpy(&b, lo + i, sizeof(b));
-        std::memcpy(&s0, acc + i, sizeof(s0));
-        std::memcpy(&s1, acc + i + 4, sizeof(s1));
-        const __m128i d = _mm_sub_epi16(a, b);
-        s0 = _mm_add_epi32(s0, _mm_cvtepu16_epi32(d));
-        s1 = _mm_add_epi32(s1, _mm_unpackhi_epi16(d, _mm_setzero_si128()));
-        std::memcpy(acc + i, &s0, sizeof(s0));
-        std::memcpy(acc + i + 4, &s1, sizeof(s1));
+    /** lane i += (hi[i] - lo[i]) mod 2^16 for i < kWidth (see AVX2). */
+    void
+    addWrappedDiffs(const std::uint16_t *hi, const std::uint16_t *lo)
+    {
+        for (int k = 0; k < kWidth / 8; ++k) {
+            __m128i a, b;
+            std::memcpy(&a, hi + 8 * k, sizeof(a));
+            std::memcpy(&b, lo + 8 * k, sizeof(b));
+            const __m128i d = _mm_sub_epi16(a, b);
+            acc_[2 * k] = _mm_add_epi32(acc_[2 * k], _mm_cvtepu16_epi32(d));
+            acc_[2 * k + 1] = _mm_add_epi32(
+                acc_[2 * k + 1], _mm_unpackhi_epi16(d, _mm_setzero_si128()));
+        }
     }
+
+    /** The largest of lanes [0, lanes), lanes <= kWidth (0 if none). */
+    std::uint32_t
+    max(int lanes) const
+    {
+        __m128i m = live(0, lanes);
+        for (int k = 1; k < kWidth / 4; ++k)
+            m = _mm_max_epu32(m, live(k, lanes));
+        m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0x4E));
+        m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0xB1));
+        return static_cast<std::uint32_t>(_mm_cvtsi128_si32(m));
+    }
+
+    /** The sum of lanes [0, lanes) mod 2^32, lanes <= kWidth. */
+    std::uint32_t
+    sum(int lanes) const
+    {
+        __m128i s = live(0, lanes);
+        for (int k = 1; k < kWidth / 4; ++k)
+            s = _mm_add_epi32(s, live(k, lanes));
+        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
+        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
+        return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
+    }
+
+  private:
+    /** Vector k (lanes 4k to 4k + 3), lanes at and past `lanes` zeroed. */
+    __m128i
+    live(int k, int lanes) const
+    {
+        return _mm_and_si128(acc_[k],
+                             _mm_cmpgt_epi32(_mm_set1_epi32(lanes - 4 * k),
+                                             _mm_setr_epi32(0, 1, 2, 3)));
+    }
+
+    __m128i acc_[kWidth / 4] = {};
 #elif defined(CNV_SIMD_BACKEND_NEON)
-    for (int i = 0; i < kDiffLanes; i += 8) {
-        const uint16x8_t d = vsubq_u16(vld1q_u16(hi + i), vld1q_u16(lo + i));
-        vst1q_u32(acc + i, vaddw_u16(vld1q_u32(acc + i), vget_low_u16(d)));
-        vst1q_u32(acc + i + 4,
-                  vaddw_u16(vld1q_u32(acc + i + 4), vget_high_u16(d)));
+    LaneSums()
+    {
+        for (uint32x4_t &a : acc_)
+            a = vdupq_n_u32(0);
     }
+
+    /** lane i += (hi[i] - lo[i]) mod 2^16 for i < kWidth (see AVX2). */
+    void
+    addWrappedDiffs(const std::uint16_t *hi, const std::uint16_t *lo)
+    {
+        for (int k = 0; k < kWidth / 8; ++k) {
+            const uint16x8_t d =
+                vsubq_u16(vld1q_u16(hi + 8 * k), vld1q_u16(lo + 8 * k));
+            acc_[2 * k] = vaddw_u16(acc_[2 * k], vget_low_u16(d));
+            acc_[2 * k + 1] = vaddw_u16(acc_[2 * k + 1], vget_high_u16(d));
+        }
+    }
+
+    /** The largest of lanes [0, lanes), lanes <= kWidth (0 if none). */
+    std::uint32_t
+    max(int lanes) const
+    {
+        uint32x4_t m = live(0, lanes);
+        for (int k = 1; k < kWidth / 4; ++k)
+            m = vmaxq_u32(m, live(k, lanes));
+        return vmaxvq_u32(m);
+    }
+
+    /** The sum of lanes [0, lanes) mod 2^32, lanes <= kWidth. */
+    std::uint32_t
+    sum(int lanes) const
+    {
+        uint32x4_t s = live(0, lanes);
+        for (int k = 1; k < kWidth / 4; ++k)
+            s = vaddq_u32(s, live(k, lanes));
+        return vaddvq_u32(s);
+    }
+
+  private:
+    /** Vector k (lanes 4k to 4k + 3), lanes at and past `lanes` zeroed. */
+    uint32x4_t
+    live(int k, int lanes) const
+    {
+        static constexpr std::uint32_t kIota[4] = {0, 1, 2, 3};
+        const uint32x4_t at =
+            vaddq_u32(vld1q_u32(kIota), vdupq_n_u32(4u * k));
+        return vandq_u32(
+            acc_[k],
+            vcltq_u32(at, vdupq_n_u32(static_cast<std::uint32_t>(lanes))));
+    }
+
+    uint32x4_t acc_[kWidth / 4];
 #else
-    for (int i = 0; i < kDiffLanes; ++i)
-        acc[i] += static_cast<std::uint16_t>(hi[i] - lo[i]);
+    /** lane i += (hi[i] - lo[i]) mod 2^16 for i < kWidth (see AVX2). */
+    void
+    addWrappedDiffs(const std::uint16_t *hi, const std::uint16_t *lo)
+    {
+        for (int i = 0; i < kWidth; ++i)
+            lane_[i] += static_cast<std::uint16_t>(hi[i] - lo[i]);
+    }
+
+    /** The largest of lanes [0, lanes), lanes <= kWidth (0 if none). */
+    std::uint32_t
+    max(int lanes) const
+    {
+        std::uint32_t m = 0;
+        for (int i = 0; i < lanes; ++i)
+            m = m < lane_[i] ? lane_[i] : m;
+        return m;
+    }
+
+    /** The sum of lanes [0, lanes) mod 2^32, lanes <= kWidth. */
+    std::uint32_t
+    sum(int lanes) const
+    {
+        std::uint32_t s = 0;
+        for (int i = 0; i < lanes; ++i)
+            s += lane_[i];
+        return s;
+    }
+
+  private:
+    std::uint32_t lane_[kWidth] = {};
 #endif
-}
+};
 
 #if defined(CNV_SIMD_BACKEND_AVX2)
 

@@ -13,8 +13,10 @@
  * LayerResult field and the drained memory counters must match
  * exactly. Skip-free walks, which read prefix sums instead of
  * gathering, are checked on every shared-walk case, at the 16-bit
- * window-row bound and at lane counts the draw never picks. VGG-19's
- * per-layer CNV cycles at three Table II rungs are pinned as well.
+ * window-row bound and at lane counts the draw never picks (each with
+ * only ideal sinks too), and on production-scale shapes the draw never
+ * reaches. VGG-19's per-layer CNV cycles at three Table II rungs are
+ * pinned as well.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include <iterator>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "analysis/reference_cnv2.h"
@@ -311,8 +314,9 @@ TEST(ConvCnvOracle, SkipFreeWalkAtTheWindowRowBound)
     // One lane, dense input, 3-wide windows over 21845-brick cells: a
     // window row puts 3 x 21845 = 65535 cycles on the lane, the most
     // 16-bit prefix sums hold, while a whole row's prefix (87380)
-    // wraps. Ideal and banked sinks must match the oracle; a brick
-    // more per cell is past the model limit.
+    // wraps. Two ideal sinks (each conv group one walk), and an ideal
+    // and a banked one (a walk per window group), must match the
+    // oracle; a brick more per cell is past the model limit.
     dadiannao::NodeConfig cfg;
     cfg.brickSize = cfg.lanes = 1;
     nn::ConvParams p;
@@ -339,6 +343,7 @@ TEST(ConvCnvOracle, SkipFreeWalkAtTheWindowRowBound)
     geo.banks = 1;
     geo.dramBytesPerCycle = 16;
     mem::MemoryModel gotMem(geo), wantMem(geo);
+    run(21845, nullptr, nullptr);
     run(21845, &gotMem, &wantMem);
     expectSameCounters(gotMem.drainLayer(), wantMem.drainLayer());
     EXPECT_THROW(run(21846, nullptr, nullptr), sim::PanicError);
@@ -347,14 +352,13 @@ TEST(ConvCnvOracle, SkipFreeWalkAtTheWindowRowBound)
 TEST(ConvCnvOracle, SkipFreeWalkAtOtherLaneCounts)
 {
     // Lane counts the random cases do not draw: 5 and 17 leave lanes
-    // of the last 16-lane vector add unused, and 64 takes four adds.
+    // of the last 16-lane vector add unused, and 17 and 64 take four
+    // adds. Two ideal sinks walk each conv group in one call; an ideal
+    // and a banked one walk a window group per call.
     for (const int lanes : {5, 17, 64}) {
         for (const auto policy : {dadiannao::LaneAssignment::ZOnly,
                                   dadiannao::LaneAssignment::XYZHash,
                                   dadiannao::LaneAssignment::WindowEven}) {
-            SCOPED_TRACE(testing::Message()
-                         << "lanes " << lanes << ", policy "
-                         << static_cast<int>(policy));
             dadiannao::NodeConfig cfg;
             cfg.brickSize = cfg.lanes = lanes;
             cfg.laneAssignment = policy;
@@ -377,19 +381,95 @@ TEST(ConvCnvOracle, SkipFreeWalkAtOtherLaneCounts)
             mem::Geometry geo;
             geo.banks = lanes;
             geo.dramBytesPerCycle = 16;
-            mem::MemoryModel gotMem(geo), wantMem(geo);
-            const timing::EncodedSink sinks[] = {{0.0, nullptr},
-                                                 {0.0, &gotMem}};
-            const std::vector<LayerResult> got =
-                timing::convEncoded(cfg, p, in, counts, 0, sinks);
-            ASSERT_EQ(got.size(), 2u);
-            expectSameResult(got[0], testsupport::referenceConvCnv2(
-                                         cfg, p, in, counts, 0, 0.0,
-                                         nullptr));
-            expectSameResult(got[1], testsupport::referenceConvCnv2(
-                                         cfg, p, in, counts, 0, 0.0,
-                                         &wantMem));
-            expectSameCounters(gotMem.drainLayer(), wantMem.drainLayer());
+            for (const bool banked : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "lanes " << lanes << ", policy "
+                             << static_cast<int>(policy) << ", banked "
+                             << banked);
+                std::optional<mem::MemoryModel> gotMem, wantMem;
+                if (banked) {
+                    gotMem.emplace(geo);
+                    wantMem.emplace(geo);
+                }
+                const timing::EncodedSink sinks[] = {{0.0, nullptr},
+                                                     {0.0, ptr(gotMem)}};
+                const std::vector<LayerResult> got =
+                    timing::convEncoded(cfg, p, in, counts, 0, sinks);
+                ASSERT_EQ(got.size(), 2u);
+                expectSameResult(got[0], testsupport::referenceConvCnv2(
+                                             cfg, p, in, counts, 0, 0.0,
+                                             nullptr));
+                expectSameResult(got[1], testsupport::referenceConvCnv2(
+                                             cfg, p, in, counts, 0, 0.0,
+                                             ptr(wantMem)));
+                if (banked)
+                    expectSameCounters(gotMem->drainLayer(),
+                                       wantMem->drainLayer());
+            }
+        }
+    }
+}
+
+TEST(ConvCnvOracle, SkipFreeWalkOnProductionShapes)
+{
+    // Shapes the random draw (sides up to 20) never reaches, each with
+    // two filter passes: 3-window groups that straddle output rows
+    // (56 x 56 outputs, NBout 48), 6-window groups on a deep input,
+    // two conv groups (the row ring restarts for the second), and a
+    // strided 5 x 5 layer whose pad clips window rows. Cnvlutin2 at
+    // sparsity 0 and CNV must match the oracle, ideal and banked.
+    struct Shape
+    {
+        tensor::Shape3 in;
+        int f, stride, pad, groups, nbout;
+    };
+    const Shape shapes[] = {{{56, 56, 128}, 3, 1, 1, 1, 48},
+                            {{14, 14, 512}, 3, 1, 1, 1, 96},
+                            {{27, 27, 96}, 3, 1, 1, 2, 64},
+                            {{31, 31, 48}, 5, 2, 2, 1, 64}};
+    for (const Shape &sh : shapes) {
+        dadiannao::NodeConfig cfg;
+        cfg.nboutEntries = sh.nbout;
+        nn::ConvParams p;
+        p.fx = p.fy = sh.f;
+        p.stride = sh.stride;
+        p.pad = sh.pad;
+        p.groups = sh.groups;
+        p.filters = sh.groups * (cfg.parallelFilters() + 16);
+        const int bricks = sh.in.z / cfg.brickSize;
+        timing::CountMap counts(sh.in.x, sh.in.y, bricks);
+        std::mt19937_64 rng(static_cast<std::uint64_t>(sh.in.z));
+        for (std::uint8_t &c : std::span(counts.data(), counts.size()))
+            c = static_cast<std::uint8_t>(
+                rng() % static_cast<std::uint64_t>(cfg.brickSize + 1));
+        mem::Geometry geo;
+        geo.banks = cfg.nmBanks;
+        geo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
+        for (const bool banked : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "in " << sh.in.x << "x" << sh.in.y << "x"
+                         << sh.in.z << ", f " << sh.f << ", groups "
+                         << sh.groups << ", banked " << banked);
+            std::optional<mem::MemoryModel> gotMem, wantMem;
+            if (banked) {
+                gotMem.emplace(geo);
+                wantMem.emplace(geo);
+            }
+            const LayerResult want = testsupport::referenceConvCnv2(
+                cfg, p, sh.in, counts, 0, 0.0, ptr(wantMem));
+            expectSameResult(timing::convCnv2(cfg, p, sh.in, counts, 0, 0.0,
+                                              ptr(gotMem)),
+                             want);
+            if (banked)
+                expectSameCounters(gotMem->drainLayer(),
+                                   wantMem->drainLayer());
+            const LayerResult again = testsupport::referenceConvCnv2(
+                cfg, p, sh.in, counts, 0, 0.0, ptr(wantMem));
+            expectSameResult(
+                timing::convCnv(cfg, p, sh.in, counts, ptr(gotMem)), again);
+            if (banked)
+                expectSameCounters(gotMem->drainLayer(),
+                                   wantMem->drainLayer());
         }
     }
 }
