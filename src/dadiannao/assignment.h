@@ -51,6 +51,17 @@ laneOf(LaneAssignment policy, int x, int y, int zBrick,
     return wrap(zBrick);
 }
 
+/**
+ * Whether laneOf under `policy` reads windowSeq, so that a cell's
+ * lanes follow its window's brick cursor; otherwise they depend on
+ * its coordinates alone.
+ */
+constexpr bool
+followsCursor(LaneAssignment policy)
+{
+    return policy == LaneAssignment::WindowEven;
+}
+
 } // namespace cnv::dadiannao
 
 #endif // CNV_DADIANNAO_ASSIGNMENT_H
